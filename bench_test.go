@@ -13,6 +13,8 @@ package memorex
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"memorex/internal/apex"
@@ -479,6 +481,49 @@ func BenchmarkEngineMemoization(b *testing.B) {
 		}
 		b.ReportMetric(100*float64(st.CacheHits)/float64(st.Requests), "cache-hit-%")
 		b.ReportMetric(float64(st.Simulations)/float64(st.Requests), "sims-per-eval")
+	}
+}
+
+// BenchmarkMemOnly measures the APEX layer: the batched memory-only
+// evaluation (sim.MemOnly) of the Quick preset's 24-architecture sweep
+// on 60k-access slices of compress, li and vocoder, at one worker and
+// at one per CPU. ns/access divides the wall time by the accesses a
+// per-architecture walk would simulate (architectures × trace length).
+func BenchmarkMemOnly(b *testing.B) {
+	type input struct {
+		t     *Trace
+		archs []*mem.Architecture
+	}
+	var ins []input
+	var accesses int64
+	for _, w := range []workload.Workload{workload.Compress{}, workload.Li{}, workload.Vocoder{}} {
+		t := w.Generate(workload.DefaultConfig()).Slice(0, 60_000)
+		res, err := apex.Explore(t, nil, experiments.Quick().APEX)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := input{t: t}
+		for _, dp := range res.All {
+			in.archs = append(in.archs, dp.Arch)
+		}
+		ins = append(ins, in)
+		accesses += int64(len(in.archs)) * int64(t.NumAccesses())
+	}
+	counts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, in := range ins {
+					if _, err := sim.MemOnly(context.Background(), in.t, in.archs, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*accesses), "ns/access")
+		})
 	}
 }
 

@@ -61,10 +61,7 @@ func main() {
 	arch := apexRes.Selected[*archIdx].Arch
 	fmt.Printf("memory architecture %d: %s\n", *archIdx, arch.Describe(tr))
 
-	brg, err := core.BuildBRG(tr, arch)
-	if err != nil {
-		log.Fatal(err)
-	}
+	brg := core.NewBRG(arch, apexRes.Selected[*archIdx].MemOnly)
 	fmt.Println("\nbandwidth requirement graph:")
 	for i, ch := range brg.Channels {
 		side := "on-chip "

@@ -12,7 +12,6 @@ import (
 	"memorex/internal/core"
 	"memorex/internal/engine"
 	"memorex/internal/explore"
-	"memorex/internal/mem"
 	"memorex/internal/obs"
 	"memorex/internal/profile"
 	"memorex/internal/sampling"
@@ -458,7 +457,7 @@ func (x *Explorer) resolve(req ExploreRequest) (workload.Config, apex.Config, co
 func (x *Explorer) run(ctx context.Context, o *obs.Observer, benchmark string, t *trace.Trace,
 	wl workload.Config, apexCfg apex.Config, conexCfg core.Config, strategy explore.Strategy) (*Report, error) {
 	prof := profile.Analyze(t)
-	apexRes, err := apex.Explore(t, prof, apexCfg)
+	apexRes, err := apex.ExploreContext(ctx, t, prof, apexCfg, x.eng.Workers())
 	if err != nil {
 		return nil, fmt.Errorf("memorex: APEX failed: %w", err)
 	}
@@ -469,11 +468,13 @@ func (x *Explorer) run(ctx context.Context, o *obs.Observer, benchmark string, t
 	if strategy == explore.Pruned {
 		// The paper's two-phase algorithm keeps its dedicated code path
 		// (per-architecture pruning events, Phase I/II result split).
-		archs := make([]*mem.Architecture, 0, len(apexRes.Selected))
+		// Each BRG comes from the memory-only result APEX scored the
+		// architecture with.
+		brgs := make([]*core.BRG, 0, len(apexRes.Selected))
 		for _, dp := range apexRes.Selected {
-			archs = append(archs, dp.Arch)
+			brgs = append(brgs, core.NewBRG(dp.Arch, dp.MemOnly))
 		}
-		conexRes, err := core.Explore(ctx, t, archs, conexCfg)
+		conexRes, err := core.ExploreBRGs(ctx, t, brgs, conexCfg)
 		if err != nil {
 			return nil, fmt.Errorf("memorex: ConEx failed: %w", err)
 		}

@@ -10,6 +10,7 @@
 package apex
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -104,6 +105,10 @@ type DesignPoint struct {
 	// OffChipBytesPerAccess measures the demand the architecture puts
 	// on the chip boundary.
 	OffChipBytesPerAccess float64
+	// MemOnly is the memory-only simulation the design was scored
+	// with. ConEx labels the architecture's Bandwidth Requirement Graph
+	// from it instead of simulating the architecture again.
+	MemOnly *sim.MemOnlyResult
 }
 
 // Result is the outcome of the memory-modules exploration.
@@ -115,6 +120,9 @@ type Result struct {
 	Selected []DesignPoint
 	// EvaluatedAccesses is the exploration work in simulated accesses.
 	EvaluatedAccesses int64
+	// Trace is the trace the designs were evaluated on; their MemOnly
+	// results describe this trace alone.
+	Trace *trace.Trace
 }
 
 // customCandidate is a pattern-matched module proposal for one data
@@ -125,8 +133,17 @@ type customCandidate struct {
 	label string
 }
 
-// Explore runs the memory-modules exploration on a profiled trace.
+// Explore runs the memory-modules exploration on a profiled trace,
+// evaluating on all CPUs.
 func Explore(t *trace.Trace, prof *profile.Profile, cfg Config) (*Result, error) {
+	return ExploreContext(context.Background(), t, prof, cfg, 0)
+}
+
+// ExploreContext runs the memory-modules exploration on a profiled
+// trace. The whole sweep is evaluated in one batched memory-only
+// simulation (sim.MemOnly) on at most workers goroutines (<= 0 means
+// all CPUs). A cancelled ctx stops it with ctx.Err().
+func ExploreContext(ctx context.Context, t *trace.Trace, prof *profile.Profile, cfg Config, workers int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,17 +201,19 @@ func Explore(t *trace.Trace, prof *profile.Profile, cfg Config) (*Result, error)
 		}
 	}
 
-	res := &Result{}
-	for _, arch := range archs {
-		r, err := sim.RunMemOnly(t, arch)
-		if err != nil {
-			return nil, err
-		}
+	results, err := sim.MemOnly(ctx, t, archs, workers)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Trace: t}
+	for i, arch := range archs {
+		r := results[i]
 		res.EvaluatedAccesses += r.Accesses
 		dp := DesignPoint{
 			Arch:      arch,
 			Gates:     arch.Gates(),
 			MissRatio: r.MissRatio(),
+			MemOnly:   r,
 		}
 		if r.Accesses > 0 {
 			dp.OffChipBytesPerAccess = float64(r.OffChipBytes) / float64(r.Accesses)

@@ -1,7 +1,10 @@
 package apex
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"memorex/internal/mem"
 	"memorex/internal/profile"
@@ -271,5 +274,33 @@ func TestExploreMaxSelectedOne(t *testing.T) {
 	}
 	if len(res.Selected) != 1 {
 		t.Fatalf("MaxSelected=1 returned %d designs", len(res.Selected))
+	}
+}
+
+// TestExploreContextCancel: a cancelled context stops the sweep with the
+// context's error, whatever the worker count.
+func TestExploreContextCancel(t *testing.T) {
+	tr := workload.Li{}.Generate(workload.DefaultConfig())
+	prof := profile.Analyze(tr)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		res, err := ExploreContext(ctx, tr, prof, DefaultConfig(), workers)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("workers=%d: got (%v, %v), want (nil, context.Canceled)", workers, res, err)
+		}
+	}
+
+	// Cancelled mid-sweep: a sweep that takes seconds returns promptly.
+	big := DefaultConfig()
+	big.VictimLines, big.SweepWriteThrough, big.L2Sizes = 8, true, []int{64 << 10}
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := ExploreContext(ctx, tr, prof, big, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-sweep cancel: err = %v, want context.Canceled", err)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Fatalf("cancelled sweep took %v to stop", wall)
 	}
 }

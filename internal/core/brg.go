@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"memorex/internal/mem"
@@ -33,16 +34,36 @@ type BRG struct {
 // BuildBRG profiles the trace against the architecture under an ideal
 // interconnect and labels every channel with its bandwidth requirement.
 func BuildBRG(t *trace.Trace, arch *mem.Architecture) (*BRG, error) {
-	r, err := sim.RunMemOnly(t, arch)
+	brgs, err := BuildBRGs(context.Background(), t, []*mem.Architecture{arch}, 1)
 	if err != nil {
 		return nil, err
 	}
+	return brgs[0], nil
+}
+
+// BuildBRGs profiles every architecture in one batched memory-only
+// simulation on at most workers goroutines (<= 0 means all CPUs).
+func BuildBRGs(ctx context.Context, t *trace.Trace, archs []*mem.Architecture, workers int) ([]*BRG, error) {
+	rs, err := sim.MemOnly(ctx, t, archs, workers)
+	if err != nil {
+		return nil, err
+	}
+	brgs := make([]*BRG, len(archs))
+	for i, a := range archs {
+		brgs[i] = NewBRG(a, rs[i])
+	}
+	return brgs, nil
+}
+
+// NewBRG labels the architecture's channels with the traffic of a
+// memory-only simulation of it, such as the one APEX scored it with.
+func NewBRG(arch *mem.Architecture, r *sim.MemOnlyResult) *BRG {
 	return &BRG{
 		Arch:     arch,
 		Channels: arch.Channels(),
 		Bytes:    r.ChannelBytes,
 		Accesses: r.Accesses,
-	}, nil
+	}
 }
 
 // Bandwidth returns channel i's traffic in bytes per access.

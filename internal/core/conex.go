@@ -231,16 +231,17 @@ func ConnectivityExploration(ctx context.Context, t *trace.Trace, arch *mem.Arch
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, 0, err
 	}
-	return connectivityExploration(ctx, cfg.EngineOrNew(), t, arch, cfg)
-}
-
-// connectivityExploration is ConnectivityExploration on an explicit
-// engine, so Explore shares one engine across phases and architectures.
-func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.Trace, arch *mem.Architecture, cfg Config) ([]DesignPoint, int64, int64, error) {
 	brg, err := BuildBRG(t, arch)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	return connectivityExploration(ctx, cfg.EngineOrNew(), t, brg, cfg)
+}
+
+// connectivityExploration is ConnectivityExploration on an explicit
+// engine, so Explore shares one engine across phases and architectures.
+func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.Trace, brg *BRG, cfg Config) ([]DesignPoint, int64, int64, error) {
+	arch := brg.Arch
 	var candidates []*connect.Arch
 	var dropped int64
 	for _, level := range Levels(brg) {
@@ -326,15 +327,33 @@ func SelectLocal(points []DesignPoint, keep int) []DesignPoint {
 }
 
 // Explore runs the full two-phase ConEx algorithm over the memory
-// architectures selected by APEX. All design-point evaluations go
-// through the configured engine (cfg.Engine, or a private one), which
-// bounds parallelism, memoizes equivalent designs and honours ctx
-// cancellation.
+// architectures selected by APEX, profiling their BRGs in one batched
+// memory-only simulation first. All design-point evaluations go through
+// the configured engine (cfg.Engine, or a private one), which bounds
+// parallelism, memoizes equivalent designs and honours ctx cancellation.
 func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(memArchs) == 0 {
+		return nil, fmt.Errorf("core: no memory architectures to explore")
+	}
+	cfg.Engine = cfg.EngineOrNew()
+	brgs, err := BuildBRGs(ctx, t, memArchs, cfg.Engine.Workers())
+	if err != nil {
+		return nil, err
+	}
+	return ExploreBRGs(ctx, t, brgs, cfg)
+}
+
+// ExploreBRGs is Explore over memory architectures whose BRGs are
+// already built, e.g. from the memory-only results APEX scored them
+// with (NewBRG).
+func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(brgs) == 0 {
 		return nil, fmt.Errorf("core: no memory architectures to explore")
 	}
 	eng := cfg.EngineOrNew()
@@ -344,8 +363,9 @@ func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, 
 
 	// Phase I: per-architecture estimation and local selection.
 	var phase2 []DesignPoint
-	for _, arch := range memArchs {
-		points, work, dropped, err := connectivityExploration(ctx, eng, t, arch, cfg)
+	for _, brg := range brgs {
+		arch := brg.Arch
+		points, work, dropped, err := connectivityExploration(ctx, eng, t, brg, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,39 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestFingerprintCoversModuleParameters: parameters a module's name
+// omits still change its behaviour, so they must change the behavior
+// fingerprint. Two self-indirect DMA engines that differ only in chain
+// predictability (or node size) miss at very different rates; sharing
+// one memo or btcache entry would hand one the other's results.
+func TestFingerprintCoversModuleParameters(t *testing.T) {
+	tr := testTrace(t)
+	dmaArch := func(node int, pred float64) *mem.Architecture {
+		return &mem.Architecture{
+			Name:    "dma",
+			Modules: []mem.Module{mem.MustCache(4096, 32, 2), mem.MustSelfIndirectDMA(256, node, pred)},
+			DRAM:    mem.DefaultDRAM(),
+			Route:   map[trace.DSID]int{1: 1},
+			Default: 0,
+		}
+	}
+	base := BehaviorFingerprint(tr, dmaArch(8, 0.2), Full, sampling.Config{})
+	if BehaviorFingerprint(tr, dmaArch(8, 0.2), Full, sampling.Config{}) != base {
+		t.Fatal("equal DMA architectures fingerprint differently")
+	}
+	if BehaviorFingerprint(tr, dmaArch(8, 0.9), Full, sampling.Config{}) == base {
+		t.Error("DMA predictability does not reach the behavior fingerprint")
+	}
+	if BehaviorFingerprint(tr, dmaArch(16, 0.2), Full, sampling.Config{}) == base {
+		t.Error("DMA node size does not reach the behavior fingerprint")
+	}
+	wt := testArch(4096)
+	wt.Modules[0] = mem.MustWriteThroughCache(4096, 32, 2)
+	if BehaviorFingerprint(tr, wt, Full, sampling.Config{}) == BehaviorFingerprint(tr, testArch(4096), Full, sampling.Config{}) {
+		t.Error("cache write policy does not reach the behavior fingerprint")
+	}
+}
+
 // Hit/miss accounting: the second evaluation of an equivalent design is a
 // cache hit, reports Work=0, and returns the identical figures.
 func TestCacheHitAccounting(t *testing.T) {

@@ -152,11 +152,7 @@ func hashMem(a *mem.Architecture) uint64 {
 		writeModule(h, a.L2)
 	}
 	if a.DRAM != nil {
-		writeU64(h, uint64(a.DRAM.RowHitCycles))
-		writeU64(h, uint64(a.DRAM.RowMissCycles))
-		writeU64(h, uint64(a.DRAM.RowBytes))
-		writeU64(h, uint64(a.DRAM.Banks))
-		writeU64(h, uint64(a.DRAM.Policy))
+		writeModule(h, a.DRAM)
 	}
 	writeU64(h, uint64(int64(a.Default)))
 	ids := make([]int, 0, len(a.Route))
@@ -171,15 +167,12 @@ func hashMem(a *mem.Architecture) uint64 {
 	return h.Sum64()
 }
 
-// writeModule hashes one memory module. Module names encode the library
-// configuration (e.g. "cache8k-2w-32b", "stream4x32b", "cache2k-1w-32b+v8");
-// gates, energy and latency guard against name collisions.
+// writeModule hashes one memory module by its mem.Identity, which
+// covers every configuration parameter (e.g. a self-indirect DMA
+// engine's node size and predictability, which its name omits).
 func writeModule(h io.Writer, m mem.Module) {
-	io.WriteString(h, m.Name())
-	writeU64(h, uint64(m.Kind()))
-	writeU64(h, uint64(m.Latency()))
-	writeF64(h, m.Gates())
-	writeF64(h, m.Energy())
+	io.WriteString(h, mem.Identity(m))
+	h.Write([]byte{0})
 }
 
 // connFingerprint hashes a connectivity architecture: the channel list,

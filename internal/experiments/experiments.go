@@ -22,7 +22,6 @@ import (
 	"memorex/internal/apex"
 	"memorex/internal/core"
 	"memorex/internal/engine"
-	"memorex/internal/mem"
 	"memorex/internal/profile"
 	"memorex/internal/sampling"
 	"memorex/internal/trace"
@@ -144,6 +143,15 @@ func benchTrace(name string, limit int) (*trace.Trace, error) {
 	return t, nil
 }
 
+// workers is the evaluation parallelism of a ConEx configuration: its
+// engine's bound when it has one.
+func workers(cfg core.Config) int {
+	if cfg.Engine != nil {
+		return cfg.Engine.Workers()
+	}
+	return cfg.Workers
+}
+
 // pipeline runs profile + APEX + ConEx for a benchmark under the given
 // bounds, sharing nothing mutable beyond the evaluation engine.
 func pipeline(ctx context.Context, name string, limit int, apexCfg apex.Config, conexCfg core.Config) (*trace.Trace, *apex.Result, *core.Result, error) {
@@ -152,15 +160,15 @@ func pipeline(ctx context.Context, name string, limit int, apexCfg apex.Config, 
 		return nil, nil, nil, err
 	}
 	prof := profile.Analyze(t)
-	apexRes, err := apex.Explore(t, prof, apexCfg)
+	apexRes, err := apex.ExploreContext(ctx, t, prof, apexCfg, workers(conexCfg))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	archs := make([]*mem.Architecture, 0, len(apexRes.Selected))
+	brgs := make([]*core.BRG, 0, len(apexRes.Selected))
 	for _, dp := range apexRes.Selected {
-		archs = append(archs, dp.Arch)
+		brgs = append(brgs, core.NewBRG(dp.Arch, dp.MemOnly))
 	}
-	conexRes, err := core.Explore(ctx, t, archs, conexCfg)
+	conexRes, err := core.ExploreBRGs(ctx, t, brgs, conexCfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}

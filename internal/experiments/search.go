@@ -26,7 +26,7 @@ func Search(ctx context.Context, opt Options) (*SearchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	apexRes, err := apex.Explore(t, nil, opt.Table2APEX)
+	apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, workers(opt.Table2ConEx))
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		apexRes, err := apex.Explore(t, nil, opt.Table2APEX)
+		apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, workers(opt.Table2ConEx))
 		if err != nil {
 			return nil, err
 		}
@@ -62,11 +62,11 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	liAPEX, err := apex.Explore(liTrace.Slice(0, opt.Table2TraceLimit), nil, opt.Table2APEX)
+	liAPEX, err := apex.ExploreContext(ctx, liTrace.Slice(0, opt.Table2TraceLimit), nil, opt.Table2APEX, workers(opt.Table2ConEx))
 	if err != nil {
 		return nil, err
 	}
-	out.LiProjectedFullAccesses, err = projectFullWork(liTrace, liAPEX, opt.Table2ConEx)
+	out.LiProjectedFullAccesses, err = projectFullWork(ctx, liTrace, liAPEX, opt.Table2ConEx)
 	if err != nil {
 		return nil, err
 	}
@@ -75,14 +75,14 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 
 // projectFullWork counts the designs the Full strategy would simulate on
 // the full-length trace and multiplies by the trace length.
-func projectFullWork(t *trace.Trace, apexRes *apex.Result, cfg core.Config) (int64, error) {
+func projectFullWork(ctx context.Context, t *trace.Trace, apexRes *apex.Result, cfg core.Config) (int64, error) {
 	space := explore.BuildSpace(apexRes)
+	brgs, err := core.BuildBRGs(ctx, t.Slice(0, 10_000), space.AllMem, workers(cfg))
+	if err != nil {
+		return 0, err
+	}
 	var designs int64
-	for _, arch := range space.AllMem {
-		brg, err := core.BuildBRG(t.Slice(0, 10_000), arch)
-		if err != nil {
-			return 0, err
-		}
+	for _, brg := range brgs {
 		for _, level := range core.Levels(brg) {
 			cands, _ := core.EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
 			designs += int64(len(cands))

@@ -33,6 +33,7 @@ import (
 	"memorex/internal/engine"
 	"memorex/internal/mem"
 	"memorex/internal/pareto"
+	"memorex/internal/sim"
 	"memorex/internal/trace"
 )
 
@@ -101,13 +102,24 @@ type Space struct {
 	// NeighborMem adds the cost-axis neighbours of every selected
 	// architecture (the Neighborhood entry set).
 	NeighborMem []*mem.Architecture
+
+	// memOnly holds the memory-only result APEX scored each candidate
+	// with on trace, so the drivers build BRGs from it instead of
+	// simulating the candidate again.
+	trace   *trace.Trace
+	memOnly map[*mem.Architecture]*sim.MemOnlyResult
 }
 
 // BuildSpace derives the three entry sets from an APEX exploration
 // result. Neighbours are the candidates adjacent in gate cost to each
 // selected design.
 func BuildSpace(res *apex.Result) *Space {
-	sp := &Space{}
+	sp := &Space{trace: res.Trace, memOnly: map[*mem.Architecture]*sim.MemOnlyResult{}}
+	for _, dp := range res.All {
+		if dp.MemOnly != nil {
+			sp.memOnly[dp.Arch] = dp.MemOnly
+		}
+	}
 	// Candidates sorted by cost (APEX reports them in sweep order; we
 	// need the cost axis for neighbourhoods).
 	sorted := append([]apex.DesignPoint(nil), res.All...)
@@ -146,6 +158,32 @@ func BuildSpace(res *apex.Result) *Space {
 	return sp
 }
 
+// brgs returns the BRGs of archs on trace t. Candidates APEX already
+// profiled on t reuse its result; the rest are profiled in one batch.
+func (sp *Space) brgs(ctx context.Context, t *trace.Trace, archs []*mem.Architecture, workers int) ([]*core.BRG, error) {
+	out := make([]*core.BRG, len(archs))
+	var missing []*mem.Architecture
+	var at []int
+	for i, a := range archs {
+		if r := sp.memOnly[a]; r != nil && sp.trace == t {
+			out[i] = core.NewBRG(a, r)
+			continue
+		}
+		missing = append(missing, a)
+		at = append(at, i)
+	}
+	if len(missing) > 0 {
+		built, err := core.BuildBRGs(ctx, t, missing, workers)
+		if err != nil {
+			return nil, err
+		}
+		for k, i := range at {
+			out[i] = built[k]
+		}
+	}
+	return out, nil
+}
+
 // Outcome is the result of one exploration strategy.
 type Outcome struct {
 	Strategy Strategy
@@ -180,11 +218,15 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	out := &Outcome{Strategy: strategy}
 	switch strategy {
 	case Full:
-		if err := runFull(ctx, eng, t, sp.AllMem, cfg, out); err != nil {
+		if err := runFull(ctx, eng, t, sp, cfg, out); err != nil {
 			return nil, err
 		}
 	case Pruned:
-		res, err := core.Explore(ctx, t, sp.SelectedMem, cfg)
+		brgs, err := sp.brgs(ctx, t, sp.SelectedMem, eng.Workers())
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.ExploreBRGs(ctx, t, brgs, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +235,11 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	case Neighborhood:
 		wide := cfg
 		wide.KeepPerArch = cfg.KeepPerArch * 2
-		res, err := core.Explore(ctx, t, sp.NeighborMem, wide)
+		brgs, err := sp.brgs(ctx, t, sp.NeighborMem, eng.Workers())
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.ExploreBRGs(ctx, t, brgs, wide)
 		if err != nil {
 			return nil, err
 		}
@@ -338,18 +384,19 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 }
 
 // runFull simulates the entire combined space through the engine.
-func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, memArchs []*mem.Architecture, cfg core.Config, out *Outcome) error {
+func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Space, cfg core.Config, out *Outcome) error {
 	type job struct {
 		arch *mem.Architecture
 		conn *connect.Arch
 	}
 	// Enumerate all candidate (memory, connectivity) pairs first.
+	brgs, err := sp.brgs(ctx, t, sp.AllMem, eng.Workers())
+	if err != nil {
+		return err
+	}
 	var jobs []job
-	for _, arch := range memArchs {
-		brg, err := core.BuildBRG(t, arch)
-		if err != nil {
-			return err
-		}
+	for _, brg := range brgs {
+		arch := brg.Arch
 		for _, level := range core.Levels(brg) {
 			cands, _ := core.EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
 			for _, c := range cands {

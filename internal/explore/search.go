@@ -126,16 +126,12 @@ func (g genome) clone() genome {
 	return out
 }
 
-// buildSearchSpace profiles every memory architecture into its BRG and
-// precomputes the feasible-component table of every clustering level.
-func buildSearchSpace(t *trace.Trace, memArchs []*mem.Architecture, lib []connect.Component) ([]*memSpace, error) {
+// buildSearchSpace precomputes the feasible-component table of every
+// clustering level of every memory architecture's BRG.
+func buildSearchSpace(brgs []*core.BRG, lib []connect.Component) ([]*memSpace, error) {
 	var spaces []*memSpace
-	for _, arch := range memArchs {
-		brg, err := core.BuildBRG(t, arch)
-		if err != nil {
-			return nil, err
-		}
-		ms := &memSpace{arch: arch, channels: brg.Channels}
+	for _, brg := range brgs {
+		ms := &memSpace{arch: brg.Arch, channels: brg.Channels}
 		for _, level := range core.Levels(brg) {
 			feas := make([][]connect.Component, len(level))
 			ok := true
@@ -645,7 +641,11 @@ func runSearch(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Spac
 	if err != nil {
 		return err
 	}
-	mems, err := buildSearchSpace(t, sp.AllMem, cfg.Library)
+	brgs, err := sp.brgs(ctx, t, sp.AllMem, eng.Workers())
+	if err != nil {
+		return err
+	}
+	mems, err := buildSearchSpace(brgs, cfg.Library)
 	if err != nil {
 		return err
 	}

@@ -184,10 +184,12 @@ func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 
 	for i := range set.lines {
 		if set.lines[i].valid && set.lines[i].tag == tag {
-			// Hit: move to MRU.
-			hitLine := set.lines[i]
-			copy(set.lines[1:i+1], set.lines[:i])
-			set.lines[0] = hitLine
+			// Hit: move to MRU (already there for way 0).
+			if i > 0 {
+				hitLine := set.lines[i]
+				copy(set.lines[1:i+1], set.lines[:i])
+				set.lines[0] = hitLine
+			}
 			if a.Kind == trace.Store {
 				if c.Policy == WriteThrough {
 					// The store is counted as a hit (no stall in our
@@ -219,7 +221,9 @@ func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 			c.WriteBacks++
 		}
 	}
-	copy(set.lines[1:], set.lines[:len(set.lines)-1])
+	if len(set.lines) > 1 {
+		copy(set.lines[1:], set.lines[:len(set.lines)-1])
+	}
 	set.lines[0] = cacheLine{tag: tag, valid: true, dirty: a.Kind == trace.Store}
 	return AccessResult{Hit: false, OffChipBytes: c.LineBytes + wb}
 }

@@ -84,3 +84,33 @@ type Module interface {
 	// Clone returns an independent copy in cold-start state.
 	Clone() Module
 }
+
+// Identity returns the canonical identity of a module's configuration:
+// every parameter its behaviour, timing, energy and cost depend on. Two
+// modules with equal identities produce the same hits, misses and
+// traffic on any access stream from cold state, so callers may key
+// memoized simulation results by it. It is the one definition of module
+// identity: the evaluation engine's fingerprints and the memory-only
+// evaluator's job deduplication both use it.
+func Identity(m Module) string {
+	switch m := m.(type) {
+	case *VictimCache:
+		return fmt.Sprintf("victim/%d/%d/%d/%s/%d", m.SizeBytes, m.LineBytes, m.Assoc, m.Policy, m.VictimLines)
+	case *Cache:
+		return fmt.Sprintf("cache/%d/%d/%d/%s", m.SizeBytes, m.LineBytes, m.Assoc, m.Policy)
+	case *SRAM:
+		return fmt.Sprintf("sram/%d", m.CapacityBytes)
+	case *StreamBuffer:
+		return fmt.Sprintf("stream/%d/%d", m.LineBytes, m.Depth)
+	case *SelfIndirectDMA:
+		// %b prints the float's exact binary value, so predictabilities
+		// that differ in the last bit stay distinct.
+		return fmt.Sprintf("lldma/%d/%d/%b", m.BufBytes, m.NodeBytes, m.Predictability)
+	case *DRAM:
+		return fmt.Sprintf("dram/%d/%d/%d/%d/%d", m.RowHitCycles, m.RowMissCycles, m.RowBytes, m.Banks, m.Policy)
+	default:
+		// A module type from outside the library: its name and reported
+		// figures are all that is known of it.
+		return fmt.Sprintf("%T/%s/%d/%d/%b/%b", m, m.Name(), m.Kind(), m.Latency(), m.Gates(), m.Energy())
+	}
+}
