@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare cache-check daemon-check delta-check search-check serve-smoke check
+.PHONY: build test race vet bench bench-compare cache-check daemon-check search-check serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,9 @@ vet:
 
 # bench runs the benchmark suite (3 fixed iterations, matching how
 # the baselines were measured) and writes the parsed domain metrics —
-# including the eval-latency histogram quantiles, the batched- and
-# delta-replay counters reported by BenchmarkInstrumentedExploration,
-# and the heuristic-search coverage metrics of BenchmarkSearchGA/SA —
+# including the eval-latency histogram quantiles, the batched-replay
+# counters reported by BenchmarkInstrumentedExploration, and the
+# heuristic-search coverage metrics of BenchmarkSearchGA/SA —
 # plus the speedup over the PR 4 report to BENCH_PR10.json.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 3x -run '^$$' . | tee bench.out
@@ -28,7 +28,7 @@ bench:
 # bench-compare diffs two benchjson reports (override OLD/NEW to pick
 # others) and fails when any benchmark's ns/op or B/op regressed by
 # more than 10% — the perf gate for CI. It also tabulates the
-# engine/delta/* counters with the delta-replay hit rate.
+# heuristic-search metrics.
 OLD ?= BENCH_PR9.json
 NEW ?= BENCH_PR10.json
 bench-compare:
@@ -52,15 +52,6 @@ daemon-check:
 	$(GO) test -race -run 'TestRouter|TestObserver' ./internal/obs/
 	$(GO) test -race -run 'TestExploreRequest|TestExplorerDoRequest|TestExplorerCloseIdempotent' .
 
-# delta-check runs the incremental delta-replay suite under the race
-# detector: the sim-level signature/exactness/fallback/property tests,
-# the engine delta-tree planner tests, and the end-to-end warm/cold
-# determinism run of the full pipeline.
-delta-check:
-	$(GO) test -race -run 'TestChannelSignatures|TestReplayDelta|TestReplayBatchMatchesReplay' ./internal/sim/
-	$(GO) test -race -run 'TestTimingSignature|TestEvaluateBatch|TestEvaluateDelta' ./internal/engine/
-	$(GO) test -race -run 'TestDeltaWarmColdDeterminism' .
-
 # search-check runs the heuristic-search suite: the coverage quality
 # gate (GA and SA must recover ≥90% of the Full ground-truth front at
 # ≤25% of its simulations), the seeded-determinism and budget tests
@@ -80,8 +71,8 @@ serve-smoke:
 
 # check is the gate a change must pass before review: formatting is
 # clean, vet finds nothing, the whole suite passes under the race
-# detector, and the trace-cache, daemon, delta-replay and
-# heuristic-search suites hold.
-check: vet cache-check daemon-check delta-check search-check
+# detector, and the trace-cache, daemon and heuristic-search suites
+# hold.
+check: vet cache-check daemon-check search-check
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race ./...

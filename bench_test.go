@@ -636,90 +636,6 @@ func BenchmarkSimulatorReplayBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorReplayDelta measures incremental delta-replay
-// throughput: the behavior trace and a base candidate's residue are
-// captured once, each iteration re-times one sibling per library
-// component — all in a single batched delta walk — recomputing only
-// the channels each sibling changes and splicing the rest from the
-// base. ns/op divided by "archs" is directly
-// comparable to BenchmarkSimulatorReplay's ns/op; "spliced-%" is the
-// fraction of events served from the residue.
-func BenchmarkSimulatorReplayDelta(b *testing.B) {
-	tr := quickTrace(b)
-	arch := &mem.Architecture{
-		Name:    "cache2",
-		Modules: []mem.Module{mem.MustCache(8192, 32, 2), mem.MustCache(4096, 32, 2)},
-		DRAM:    mem.DefaultDRAM(),
-		Default: 0,
-	}
-	lib := connect.Library()
-	ahb, _ := connect.ByName(lib, "ahb32")
-	off, _ := connect.ByName(lib, "off32")
-	chans := arch.Channels()
-	base := &connect.Arch{Channels: chans}
-	target := -1
-	for i, ch := range chans {
-		base.Clusters = append(base.Clusters, []int{i})
-		if ch.OffChip {
-			base.Assign = append(base.Assign, off)
-		} else {
-			base.Assign = append(base.Assign, ahb)
-		}
-		// The siblings vary the second cache's CPU-side channel — a
-		// channel the default-routed accesses never touch, so the
-		// delta replay splices nearly everything.
-		if ch.Kind == mem.ChanCPUModule && ch.Module == 1 {
-			target = i
-		}
-	}
-	if target < 0 {
-		b.Fatal("no CPU channel for module 1")
-	}
-	var sibs []*connect.Arch
-	for _, name := range []string{"ded32", "mux32", "apb32", "asb32", "ahb64"} {
-		comp, err := connect.ByName(lib, name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sib := &connect.Arch{
-			Channels: chans,
-			Clusters: base.Clusters,
-			Assign:   append([]connect.Component(nil), base.Assign...),
-		}
-		sib.Assign[target] = comp
-		sibs = append(sibs, sib)
-	}
-	bt, err := sim.CaptureBehavior(tr.Trace, arch, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, rsd, err := sim.ReplayResidue(bt, base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bases := make([]*sim.Residue, len(sibs))
-	for i := range bases {
-		bases[i] = rsd
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var spliced, total int64
-		_, _, infos, err := sim.ReplayDeltaBatch(bt, bases, sibs, make([]bool, len(sibs)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, info := range infos {
-			if info.Fallback {
-				b.Fatal("delta replay fell back to a full replay")
-			}
-			spliced += info.SplicedEvents
-			total += info.SplicedEvents + info.RecomputedEvents
-		}
-		b.ReportMetric(float64(len(sibs)), "archs")
-		b.ReportMetric(100*float64(spliced)/float64(total), "spliced-%")
-	}
-}
-
 // BenchmarkInstrumentedExploration is BenchmarkFigure4 with the full
 // observability stack attached — event ring, JSONL-equivalent fan-out
 // and metrics registry — so the before/after reports quantify the
@@ -750,12 +666,5 @@ func BenchmarkInstrumentedExploration(b *testing.B) {
 		b.ReportMetric(bs.P50, "batch-size-p50")
 		b.ReportMetric(float64(snap.Counters["engine/batch/dedup_hits"]), "batch-dedup-hits")
 		b.ReportMetric(float64(snap.Counters["engine/batch/spills"]), "batch-spills")
-		// Delta-replay shape: how many evaluations rode the incremental
-		// path, the channels they spliced instead of re-timing, and how
-		// often the planner had to fall back to a full replay. benchjson
-		// -compare tabulates these "delta-*" units with a hit rate.
-		b.ReportMetric(float64(snap.Counters["engine/delta/replays"]), "delta-replays")
-		b.ReportMetric(float64(snap.Counters["engine/delta/channels_reused"]), "delta-chans-reused")
-		b.ReportMetric(float64(snap.Counters["engine/delta/fallbacks"]), "delta-fallbacks")
 	}
 }

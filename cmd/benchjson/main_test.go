@@ -89,40 +89,6 @@ func TestPrintDeltasOneSided(t *testing.T) {
 	}
 }
 
-// TestPrintDeltaMetrics: delta-* engine counters surface in -compare
-// output with a computed hit rate, and are absent when no benchmark
-// reports them.
-func TestPrintDeltaMetrics(t *testing.T) {
-	withDelta := Bench{Iterations: 1, Metrics: map[string]float64{
-		"ns/op": 100, "delta-replays": 30, "delta-fallbacks": 10, "delta-chans-reused": 240,
-	}}
-	old := map[string]Bench{"BenchmarkX": bench(100, 50, 2)}
-	cur := map[string]Bench{"BenchmarkX": withDelta}
-	var sb strings.Builder
-	if !printDeltas(&sb, old, cur) {
-		t.Fatalf("gate failed:\n%s", sb.String())
-	}
-	out := sb.String()
-	for _, want := range []string{"delta-replays", "delta-fallbacks", "delta-chans-reused", "delta hit rate", "75.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
-		}
-	}
-
-	sb.Reset()
-	printDeltas(&sb, old, map[string]Bench{"BenchmarkX": bench(100, 50, 2)})
-	if strings.Contains(sb.String(), "delta metric") {
-		t.Errorf("delta section printed with no delta metrics:\n%s", sb.String())
-	}
-
-	if got := hitRate(map[string]float64{"delta-replays": 0, "delta-fallbacks": 0}); got != "-" {
-		t.Errorf("hitRate with zero activity = %q, want -", got)
-	}
-	if got := metricVal(map[string]float64{}, "delta-replays"); got != "-" {
-		t.Errorf("metricVal for absent unit = %q, want -", got)
-	}
-}
-
 // TestPrintSearchMetrics: search-* units (evals, coverage) surface in
 // -compare output, a >2-point coverage drop warns without failing the
 // gate, and improvements or small noise stay quiet.
@@ -168,6 +134,10 @@ func TestPrintSearchMetrics(t *testing.T) {
 		map[string]Bench{"BenchmarkX": bench(100, 50, 2)})
 	if strings.Contains(sb.String(), "search metric") {
 		t.Errorf("search section printed with no search metrics:\n%s", sb.String())
+	}
+
+	if got := metricVal(map[string]float64{}, "search-evals"); got != "-" {
+		t.Errorf("metricVal for absent unit = %q, want -", got)
 	}
 }
 

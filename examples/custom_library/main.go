@@ -55,12 +55,16 @@ func main() {
 			c.Name, c.Class, c.WidthBytes, c.TransferCycles(4), c.EnergyPerByte, side)
 	}
 
-	opt := memorex.DefaultOptions("jpegenc")
-	opt.ConEx.Library = lib
-	opt.ConEx.MaxAssignPerLevel = 48
-	opt.ConEx.KeepPerArch = 6
+	ex, err := memorex.NewExplorer(
+		memorex.WithLibrary(lib),
+		memorex.WithAssignCap(48),
+		memorex.WithKeepPerArch(6),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	report, err := memorex.Explore(context.Background(), opt)
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "jpegenc"})
 	if err != nil {
 		log.Fatal(err)
 	}

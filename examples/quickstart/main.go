@@ -13,14 +13,18 @@ import (
 )
 
 func main() {
-	// Configure the exploration. DefaultOptions uses the paper's
-	// spaces; we shrink the connectivity enumeration a little so the
+	// Configure the exploration. An Explorer uses the paper's spaces by
+	// default; we shrink the connectivity enumeration a little so the
 	// quickstart finishes in seconds.
-	opt := memorex.DefaultOptions("compress")
-	opt.ConEx.MaxAssignPerLevel = 64
-	opt.ConEx.KeepPerArch = 6
+	ex, err := memorex.NewExplorer(
+		memorex.WithAssignCap(64),
+		memorex.WithKeepPerArch(6),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	report, err := memorex.Explore(context.Background(), opt)
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "compress"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,11 +15,15 @@ import (
 )
 
 func main() {
-	opt := memorex.DefaultOptions("vocoder")
-	opt.ConEx.MaxAssignPerLevel = 64
-	opt.ConEx.KeepPerArch = 8
+	ex, err := memorex.NewExplorer(
+		memorex.WithAssignCap(64),
+		memorex.WithKeepPerArch(8),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	report, err := memorex.Explore(context.Background(), opt)
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "vocoder"})
 	if err != nil {
 		log.Fatal(err)
 	}

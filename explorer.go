@@ -358,9 +358,8 @@ func (x *Explorer) ExploreTrace(ctx context.Context, t *Trace) (*Report, error) 
 }
 
 // Do runs one exploration request. It is the single code path behind
-// every public entry point — Explore, ExploreTrace, the legacy free
-// functions and the memorexd job API all build an ExploreRequest and
-// land here.
+// every public entry point — Explore, ExploreTrace and the memorexd job
+// API all build an ExploreRequest and land here.
 //
 // The request is validated, then resolved against the Explorer's own
 // configuration: nil config blocks inherit the Explorer's settings,

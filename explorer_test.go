@@ -87,7 +87,7 @@ func TestExplorerWarmStart(t *testing.T) {
 }
 
 // fastExplorerOpts shrinks the design spaces so Explorer tests stay
-// quick, mirroring fastOptions for the legacy Options surface.
+// quick.
 func fastExplorerOpts() []ExplorerOption {
 	return []ExplorerOption{
 		WithAPEXConfig(APEXConfig{

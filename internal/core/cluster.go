@@ -118,11 +118,10 @@ func FeasibleComponents(lib []connect.Component, ports int, offChip bool) []conn
 // Indices are decoded through a reflected mixed-radix Gray code, so
 // consecutive architectures differ in exactly one cluster's component.
 // The decoded set is identical to the plain cross product (the Gray map
-// is a bijection on the index space); only the order changes. That
-// ordering is what gives the engine's delta-replay planner its
-// locality: adjacent candidates in an enumeration batch are at timing
-// distance one cluster, so almost every non-leader evaluation can
-// splice the unchanged channels from a near neighbor.
+// is a bijection on the index space); only the order changes. When the
+// product is capped, however, the strided sample is taken through the
+// Gray map, so the code also decides which assignments are kept:
+// changing it would change the explored designs and hence the fronts.
 func EnumerateAssignments(b *BRG, c Clustering, lib []connect.Component, limit int) (archs []*connect.Arch, dropped int64) {
 	cands := make([][]connect.Component, len(c))
 	total := int64(1)

@@ -64,178 +64,134 @@ func TestTimingSignature(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchPath: a homogeneous group of distinct connectivity
-// candidates must be served by batched replays, produce values
-// identical to the per-request path, and seed the memo cache for
-// later requests.
-func TestEvaluateBatchPath(t *testing.T) {
-	tr := testTrace(t)
-	a := testArch(4096)
-	comps := []string{"ded32", "mux32", "apb32", "asb32", "ahb32", "ahb64"}
-	var reqs []Request
-	for _, name := range comps {
-		reqs = append(reqs, sampled(tr, a, testConn(t, a, name)))
-	}
-
-	e := New(4)
-	got, err := e.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bit-exact against a fresh engine running the per-request path.
-	ref := New(1)
-	for i, r := range reqs {
-		want, err := ref.computeOne(context.Background(), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Cost != want.Cost || got[i].Latency != want.Latency || got[i].Energy != want.Energy {
-			t.Errorf("req %d: batch value %+v != per-request value %+v", i, got[i], want)
-		}
-		if got[i].Hit || got[i].Work == 0 {
-			t.Errorf("req %d: batch value should be a fresh simulation, got %+v", i, got[i])
-		}
-	}
-
-	st := e.Stats()
-	if st.BatchReplays == 0 {
-		t.Error("homogeneous batch ran no batched replays")
-	}
-	// On a two-channel single-module arch every candidate pair differs
-	// in half its channels, so the delta planner must keep the whole
-	// group on the batch path.
-	if st.BatchedEvals != int64(len(reqs)) {
-		t.Errorf("BatchedEvals = %d, want %d", st.BatchedEvals, len(reqs))
-	}
-	if st.DeltaReplays != 0 || st.DeltaFallbacks != 0 {
-		t.Errorf("half-changed candidates took the delta path (%d replays, %d fallbacks)",
-			st.DeltaReplays, st.DeltaFallbacks)
-	}
-	if st.BehaviorCaptures != 1 {
-		t.Errorf("BehaviorCaptures = %d, want 1 (one shared trace)", st.BehaviorCaptures)
-	}
-	if st.Simulations != int64(len(reqs)) {
-		t.Errorf("Simulations = %d, want %d", st.Simulations, len(reqs))
-	}
-
-	// The batch seeded the memo cache.
-	again, err := e.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range again {
-		if !again[i].Hit {
-			t.Errorf("req %d: second evaluation missed the cache", i)
-		}
-	}
-	if st := e.Stats(); st.CacheHits != int64(len(reqs)) {
-		t.Errorf("CacheHits = %d, want %d", st.CacheHits, len(reqs))
-	}
-}
-
-// TestEvaluateDeltaPath: on a multi-module architecture, candidates
-// differing from a sibling in a single channel's component must ride
-// sim.ReplayDelta against the sibling's residue — bit-exact versus the
-// per-request path, with nonzero reuse surfaced through stats and the
-// engine/delta/* metrics.
-func TestEvaluateDeltaPath(t *testing.T) {
-	tr := testTrace(t)
-	a := &mem.Architecture{
+// twoCacheArch is a two-module architecture: four channels, so a
+// candidate can change one channel's component and keep the other
+// three.
+func twoCacheArch() *mem.Architecture {
+	return &mem.Architecture{
 		Name:    "c2",
 		Modules: []mem.Module{mem.MustCache(4096, 32, 2), mem.MustCache(8192, 32, 2)},
 		DRAM:    mem.DefaultDRAM(),
 		Default: 0,
 	}
-	// Vary only the second module's CPU channel component: one of four
-	// channels changes, the rest (carrying all the traffic) splice.
-	target := -1
-	for i, ch := range a.Channels() {
-		if ch.Kind == mem.ChanCPUModule && ch.Module == 1 {
-			target = i
-		}
-	}
-	if target < 0 {
-		t.Fatal("no CPU channel for module 1")
-	}
-	lib := connect.Library()
-	var reqs []Request
-	for _, name := range []string{"ahb32", "ded32", "mux32", "apb32", "asb32", "ahb64"} {
-		comp, err := connect.ByName(lib, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := testConn(t, a, "ahb32")
-		for cl := range conn.Clusters {
-			if len(conn.Clusters[cl]) == 1 && conn.Clusters[cl][0] == target {
-				conn.Assign[cl] = comp
+}
+
+// TestEvaluateBatchPath: a group of distinct connectivity candidates
+// sharing one behavior trace must be served entirely by batched
+// replays, produce values identical to the per-request path at every
+// worker count, and seed the memo cache for later requests. The
+// multi-module case varies a single channel's component, so the
+// candidates are near neighbors of each other.
+func TestEvaluateBatchPath(t *testing.T) {
+	comps := []string{"ded32", "mux32", "apb32", "asb32", "ahb32", "ahb64"}
+	cases := []struct {
+		name string
+		reqs func(t *testing.T) []Request
+	}{
+		{"single-module", func(t *testing.T) []Request {
+			tr := testTrace(t)
+			a := testArch(4096)
+			var reqs []Request
+			for _, name := range comps {
+				reqs = append(reqs, sampled(tr, a, testConn(t, a, name)))
 			}
-		}
-		reqs = append(reqs, sampled(tr, a, conn))
+			return reqs
+		}},
+		{"multi-module", func(t *testing.T) []Request {
+			tr := testTrace(t)
+			a := twoCacheArch()
+			target := -1
+			for i, ch := range a.Channels() {
+				if ch.Kind == mem.ChanCPUModule && ch.Module == 1 {
+					target = i
+				}
+			}
+			if target < 0 {
+				t.Fatal("no CPU channel for module 1")
+			}
+			lib := connect.Library()
+			var reqs []Request
+			for _, name := range comps {
+				comp, err := connect.ByName(lib, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn := testConn(t, a, "ahb32")
+				for cl := range conn.Clusters {
+					if len(conn.Clusters[cl]) == 1 && conn.Clusters[cl][0] == target {
+						conn.Assign[cl] = comp
+					}
+				}
+				reqs = append(reqs, sampled(tr, a, conn))
+			}
+			return reqs
+		}},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reqs := c.reqs(t)
+			e := New(4)
+			got, err := e.Evaluate(context.Background(), reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	reg := obs.NewRegistry()
-	e := New(4, WithMetrics(reg))
-	got, err := e.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := New(1)
-	for i, r := range reqs {
-		want, err := ref.computeOne(context.Background(), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Cost != want.Cost || got[i].Latency != want.Latency || got[i].Energy != want.Energy {
-			t.Errorf("req %d: delta-planned value %+v != per-request value %+v", i, got[i], want)
-		}
-	}
+			// Bit-exact against a fresh engine running the per-request path.
+			ref := New(1)
+			for i, r := range reqs {
+				want, err := ref.computeOne(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].Cost != want.Cost || got[i].Latency != want.Latency || got[i].Energy != want.Energy {
+					t.Errorf("req %d: batch value %+v != per-request value %+v", i, got[i], want)
+				}
+				if got[i].Hit || got[i].Work == 0 {
+					t.Errorf("req %d: batch value should be a fresh simulation, got %+v", i, got[i])
+				}
+			}
 
-	st := e.Stats()
-	if st.DeltaReplays == 0 {
-		t.Fatalf("no delta replays ran: %+v", st)
-	}
-	if st.DeltaFallbacks != 0 {
-		t.Errorf("DeltaFallbacks = %d, want 0 (all traffic splices)", st.DeltaFallbacks)
-	}
-	if st.DeltaChannelsReused == 0 {
-		t.Error("delta replays reused no channels")
-	}
-	if covered := st.BatchedEvals + st.DeltaReplays; covered != int64(len(reqs)) {
-		t.Errorf("batched %d + delta %d evals, want %d total", st.BatchedEvals, st.DeltaReplays, len(reqs))
-	}
-	if st.Simulations != int64(len(reqs)) {
-		t.Errorf("Simulations = %d, want %d (delta evals are simulations)", st.Simulations, len(reqs))
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["engine/delta/replays"] != st.DeltaReplays {
-		t.Errorf("engine/delta/replays = %d, want %d", snap.Counters["engine/delta/replays"], st.DeltaReplays)
-	}
-	if snap.Counters["engine/delta/channels_reused"] != st.DeltaChannelsReused {
-		t.Errorf("engine/delta/channels_reused = %d, want %d",
-			snap.Counters["engine/delta/channels_reused"], st.DeltaChannelsReused)
-	}
-	reuse := snap.Histograms["engine/delta/reuse_ratio"]
-	if reuse.Count != st.DeltaReplays || reuse.Max > 100 || reuse.Min < 0 {
-		t.Errorf("engine/delta/reuse_ratio = %+v, want %d observations in [0,100]", reuse, st.DeltaReplays)
-	}
+			st := e.Stats()
+			if st.BatchReplays == 0 {
+				t.Error("group ran no batched replays")
+			}
+			if st.BatchedEvals != int64(len(reqs)) {
+				t.Errorf("BatchedEvals = %d, want %d", st.BatchedEvals, len(reqs))
+			}
+			if st.BehaviorCaptures != 1 {
+				t.Errorf("BehaviorCaptures = %d, want 1 (one shared trace)", st.BehaviorCaptures)
+			}
+			if st.Simulations != int64(len(reqs)) {
+				t.Errorf("Simulations = %d, want %d", st.Simulations, len(reqs))
+			}
 
-	// Deterministic planning: a fresh engine over the same requests
-	// produces identical values and identical delta stats.
-	e2 := New(1, WithMetrics(obs.NewRegistry()))
-	got2, err := e2.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != got2[i] {
-			t.Errorf("req %d: workers=4 value %+v != workers=1 value %+v", i, got[i], got2[i])
-		}
-	}
-	st2 := e2.Stats()
-	if st2.DeltaReplays != st.DeltaReplays || st2.DeltaChannelsReused != st.DeltaChannelsReused ||
-		st2.DeltaFallbacks != st.DeltaFallbacks {
-		t.Errorf("delta stats differ across worker counts: %+v vs %+v", st, st2)
+			// The worker count changes chunking, never values.
+			for _, w := range []int{1, 8} {
+				gw, err := New(w).Evaluate(context.Background(), reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if got[i] != gw[i] {
+						t.Errorf("req %d: workers=4 value %+v != workers=%d value %+v", i, got[i], w, gw[i])
+					}
+				}
+			}
+
+			// The batch seeded the memo cache.
+			again, err := e.Evaluate(context.Background(), reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range again {
+				if !again[i].Hit {
+					t.Errorf("req %d: second evaluation missed the cache", i)
+				}
+			}
+			if st := e.Stats(); st.CacheHits != int64(len(reqs)) {
+				t.Errorf("CacheHits = %d, want %d", st.CacheHits, len(reqs))
+			}
+		})
 	}
 }
 

@@ -82,13 +82,6 @@ type Request struct {
 	// Phase optionally attributes the evaluation to a named phase in
 	// the engine statistics.
 	Phase string
-	// BaseConn optionally names an already-explored connectivity
-	// architecture this request is a neighborhood move away from. It is
-	// a pure locality hint for the batch planner's delta-tree
-	// construction — requests hinting the same base prefer each other as
-	// delta parents when timing distances tie — and is never part of the
-	// memoization key or the result.
-	BaseConn *connect.Arch
 }
 
 // Value is the outcome of one evaluation.
@@ -156,22 +149,6 @@ type Stats struct {
 	BatchedEvals   int64
 	BatchDedupHits int64
 	BatchSpills    int64
-	// DeltaReplays counts evaluations served by sim.ReplayDelta against
-	// a sibling's residue; DeltaChannelsReused totals the clean channels
-	// those deltas spliced from their base; DeltaFallbacks counts delta
-	// dispatches that degenerated to a full replay (no spliceable event,
-	// or the parent's residue was unavailable).
-	DeltaReplays        int64
-	DeltaChannelsReused int64
-	DeltaFallbacks      int64
-	// DeltaSplicedEvents / DeltaRecomputedEvents partition the trace
-	// events of every delta-served evaluation (fallbacks included, as
-	// all-recomputed). Their ratio is the realized splice reuse the
-	// adaptive delta gate decides on: when it stays below the gate's
-	// threshold the residue capture isn't paying for itself and delta
-	// planning pauses.
-	DeltaSplicedEvents    int64
-	DeltaRecomputedEvents int64
 	// Phases lists per-phase wall times and counters in first-use
 	// order.
 	Phases []PhaseStat
@@ -193,13 +170,6 @@ func (s Stats) String() string {
 	if s.BatchReplays > 0 || s.BatchDedupHits > 0 || s.BatchSpills > 0 {
 		out += fmt.Sprintf("; %d batch replays covering %d evals, %d dedup shares, %d spills",
 			s.BatchReplays, s.BatchedEvals, s.BatchDedupHits, s.BatchSpills)
-	}
-	if s.DeltaReplays > 0 || s.DeltaFallbacks > 0 {
-		out += fmt.Sprintf("; %d delta replays reusing %d channels, %d fallbacks",
-			s.DeltaReplays, s.DeltaChannelsReused, s.DeltaFallbacks)
-		if total := s.DeltaSplicedEvents + s.DeltaRecomputedEvents; total > 0 {
-			out += fmt.Sprintf(" (%.0f%% events spliced)", 100*float64(s.DeltaSplicedEvents)/float64(total))
-		}
 	}
 	for _, p := range s.Phases {
 		out += fmt.Sprintf("\n  phase %-18s %10v  %6d evals  %6d sims",
@@ -256,12 +226,6 @@ type Engine struct {
 	memFP    map[*mem.Architecture]uint64
 	stats    Stats
 	phase    map[string]int // phase name -> index into stats.Phases
-
-	// deltaPlanSeq counts delta-eligible fingerprint groups planned so
-	// far; while the adaptive delta gate is pausing, every
-	// deltaProbeEvery'th group still plans a delta tree to re-sample
-	// the realized reuse (see deltaWorthwhile in batch.go).
-	deltaPlanSeq int64
 }
 
 // instruments caches the engine's metrics-registry handles so the per-
@@ -283,10 +247,6 @@ type instruments struct {
 	batchSpills         *obs.Counter
 	batchSize           *obs.Histogram
 	batchWall           *obs.Histogram
-	deltaReplays        *obs.Counter
-	deltaChannels       *obs.Counter
-	deltaFallbacks      *obs.Counter
-	deltaReuse          *obs.Histogram
 }
 
 // Option configures an Engine beyond its worker bound.
@@ -355,10 +315,6 @@ func New(workers int, opts ...Option) *Engine {
 			batchSpills:     e.metrics.Counter("engine/batch/spills"),
 			batchSize:       e.metrics.Histogram("engine/batch/size"),
 			batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
-			deltaReplays:    e.metrics.Counter("engine/delta/replays"),
-			deltaChannels:   e.metrics.Counter("engine/delta/channels_reused"),
-			deltaFallbacks:  e.metrics.Counter("engine/delta/fallbacks"),
-			deltaReuse:      e.metrics.Histogram("engine/delta/reuse_ratio"),
 		}
 		e.metrics.Gauge("engine/workers").Set(float64(workers))
 	}

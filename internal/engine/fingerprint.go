@@ -215,12 +215,10 @@ func connFingerprint(c *connect.Arch) uint64 {
 // sim.ChannelSignatures, folded in channel-index order. Names, classes,
 // port bounds and gate counts are excluded — two architectures with
 // equal signatures replay to bit-identical latency and energy figures
-// and differ at most in gate cost, which is closed-form. The
-// per-channel distribution is itself the canonicalization (cluster
-// order and in-cluster channel order never reach the hash), and it is
-// what makes timing distance computable per channel for the delta-tree
-// planner: archs at signature distance d differ in exactly d channels'
-// timing.
+// and differ at most in gate cost, which is closed-form, so the batch
+// dispatcher replays only one of them. Folding per-channel signatures
+// is itself the canonicalization: cluster order and in-cluster channel
+// order never reach the hash.
 func timingSignature(c *connect.Arch) uint64 {
 	h := fnv.New64a()
 	writeU64(h, uint64(len(c.Channels)))

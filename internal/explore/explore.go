@@ -307,7 +307,6 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 	type job struct {
 		arch *mem.Architecture
 		conn *connect.Arch
-		base *connect.Arch
 	}
 	seen := map[string]bool{}
 	sig := func(arch *mem.Architecture, conn *connect.Arch) string {
@@ -343,7 +342,7 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 					continue
 				}
 				seen[s] = true
-				jobs = append(jobs, job{arch: dp.MemArch, conn: neighbor, base: dp.Conn})
+				jobs = append(jobs, job{arch: dp.MemArch, conn: neighbor})
 			}
 		}
 	}
@@ -358,10 +357,6 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 			Mode:  engine.Full,
 			Exact: cfg.Exact,
 			Phase: "explore/neighborhood",
-			// All single-component swaps of one seed share that seed's
-			// connectivity — the hint steers the delta-tree planner to
-			// parent them on each other rather than across seeds.
-			BaseConn: jobs[i].base,
 		}
 	}
 	vals, err := eng.Evaluate(ctx, reqs)

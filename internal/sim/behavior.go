@@ -24,7 +24,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"memorex/internal/mem"
 	"memorex/internal/trace"
@@ -119,13 +118,6 @@ type BehaviorTrace struct {
 	// stage tables from them).
 	MaxBytes   int
 	MaxDRAMLat int
-
-	// evIdx is the lazily built event classification the delta replayer
-	// uses (replay_delta.go), shared by every residue capture and delta
-	// replay of this trace. Built at most once under evIdxOnce; never
-	// serialized. The trace must not be mutated after the first replay.
-	evIdxOnce sync.Once
-	evIdx     *eventIndex
 }
 
 // NumEvents returns the number of recorded access events.

@@ -46,6 +46,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"memorex/internal/connect"
 	"memorex/internal/mem"
@@ -146,22 +148,6 @@ type batchReplayer struct {
 	fastIssues []int64               // trivially granted issues (uncontended clusters)
 	now        []int64
 	res        []Result
-
-	// Optional per-arch latency recording for residue capture
-	// (ReplayBatchResidue / ReplayDelta). rec == nil disables recording
-	// entirely; rec[a] == nil disables it for arch a. recOver[a] flags a
-	// latency that did not fit int32 (the residue is then discarded).
-	rec     [][]int32
-	recOver []bool
-}
-
-// recordLat appends one event latency to arch a's recording.
-func (b *batchReplayer) recordLat(a, lat int) {
-	if lat < 0 || int64(lat) > int64(maxInt32) {
-		b.recOver[a] = true
-		lat = 0
-	}
-	b.rec[a] = append(b.rec[a], int32(lat))
 }
 
 func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
@@ -356,9 +342,6 @@ func (b *batchReplayer) run() {
 					// stay separate and ordered to match event().
 					ct := b.tabs[x]
 					lat := int64(ct.cyc[size]) + modLat
-					if b.rec != nil && b.rec[a] != nil {
-						b.recordLat(a, int(lat))
-					}
 					r := &b.res[a]
 					r.EnergyNJ += ct.en[size]
 					r.EnergyNJ += modEnergy
@@ -391,9 +374,6 @@ func (b *batchReplayer) run() {
 // reference replayer's run loop.
 func (b *batchReplayer) slowEvent(a, i int) {
 	lat := b.event(a, i)
-	if b.rec != nil && b.rec[a] != nil {
-		b.recordLat(a, lat)
-	}
 	r := &b.res[a]
 	r.Accesses++
 	r.TotalLatency += int64(lat)
@@ -656,4 +636,60 @@ func (b *batchReplayer) offChip(a int, ch int32, n, dramLat int, at int64) (int6
 	grant := b.scheds[x].EarliestIssue(at, stages)
 	r.ChannelWait[ch] += grant - at
 	return grant + int64(comp.ArbCycles+dramLat+comp.Beats(n)*comp.BeatCycles), energy
+}
+
+// FNV-1a parameters for the per-channel signature hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// ChannelSignatures returns one 64-bit timing signature per channel of
+// the architecture: a digest of the owning cluster's component timing
+// parameters (width, arbitration, beat, pipelining, split transactions,
+// energy per byte) and the cluster's sorted channel-member list. Two
+// channels with equal signatures on two architectures are served by
+// timing-identical components with identical scheduler sharing, so
+// their per-event timing and energy contributions are interchangeable.
+// Names, classes, port bounds and gate counts are deliberately
+// excluded.
+func ChannelSignatures(arch *connect.Arch) []uint64 {
+	sigs := make([]uint64, len(arch.Channels))
+	var members []int
+	for cl := range arch.Clusters {
+		comp := &arch.Assign[cl]
+		members = append(members[:0], arch.Clusters[cl]...)
+		sort.Ints(members)
+		h := uint64(fnvOffset64)
+		h = fnvMix(h, uint64(comp.WidthBytes))
+		h = fnvMix(h, uint64(comp.ArbCycles))
+		h = fnvMix(h, uint64(comp.BeatCycles))
+		h = fnvMix(h, boolBit(comp.Pipelined))
+		h = fnvMix(h, boolBit(comp.Split))
+		h = fnvMix(h, math.Float64bits(comp.EnergyPerByte))
+		h = fnvMix(h, uint64(len(members)))
+		for _, m := range members {
+			h = fnvMix(h, uint64(m))
+		}
+		for _, ch := range arch.Clusters[cl] {
+			sigs[ch] = h
+		}
+	}
+	return sigs
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,16 +67,6 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 	if len(batch) != len(conns) {
 		t.Fatalf("%s: ReplayBatch returned %d results for %d archs", name, len(batch), len(conns))
 	}
-	// Residue capture must not perturb the replay: the recording pass
-	// returns bit-identical Results and one residue per requested arch.
-	want := make([]bool, len(conns))
-	for i := range want {
-		want[i] = i%2 == 0
-	}
-	recorded, residues, err := ReplayBatchResidue(bt, conns, want)
-	if err != nil {
-		t.Fatalf("%s: ReplayBatchResidue: %v", name, err)
-	}
 	for i, c := range conns {
 		ref, err := Replay(bt, c)
 		if err != nil {
@@ -84,15 +75,6 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 		if !reflect.DeepEqual(batch[i], ref) {
 			t.Errorf("%s[%d]: batch result diverged from Replay:\n got %+v\nwant %+v",
 				name, i, batch[i], ref)
-		}
-		if !reflect.DeepEqual(recorded[i], ref) {
-			t.Errorf("%s[%d]: residue-recording result diverged from Replay", name, i)
-		}
-		if want[i] && residues[i] == nil {
-			t.Errorf("%s[%d]: requested residue is nil", name, i)
-		}
-		if !want[i] && residues[i] != nil {
-			t.Errorf("%s[%d]: unrequested residue returned", name, i)
 		}
 	}
 }
@@ -143,6 +125,197 @@ func TestReplayBatchMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBatchExact(t, "cache", bt, batchConns(t, m))
+}
+
+// randConn builds a random connectivity architecture for m: a random
+// partition of the on-chip and off-chip channel sets into clusters with
+// random matching library components, retried until it validates.
+func randConn(t *testing.T, rng *rand.Rand, m *mem.Architecture) *connect.Arch {
+	t.Helper()
+	lib := connect.Library()
+	var onComps, offComps []connect.Component
+	for _, c := range lib {
+		if c.OnChip {
+			onComps = append(onComps, c)
+		} else {
+			offComps = append(offComps, c)
+		}
+	}
+	chans := m.Channels()
+	for attempt := 0; attempt < 200; attempt++ {
+		a := &connect.Arch{Channels: chans}
+		build := func(idx []int, comps []connect.Component) {
+			idx = append([]int(nil), idx...)
+			rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+			for len(idx) > 0 {
+				n := 1 + rng.Intn(len(idx))
+				cl := append([]int(nil), idx[:n]...)
+				idx = idx[n:]
+				a.Clusters = append(a.Clusters, cl)
+				a.Assign = append(a.Assign, comps[rng.Intn(len(comps))])
+			}
+		}
+		var on, off []int
+		for i, ch := range chans {
+			if ch.OffChip {
+				off = append(off, i)
+			} else {
+				on = append(on, i)
+			}
+		}
+		build(on, onComps)
+		build(off, offComps)
+		if a.Validate() == nil {
+			return a
+		}
+	}
+	t.Fatal("randConn: no valid random architecture in 200 attempts")
+	return nil
+}
+
+// TestReplayBatchProperty is the randomized batch gate: a random
+// library of cluster assignments × component choices, replayed on full
+// and windowed captures with and without a shared L2, must agree
+// bit-for-bit between ReplayBatch and the per-arch reference Replay.
+func TestReplayBatchProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 12_000)
+	for _, withL2 := range []bool{false, true} {
+		m := richArch(withL2)
+		for _, windowed := range []bool{false, true} {
+			var windows []Window
+			if windowed {
+				for lo := 0; lo < tr.NumAccesses(); lo += 6000 {
+					hi := lo + 1500
+					if hi > tr.NumAccesses() {
+						hi = tr.NumAccesses()
+					}
+					windows = append(windows, Window{Lo: lo, Hi: hi})
+				}
+			}
+			bt, err := CaptureBehavior(tr, m, windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns := make([]*connect.Arch, 8)
+			for i := range conns {
+				conns[i] = randConn(t, rng, m)
+			}
+			batch, err := ReplayBatch(bt, conns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range conns {
+				want, err := Replay(bt, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch[i], want) {
+					t.Errorf("l2=%v windowed=%v arch %d: ReplayBatch diverged", withL2, windowed, i)
+				}
+			}
+		}
+	}
+}
+
+// TestChannelSignatures pins the per-channel signature contract: a
+// signature changes exactly when the channel's timing (component
+// parameters or cluster sharing) changes, and never with labels or
+// area/port metadata.
+func TestChannelSignatures(t *testing.T) {
+	m := richArch(false)
+	a := buildConnT(t, m, "ahb32", "off32")
+	b := buildConnT(t, m, "ahb32", "off32")
+	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(b)) {
+		t.Fatal("independently built identical archs have different signatures")
+	}
+
+	// Reordering clusters must not move any channel's signature: the
+	// signature is indexed by channel, not by cluster position.
+	r := buildConnT(t, m, "ahb32", "off32")
+	for i, j := 0, len(r.Clusters)-1; i < j; i, j = i+1, j-1 {
+		r.Clusters[i], r.Clusters[j] = r.Clusters[j], r.Clusters[i]
+		r.Assign[i], r.Assign[j] = r.Assign[j], r.Assign[i]
+	}
+	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(r)) {
+		t.Fatal("cluster reordering changed per-channel signatures")
+	}
+
+	// Non-timing metadata is excluded.
+	meta := buildConnT(t, m, "ahb32", "off32")
+	meta.Assign[0].Name = "renamed"
+	meta.Assign[0].MaxPorts += 3
+	meta.Assign[0].BaseGates += 100
+	meta.Assign[0].GatesPerPort += 10
+	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(meta)) {
+		t.Fatal("non-timing component fields leaked into the signature")
+	}
+
+	// Every timing parameter must flip the owning cluster's channels —
+	// and only those.
+	mutations := []struct {
+		name string
+		mut  func(*connect.Component)
+	}{
+		{"width", func(c *connect.Component) { c.WidthBytes *= 2 }},
+		{"arb", func(c *connect.Component) { c.ArbCycles++ }},
+		{"beat", func(c *connect.Component) { c.BeatCycles++ }},
+		{"pipelined", func(c *connect.Component) { c.Pipelined = !c.Pipelined }},
+		{"split", func(c *connect.Component) { c.Split = !c.Split }},
+		{"epb", func(c *connect.Component) { c.EnergyPerByte += 0.001 }},
+	}
+	base := ChannelSignatures(a)
+	for _, mu := range mutations {
+		mod := buildConnT(t, m, "ahb32", "off32")
+		mu.mut(&mod.Assign[0])
+		got := ChannelSignatures(mod)
+		for ch := range got {
+			inCluster := false
+			for _, c := range mod.Clusters[0] {
+				if c == ch {
+					inCluster = true
+				}
+			}
+			if inCluster && got[ch] == base[ch] {
+				t.Errorf("%s: mutated cluster channel %d kept its signature", mu.name, ch)
+			}
+			if !inCluster && got[ch] != base[ch] {
+				t.Errorf("%s: untouched channel %d changed signature", mu.name, ch)
+			}
+		}
+	}
+
+	// Cluster membership is part of the signature: merging two channels
+	// onto one component changes their sharing, hence their timing.
+	shared := &connect.Arch{Channels: m.Channels()}
+	var on, off []int
+	for i, ch := range shared.Channels {
+		if ch.OffChip {
+			off = append(off, i)
+		} else {
+			on = append(on, i)
+		}
+	}
+	lib := connect.Library()
+	ahb, err := connect.ByName(lib, "ahb32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off32, err := connect.ByName(lib, "off32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.Clusters = [][]int{on, off}
+	shared.Assign = []connect.Component{ahb, off32}
+	if err := shared.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := ChannelSignatures(shared)
+	for _, ch := range on {
+		if got[ch] == base[ch] {
+			t.Errorf("channel %d: merging clusters did not change the signature", ch)
+		}
+	}
 }
 
 // TestReplayBatchErrors: an empty batch is a no-op, a nil member and a

@@ -22,7 +22,6 @@
 package memorex
 
 import (
-	"context"
 	"fmt"
 
 	"memorex/internal/apex"
@@ -135,26 +134,6 @@ type Report struct {
 	Metrics MetricsSnapshot
 }
 
-// Explore runs the full pipeline: trace generation, profiling, APEX and
-// ConEx. The context cancels the exploration between design-point
-// evaluations.
-//
-// Deprecated: Explore is a thin wrapper that builds a one-shot
-// Explorer and calls Explorer.Do. Build an Explorer directly to share
-// the evaluation engine, stream events or collect metrics across runs,
-// and call Do with an ExploreRequest for per-run configuration.
-func Explore(ctx context.Context, opt Options) (*Report, error) {
-	ex, err := NewExplorer(
-		WithWorkloadConfig(opt.WorkloadConfig),
-		WithAPEXConfig(opt.APEX),
-		WithConExConfig(opt.ConEx),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Explore(ctx, opt.Workload)
-}
-
 // GenerateTrace runs the named benchmark and returns its memory trace.
 // The zero WorkloadConfig selects the paper-reproduction defaults; an
 // explicitly invalid config (e.g. a negative or partial Scale) is an
@@ -169,27 +148,6 @@ func GenerateTrace(benchmark string, cfg workload.Config) (*trace.Trace, error) 
 		return nil, fmt.Errorf("memorex: generating %q trace: %w", benchmark, err)
 	}
 	return w.Generate(cfg), nil
-}
-
-// ExploreTrace runs profiling, APEX and ConEx on an existing trace.
-//
-// Deprecated: ExploreTrace is a thin wrapper over Explorer.Do; see
-// Explore.
-func ExploreTrace(ctx context.Context, t *trace.Trace, opt Options) (*Report, error) {
-	ex, err := NewExplorer(
-		WithWorkloadConfig(opt.WorkloadConfig),
-		WithAPEXConfig(opt.APEX),
-		WithConExConfig(opt.ConEx),
-	)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := ex.Do(ctx, ExploreRequest{Trace: t, Benchmark: opt.Workload})
-	if err != nil {
-		return nil, err
-	}
-	rep.Options.Workload = opt.Workload
-	return rep, nil
 }
 
 // benchmarkLabel picks the run label for a trace-level exploration:

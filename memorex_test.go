@@ -9,26 +9,32 @@ import (
 	"memorex/internal/sampling"
 )
 
-// fastOptions shrinks the spaces so the facade test stays quick.
-func fastOptions(bench string) Options {
-	opt := DefaultOptions(bench)
-	opt.APEX = apex.Config{
-		CacheSizes:  []int{2 << 10, 16 << 10},
-		CacheAssocs: []int{2},
-		CacheLines:  []int{32},
-		MaxCustom:   1,
-		SRAMLimit:   80 << 10,
-		MaxSelected: 3,
+// fastExplorer shrinks the spaces so the facade tests stay quick.
+func fastExplorer(t *testing.T) *Explorer {
+	t.Helper()
+	conex := DefaultOptions("").ConEx
+	conex.MaxAssignPerLevel = 16
+	conex.KeepPerArch = 4
+	conex.Sampling = sampling.Config{OnWindow: 500, OffRatio: 9}
+	ex, err := NewExplorer(
+		WithAPEXConfig(apex.Config{
+			CacheSizes:  []int{2 << 10, 16 << 10},
+			CacheAssocs: []int{2},
+			CacheLines:  []int{32},
+			MaxCustom:   1,
+			SRAMLimit:   80 << 10,
+			MaxSelected: 3,
+		}),
+		WithConExConfig(conex),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt.ConEx.MaxAssignPerLevel = 16
-	opt.ConEx.KeepPerArch = 4
-	opt.ConEx.Sampling = sampling.Config{OnWindow: 500, OffRatio: 9}
-	return opt
+	return ex
 }
 
 func TestExplorePipeline(t *testing.T) {
-	opt := fastOptions("vocoder")
-	rep, err := Explore(context.Background(), opt)
+	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,8 @@ func TestGenerateTraceErrors(t *testing.T) {
 }
 
 func TestExploreTraceEmpty(t *testing.T) {
-	if _, err := ExploreTrace(context.Background(), &Trace{DS: nil}, fastOptions("compress")); err == nil {
+	req := ExploreRequest{Trace: &Trace{DS: nil}, Benchmark: "compress"}
+	if _, err := fastExplorer(t).Do(context.Background(), req); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -111,7 +118,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := Explore(context.Background(), fastOptions("vocoder"))
+	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
 	if err != nil {
 		t.Fatal(err)
 	}

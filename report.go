@@ -27,9 +27,6 @@ type EngineJSON struct {
 	CacheHits       int64           `json:"cache_hits"`
 	SampledAccesses int64           `json:"sampled_accesses"`
 	FullAccesses    int64           `json:"full_accesses"`
-	DeltaReplays    int64           `json:"delta_replays,omitempty"`
-	DeltaChannels   int64           `json:"delta_channels_reused,omitempty"`
-	DeltaFallbacks  int64           `json:"delta_fallbacks,omitempty"`
 	Phases          []PhaseWallJSON `json:"phases,omitempty"`
 }
 
@@ -80,9 +77,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		CacheHits:       st.CacheHits,
 		SampledAccesses: st.SampledAccesses,
 		FullAccesses:    st.FullAccesses,
-		DeltaReplays:    st.DeltaReplays,
-		DeltaChannels:   st.DeltaChannelsReused,
-		DeltaFallbacks:  st.DeltaFallbacks,
 	}
 	for _, p := range st.Phases {
 		ej.Phases = append(ej.Phases, PhaseWallJSON{
