@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare cache-check daemon-check search-check serve-smoke check
+.PHONY: build test race vet bench bench-compare cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,16 @@ search-check:
 # daemon drains cleanly on SIGTERM.
 serve-smoke:
 	sh scripts/serve-smoke.sh
+
+# fuzz runs each native fuzz target for 30 seconds: the MTR1/MTR2 trace
+# decoder, the profiler against its map-based reference, and the
+# request wire format. Inputs that fail land in the package's
+# testdata/fuzz and then run in every go test. check runs only the
+# seed corpora, through go test -race ./....
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/profile/
+	$(GO) test -run '^$$' -fuzz '^FuzzExploreRequestJSON$$' -fuzztime 30s .
 
 # check is the gate a change must pass before review: formatting is
 # clean, vet finds nothing, the whole suite passes under the race

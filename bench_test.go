@@ -26,6 +26,7 @@ import (
 	"memorex/internal/mem"
 	"memorex/internal/obs"
 	"memorex/internal/pareto"
+	"memorex/internal/profile"
 	"memorex/internal/sampling"
 	"memorex/internal/sim"
 	"memorex/internal/workload"
@@ -526,6 +527,37 @@ func BenchmarkMemOnly(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProfileAnalyze measures the profile layer: profile.Analyze
+// on 60k-access slices of compress, li and vocoder, and on the
+// full-length compress and vocoder traces a daemon job profiles.
+// ns/access divides the wall time by the trace length.
+func BenchmarkProfileAnalyze(b *testing.B) {
+	type input struct {
+		name string
+		t    *Trace
+	}
+	var ins []input
+	for _, w := range []workload.Workload{workload.Compress{}, workload.Li{}, workload.Vocoder{}} {
+		t := w.Generate(workload.DefaultConfig())
+		ins = append(ins, input{w.Name() + "/60k", t.Slice(0, 60_000)})
+		if w.Name() != "li" {
+			ins = append(ins, input{w.Name() + "/full", t})
+		}
+	}
+	for _, in := range ins {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				profileSink = profile.Analyze(in.t)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(in.t.NumAccesses())), "ns/access")
+		})
+	}
+}
+
+// profileSink keeps BenchmarkProfileAnalyze's result live.
+var profileSink *profile.Profile
 
 // BenchmarkSimulator measures raw simulator throughput (accesses/sec are
 // visible as ns/op over the 60k-access trace).

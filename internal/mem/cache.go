@@ -37,7 +37,9 @@ type Cache struct {
 	Assoc     int
 	Policy    WritePolicy
 
-	sets  []cacheSet
+	// lines holds every set's ways in one slice: set s occupies
+	// lines[s*Assoc : (s+1)*Assoc], MRU first.
+	lines []cacheLine
 	name  string
 	gates float64
 	nrg   float64
@@ -64,11 +66,6 @@ type cacheLine struct {
 	tag   uint32
 	valid bool
 	dirty bool
-}
-
-type cacheSet struct {
-	// lines[0] is MRU, lines[len-1] is LRU.
-	lines []cacheLine
 }
 
 // NewCache builds a cache. Size, line and associativity must be powers of
@@ -157,10 +154,7 @@ func (c *Cache) SetFetchLatency(int) {}
 // Reset implements Module.
 func (c *Cache) Reset() {
 	nSets := c.SizeBytes / (c.LineBytes * c.Assoc)
-	c.sets = make([]cacheSet, nSets)
-	for i := range c.sets {
-		c.sets[i].lines = make([]cacheLine, c.Assoc)
-	}
+	c.lines = make([]cacheLine, nSets*c.Assoc)
 	c.lineShift = uint32(bits.TrailingZeros32(uint32(c.LineBytes)))
 	c.setShift = uint32(bits.TrailingZeros32(uint32(nSets)))
 	c.setMask = uint32(nSets - 1)
@@ -179,16 +173,17 @@ func (c *Cache) Clone() Module {
 func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 	lineAddr := a.Addr >> c.lineShift
 	setIdx := lineAddr & c.setMask
-	set := &c.sets[setIdx]
+	base := int(setIdx) * c.Assoc
+	set := c.lines[base : base+c.Assoc : base+c.Assoc] // set[0] is MRU
 	tag := lineAddr >> c.setShift
 
-	for i := range set.lines {
-		if set.lines[i].valid && set.lines[i].tag == tag {
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
 			// Hit: move to MRU (already there for way 0).
 			if i > 0 {
-				hitLine := set.lines[i]
-				copy(set.lines[1:i+1], set.lines[:i])
-				set.lines[0] = hitLine
+				hitLine := set[i]
+				copy(set[1:i+1], set[:i])
+				set[0] = hitLine
 			}
 			if a.Kind == trace.Store {
 				if c.Policy == WriteThrough {
@@ -197,7 +192,7 @@ func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 					c.Hits++
 					return AccessResult{Hit: true, OffChipBytes: int(a.Size)}
 				}
-				set.lines[0].dirty = true
+				set[0].dirty = true
 			}
 			c.Hits++
 			return AccessResult{Hit: true}
@@ -210,7 +205,7 @@ func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 	}
 	// Miss: evict LRU, fill, insert at MRU.
 	c.Misses++
-	victim := set.lines[len(set.lines)-1]
+	victim := set[len(set)-1]
 	wb := 0
 	c.lastEvictedValid = victim.valid
 	if victim.valid {
@@ -221,10 +216,10 @@ func (c *Cache) Access(a trace.Access, _ int64) AccessResult {
 			c.WriteBacks++
 		}
 	}
-	if len(set.lines) > 1 {
-		copy(set.lines[1:], set.lines[:len(set.lines)-1])
+	if len(set) > 1 {
+		copy(set[1:], set[:len(set)-1])
 	}
-	set.lines[0] = cacheLine{tag: tag, valid: true, dirty: a.Kind == trace.Store}
+	set[0] = cacheLine{tag: tag, valid: true, dirty: a.Kind == trace.Store}
 	return AccessResult{Hit: false, OffChipBytes: c.LineBytes + wb}
 }
 

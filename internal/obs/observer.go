@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,8 +29,8 @@ type Observer struct {
 // derivatives: the sequence counter, the sink list and the emission
 // lock.
 type fanout struct {
-	seq    atomic.Uint64
 	mu     sync.Mutex
+	seq    uint64 // guarded by mu, so sinks see Seq in order
 	sinks  []Sink
 	closed bool
 	err    error
@@ -107,9 +106,10 @@ func (o *Observer) emit(ev *Event) {
 		return
 	}
 	ev.Job = o.job
-	ev.Seq = o.s.seq.Add(1)
 	ev.Time = time.Now()
 	o.s.mu.Lock()
+	o.s.seq++
+	ev.Seq = o.s.seq
 	if !o.s.closed {
 		for _, s := range o.s.sinks {
 			s.Emit(ev)

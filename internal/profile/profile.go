@@ -9,6 +9,7 @@ package profile
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memorex/internal/trace"
@@ -140,31 +141,34 @@ const (
 )
 
 // Analyze profiles the trace.
+//
+// The per-structure block, stride and successor state lives in tables
+// with uint32 values. They are exact for every trace the decoders
+// accept, since trace.Read caps a trace at 2^32 accesses: a stride count
+// stays below 2^32, and a reuse gap, between 1 and 2^32-1 accesses,
+// comes back exactly from the modular uint32 difference of two
+// last-touch ordinals.
 func Analyze(t *trace.Trace) *Profile {
 	n := len(t.DS)
 	type state struct {
 		count, bytes, stores int64
-		blocks               map[uint32]int64 // block -> last access ordinal
-		strides              map[int32]int64
+		blocks               table // block -> last access ordinal
+		strides              table // uint32(delta) -> transitions at delta
 		smallPos             int64
 		transitions          int64
 		consistent           int64
 		lastAddr             uint32
 		seen                 bool
-		successor            map[uint32]uint32
+		successor            table // address -> the address that followed it
 		// gapHist[k] counts reuse gaps in [2^k, 2^(k+1)).
 		gapHist [33]int64
 		reuses  int64
 	}
 	states := make([]state, n)
-	for i := range states {
-		states[i].blocks = make(map[uint32]int64)
-		states[i].strides = make(map[int32]int64)
-		states[i].successor = make(map[uint32]uint32)
-	}
 
 	for _, a := range t.Accesses {
-		if int(a.DS) >= n {
+		// Anonymous accesses (DS 0) are never reported.
+		if a.DS == trace.Anonymous || int(a.DS) >= n {
 			continue
 		}
 		st := &states[a.DS]
@@ -173,33 +177,35 @@ func Analyze(t *trace.Trace) *Profile {
 		if a.Kind == trace.Store {
 			st.stores++
 		}
-		block := a.Addr / 32
-		if last, ok := st.blocks[block]; ok {
-			gap := st.count - last
-			st.gapHist[log2u64(uint64(gap))]++
+		ord := uint32(st.count)
+		last, ok := st.blocks.ref(a.Addr / 32)
+		if ok {
+			st.gapHist[log2u64(uint64(ord-*last))]++
 			st.reuses++
 		}
-		st.blocks[block] = st.count
+		*last = ord
 		if st.seen {
 			delta := int32(a.Addr) - int32(st.lastAddr)
 			if delta != 0 {
-				st.strides[delta]++
+				c, _ := st.strides.ref(uint32(delta))
+				*c++
 			}
 			if delta > 0 && delta <= 16 {
 				st.smallPos++
 			}
 			st.transitions++
-			if prev, ok := st.successor[st.lastAddr]; ok && prev == a.Addr {
+			next, ok := st.successor.ref(st.lastAddr)
+			if ok && *next == a.Addr {
 				st.consistent++
 			}
-			st.successor[st.lastAddr] = a.Addr
+			*next = a.Addr
 		}
 		st.lastAddr = a.Addr
 		st.seen = true
 	}
 
 	p := &Profile{Trace: t, Total: int64(len(t.Accesses))}
-	for i := 1; i < n; i++ { // skip the anonymous pseudo-structure
+	for i := 1; i < n; i++ {
 		st := &states[i]
 		if st.count == 0 {
 			continue
@@ -209,7 +215,7 @@ func Analyze(t *trace.Trace) *Profile {
 			Name:           t.DS[i].Name,
 			Count:          st.count,
 			Bytes:          st.bytes,
-			FootprintBytes: int64(len(st.blocks)) * 32,
+			FootprintBytes: int64(st.blocks.len()) * 32,
 			RegionBytes:    int64(t.DS[i].Size),
 		}
 		if st.count > 0 {
@@ -234,11 +240,12 @@ func Analyze(t *trace.Trace) *Profile {
 			s.ChainRatio = float64(st.consistent) / float64(st.transitions)
 			var bestStride int32
 			var bestCount int64
-			for d, c := range st.strides {
+			st.strides.each(func(key, val uint32) {
+				d, c := int32(key), int64(val)
 				if c > bestCount || (c == bestCount && d < bestStride) {
 					bestStride, bestCount = d, c
 				}
-			}
+			})
 			s.DominantStride = bestStride
 			s.DominantFrac = float64(bestCount) / float64(st.transitions)
 		}
@@ -254,19 +261,14 @@ func Analyze(t *trace.Trace) *Profile {
 	return p
 }
 
+// log2u64 returns floor(log2(v)) for v >= 1, capped at 32.
+func log2u64(v uint64) int {
+	return min(bits.Len64(v|1)-1, 32)
+}
+
 // classify orders the checks by module preference: streams first, then
 // hot small structures (an SRAM always beats a prefetcher when the whole
 // structure fits on chip), then consistent chains, then random.
-// log2u64 returns floor(log2(v)) for v >= 1, capped at 32.
-func log2u64(v uint64) int {
-	n := 0
-	for v > 1 && n < 32 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 func classify(s *Stats) Class {
 	switch {
 	case s.StreamFrac >= streamThreshold:

@@ -59,12 +59,14 @@ func RunMemOnly(t *trace.Trace, arch *mem.Architecture) (*MemOnlyResult, error) 
 // splits into jobs keyed by (module identity, exact set of data
 // structures routed to it), identical jobs across architectures run
 // once, each over only its own accesses, and the per-module counts are
-// summed back into every architecture that contains them. Architectures
+// summed back into every architecture that contains them. Jobs over the
+// same set of data structures share one walk of the trace, which hands
+// each access of that sub-stream to all of them. Architectures
 // with a shared L2 get a second stage: the L2 sees the demand and
 // prefetch backing events of its modules merged in trace order, exactly
 // as the one-phase simulator presents them.
 //
-// Jobs run on at most workers goroutines (workers <= 0 means all CPUs,
+// Walks run on at most workers goroutines (workers <= 0 means all CPUs,
 // like engine.DefaultWorkers). A cancelled ctx stops the evaluation with
 // ctx.Err(). The caller's module state is untouched.
 func MemOnly(ctx context.Context, t *trace.Trace, archs []*mem.Architecture, workers int) ([]*MemOnlyResult, error) {
@@ -79,9 +81,9 @@ func MemOnly(ctx context.Context, t *trace.Trace, archs []*mem.Architecture, wor
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobs, plans := planMemOnly(t, archs)
-	err := runAll(ctx, workers, len(jobs), func(i int) int64 { return jobs[i].cost },
-		func(i int) error { return jobs[i].run(ctx, t) })
+	jobs, groups, plans := planMemOnly(t, archs)
+	err := runAll(ctx, workers, len(groups), func(i int) int64 { return groups[i].cost },
+		func(i int) error { return groups[i].run(ctx, t) })
 	if err != nil {
 		return nil, err
 	}
@@ -97,11 +99,18 @@ func MemOnly(ctx context.Context, t *trace.Trace, archs []*mem.Architecture, wor
 	return out, nil
 }
 
-// moJob is one module simulated over one access sub-stream: the
-// accesses of exactly the data structures marked in in.
+// moGroup is one access sub-stream, the accesses of exactly the data
+// structures marked in in, with the jobs simulated over it.
+type moGroup struct {
+	in   []bool // in[ds]: ds belongs to the sub-stream
+	n    int64  // accesses in the sub-stream
+	jobs []*moJob
+	cost int64 // accesses the jobs simulate in total
+}
+
+// moJob is one module simulated over one access sub-stream.
 type moJob struct {
 	module mem.Module // prototype, cloned cold for the run
-	in     []bool     // in[ds]: ds is routed to the module
 	cost   int64      // accesses in the sub-stream
 	bytes  int64      // CPU-side bytes of the sub-stream
 	record bool       // keep the backing events for an L2 stage
@@ -133,8 +142,9 @@ type moPlan struct {
 }
 
 // planMemOnly counts the trace's accesses per data structure once, then
-// maps every architecture's modules onto deduplicated jobs.
-func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []moPlan) {
+// maps every architecture's modules onto deduplicated jobs, grouped by
+// sub-stream.
+func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []*moGroup, []moPlan) {
 	var dsCount, dsBytes []int64
 	for _, a := range t.Accesses {
 		if int(a.DS) >= len(dsCount) {
@@ -147,8 +157,10 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []moPlan)
 	}
 
 	var jobs []*moJob
+	var groups []*moGroup
 	plans := make([]moPlan, len(archs))
 	jobIndex := map[string]int{}
+	groupIndex := map[string]*moGroup{}
 	var key strings.Builder
 	for ai, a := range archs {
 		channels := a.Channels()
@@ -194,19 +206,30 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []moPlan)
 				continue
 			}
 			key.Reset()
-			key.WriteString(mem.Identity(m))
 			for _, ds := range routed[mi] {
-				key.WriteByte(',')
 				key.WriteString(strconv.Itoa(int(ds)))
+				key.WriteByte(',')
 			}
+			stream := key.String()
+			key.WriteString(mem.Identity(m))
 			ji, ok := jobIndex[key.String()]
 			if !ok {
-				j := &moJob{module: m, in: make([]bool, len(dsCount))}
+				j := &moJob{module: m}
 				for _, ds := range routed[mi] {
-					j.in[ds] = true
 					j.cost += dsCount[ds]
 					j.bytes += dsBytes[ds]
 				}
+				g := groupIndex[stream]
+				if g == nil {
+					g = &moGroup{in: make([]bool, len(dsCount)), n: j.cost}
+					for _, ds := range routed[mi] {
+						g.in[ds] = true
+					}
+					groupIndex[stream] = g
+					groups = append(groups, g)
+				}
+				g.jobs = append(g.jobs, j)
+				g.cost += j.cost
 				ji = len(jobs)
 				jobIndex[key.String()] = ji
 				jobs = append(jobs, j)
@@ -218,47 +241,64 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []moPlan)
 			}
 		}
 	}
-	return jobs, plans
+	return jobs, groups, plans
 }
 
-// ctxCheckEvery is how many accesses a job walks between checks of its
-// context.
+// ctxCheckEvery is how many accesses a walk covers between checks of
+// its context.
 const ctxCheckEvery = 1 << 14
 
-// run simulates a cold copy of the job's module over its sub-stream.
-// The clock argument is the trace index: any value gives the same
-// counts, and a monotone one keeps the module's timing state sane.
-func (j *moJob) run(ctx context.Context, t *trace.Trace) error {
-	m := j.module.Clone()
+// run walks the trace once and simulates a cold copy of every job's
+// module over the group's sub-stream. The walk goes in chunks of
+// ctxCheckEvery accesses: it collects a chunk's sub-stream indices, then
+// runs each job over them in turn, so that one module's state at a time
+// occupies the CPU caches.
+func (g *moGroup) run(ctx context.Context, t *trace.Trace) error {
+	ms := make([]mem.Module, len(g.jobs))
+	for k, j := range g.jobs {
+		ms[k] = j.module.Clone()
+	}
 	acc := t.Accesses
+	idx := make([]uint32, 0, min(ctxCheckEvery, g.n))
 	for lo := 0; lo < len(acc); lo += ctxCheckEvery {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		idx = idx[:0]
 		for i := lo; i < min(lo+ctxCheckEvery, len(acc)); i++ {
-			a := acc[i]
-			if !j.in[a.DS] {
-				continue
+			if g.in[acc[i].DS] {
+				idx = append(idx, uint32(i))
 			}
-			r := m.Access(a, int64(i))
-			if r.Hit {
-				j.hits++
-			}
-			if r.OffChipBytes == 0 && r.PrefetchBytes == 0 {
-				continue
-			}
-			j.backBytes += int64(r.OffChipBytes + r.PrefetchBytes)
-			if j.record {
-				if r.OffChipBytes > 0 {
-					j.events = append(j.events, uint32(i)<<1)
-				}
-				if r.PrefetchBytes > 0 {
-					j.events = append(j.events, uint32(i)<<1|1)
-				}
-			}
+		}
+		for k, j := range g.jobs {
+			j.run(ms[k], acc, idx)
 		}
 	}
 	return nil
+}
+
+// run simulates the accesses at indices idx of acc on m, the job's
+// module. The clock argument is the trace index: any value gives the
+// same counts, and a monotone one keeps the module's timing state sane.
+func (j *moJob) run(m mem.Module, acc []trace.Access, idx []uint32) {
+	for _, i := range idx {
+		r := m.Access(acc[i], int64(i))
+		if r.Hit {
+			j.hits++
+		}
+		if r.OffChipBytes == 0 && r.PrefetchBytes == 0 {
+			continue
+		}
+		j.backBytes += int64(r.OffChipBytes + r.PrefetchBytes)
+		if j.record {
+			if r.OffChipBytes > 0 {
+				j.events = append(j.events, i<<1)
+			}
+			if r.PrefetchBytes > 0 {
+				j.events = append(j.events, i<<1|1)
+			}
+		}
+	}
 }
 
 // runL2 feeds a cold copy of the architecture's L2 the backing events of

@@ -27,6 +27,11 @@ var ErrBadMagic = errors.New("trace: bad magic (not an MTR1 stream)")
 
 const maxSaneAccesses = 1 << 32 // decoder sanity bound
 
+// maxPrealloc bounds the accesses a decoder allocates room for before
+// reading them: the count in a header is only a claim, and room for 2^32
+// accesses is 32 GiB. Longer traces grow as their records arrive.
+const maxPrealloc = 1 << 16
+
 // Write encodes t to w in the MTR1 binary format.
 func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -113,18 +118,18 @@ func readBody(br *bufio.Reader) (*Trace, error) {
 	if nAcc > maxSaneAccesses {
 		return nil, fmt.Errorf("trace: implausible access count %d", nAcc)
 	}
-	t.Accesses = make([]Access, nAcc)
+	t.Accesses = make([]Access, 0, min(nAcc, maxPrealloc))
 	var rec [8]byte
-	for i := range t.Accesses {
+	for range nAcc {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, err
 		}
-		t.Accesses[i] = Access{
+		t.Accesses = append(t.Accesses, Access{
 			Addr: binary.LittleEndian.Uint32(rec[0:]),
 			DS:   DSID(binary.LittleEndian.Uint16(rec[4:])),
 			Kind: Kind(rec[6]),
 			Size: rec[7],
-		}
+		})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -118,8 +118,8 @@ func readCompressedBody(br *bufio.Reader) (*Trace, error) {
 	for i := range last {
 		last[i] = t.DS[i].Base
 	}
-	t.Accesses = make([]Access, nAcc)
-	for i := range t.Accesses {
+	t.Accesses = make([]Access, 0, min(nAcc, maxPrealloc))
+	for range nAcc {
 		ds, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
@@ -139,12 +139,12 @@ func readCompressedBody(br *bufio.Reader) (*Trace, error) {
 		} else {
 			addr = uint32(delta)
 		}
-		t.Accesses[i] = Access{
+		t.Accesses = append(t.Accesses, Access{
 			Addr: addr,
 			DS:   DSID(ds),
 			Kind: Kind(meta >> 4),
 			Size: 1 << (meta & 0x0F),
-		}
+		})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

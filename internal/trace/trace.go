@@ -90,7 +90,8 @@ func (t *Trace) Info(id DSID) DSInfo {
 
 // Validate checks the structural invariants of a trace: registry entry 0
 // is the anonymous structure, regions do not overlap, every access with a
-// non-anonymous DSID lands inside its region, and access sizes are sane.
+// non-anonymous DSID lands inside its region, every access is a load or a
+// store, and access sizes are sane.
 func (t *Trace) Validate() error {
 	if len(t.DS) == 0 {
 		return errors.New("trace: empty data-structure registry")
@@ -121,6 +122,9 @@ func (t *Trace) Validate() error {
 		case 1, 2, 4, 8:
 		default:
 			return fmt.Errorf("trace: access %d has invalid size %d", i, a.Size)
+		}
+		if a.Kind != Load && a.Kind != Store {
+			return fmt.Errorf("trace: access %d has invalid kind %d", i, a.Kind)
 		}
 		if a.DS == Anonymous {
 			continue
