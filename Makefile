@@ -70,12 +70,13 @@ serve-smoke:
 	sh scripts/serve-smoke.sh
 
 # fuzz runs each native fuzz target for 30 seconds: the MTR1/MTR2 trace
-# decoder, the profiler against its map-based reference, and the
-# request wire format. Inputs that fail land in the package's
-# testdata/fuzz and then run in every go test. check runs only the
-# seed corpora, through go test -race ./....
+# decoder, the behavior-trace cache decoder, the profiler against its
+# map-based reference, and the request wire format. Inputs that fail
+# land in the package's testdata/fuzz and then run in every go test.
+# check runs only the seed corpora, through go test -race ./....
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/btcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/profile/
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreRequestJSON$$' -fuzztime 30s .
 

@@ -594,8 +594,8 @@ func BenchmarkSimulator(b *testing.B) {
 // BenchmarkSimulatorReplay measures the connectivity-replay throughput
 // of the two-phase simulator over the same design as BenchmarkSimulator:
 // the behavior trace is captured once, each iteration re-times it
-// against the connectivity architecture (the per-candidate work of the
-// exploration's inner loop).
+// against the connectivity architecture as a K=1 ReplayBatch (the
+// per-candidate work of the exploration's inner loop).
 func BenchmarkSimulatorReplay(b *testing.B) {
 	tr := quickTrace(b)
 	arch := &mem.Architecture{
@@ -616,13 +616,14 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	conns := []*connect.Arch{conn}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := sim.Replay(bt, conn)
+		r, err := sim.ReplayBatch(bt, conns)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Accesses), "accesses")
+		b.ReportMetric(float64(r[0].Accesses), "accesses")
 	}
 }
 
@@ -692,11 +693,10 @@ func BenchmarkInstrumentedExploration(b *testing.B) {
 		b.ReportMetric(h.P99, "eval-p99-us")
 		// Batched-replay shape of the run: how many ReplayBatch
 		// dispatches served the exploration, their median size, and how
-		// many evaluations were deduplicated or spilled.
+		// many evaluations were deduplicated.
 		bs := snap.Histograms["engine/batch/size"]
 		b.ReportMetric(float64(snap.Counters["engine/batch/dispatches"]), "batches")
 		b.ReportMetric(bs.P50, "batch-size-p50")
 		b.ReportMetric(float64(snap.Counters["engine/batch/dedup_hits"]), "batch-dedup-hits")
-		b.ReportMetric(float64(snap.Counters["engine/batch/spills"]), "batch-spills")
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"memorex/internal/adl"
 	"memorex/internal/cliutil"
+	"memorex/internal/connect"
 	"memorex/internal/engine"
 	"memorex/internal/sampling"
 	"memorex/internal/sim"
@@ -130,5 +131,9 @@ func run(tr *trace.Trace, sys *adl.System, cf *cliutil.CacheFlags) (*sim.Result,
 	} else {
 		fmt.Printf("\ntrace cache:  behavior loaded from %s (capture skipped)\n", cf.Dir)
 	}
-	return sim.Replay(bt, sys.Conn)
+	res, err := sim.ReplayBatch(bt, []*connect.Arch{sys.Conn})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

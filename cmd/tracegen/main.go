@@ -1,5 +1,6 @@
 // Command tracegen generates a benchmark memory trace, saves it in the
-// MTR1 binary format, or inspects an existing trace file.
+// compressed MTR2 binary format, or inspects an existing trace file
+// (MTR1 or MTR2).
 //
 // Usage:
 //
@@ -23,7 +24,6 @@ func main() {
 	var wl cliutil.WorkloadFlags
 	wl.Register(flag.CommandLine)
 	out := flag.String("o", "", "output file; empty = just summarize")
-	compressOut := flag.Bool("z", false, "write the compressed MTR2 format instead of MTR1")
 	inspect := flag.String("inspect", "", "inspect an existing trace file instead of generating")
 	flag.Parse()
 
@@ -46,11 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		write := trace.Write
-		if *compressOut {
-			write = trace.WriteCompressed
-		}
-		if err := write(f, t); err != nil {
+		if err := trace.Write(f, t); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}

@@ -347,11 +347,14 @@ func decodeArch(sec []byte, bt *sim.BehaviorTrace) error {
 // decodeEvents parses section 1 into the per-event columns.
 func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 	r := &reader{b: sec, section: "events"}
-	n := r.count("events")
+	// A full-trace capture holds one event per access, millions of
+	// them, so the count is bounded by the section's exact byte length
+	// alone, not by maxCount.
+	n := int(r.u32())
 	if r.err != nil {
 		return r.err
 	}
-	if want := 4 + n*eventBytes; len(sec) != want {
+	if want := 4 + int64(n)*eventBytes; int64(len(sec)) != want {
 		return corruptf("events section is %d bytes, %d events need %d", len(sec), n, want)
 	}
 	bt.Route = r.i16s(n)

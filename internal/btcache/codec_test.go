@@ -201,3 +201,66 @@ func TestSectionBoundaries(t *testing.T) {
 		t.Fatalf("last boundary %d, want entry length %d", last, len(data))
 	}
 }
+
+// largeTrace is a full-trace-shaped capture of n events in one window,
+// with every column varying so a misplaced column would show.
+func largeTrace(n int) *sim.BehaviorTrace {
+	bt := goldenTrace()
+	bt.Route = make([]int16, n)
+	bt.Size = make([]uint8, n)
+	bt.Flags = make([]uint8, n)
+	bt.Stall = make([]int32, n)
+	bt.DemandBytes = make([]int32, n)
+	bt.DemandL2Off = make([]int32, n)
+	bt.DemandDRAM = make([]int16, n)
+	bt.PrefBytes = make([]int32, n)
+	bt.PrefL2Off = make([]int32, n)
+	bt.PrefDRAM = make([]int16, n)
+	for i := range n {
+		bt.Route[i] = int16(i%3 - 1)
+		bt.Size[i] = uint8(1 << (i % 4))
+		bt.Flags[i] = uint8(i % 2)
+		bt.Stall[i] = int32(i % 5)
+		bt.DemandBytes[i] = int32(i % 7 * 8)
+		bt.DemandL2Off[i] = int32(i % 11)
+		bt.DemandDRAM[i] = int16(i%13 - 1)
+		bt.PrefBytes[i] = int32(i % 17 * 8)
+		bt.PrefL2Off[i] = int32(i % 19)
+		bt.PrefDRAM[i] = int16(i%23 - 1)
+	}
+	bt.WindowLen = []int32{int32(n)}
+	bt.GapCycles = []int64{0}
+	bt.Resync = make([]int32, len(bt.Modules)*2)
+	return bt
+}
+
+// TestLargeCaptureRoundTrip: a capture of more than 2^20 events — a
+// full-trace capture of li at scale 1 has about 2.5M — must round-trip
+// through Encode/Decode and through the cache, not be rejected as an
+// implausible count and quarantined.
+func TestLargeCaptureRoundTrip(t *testing.T) {
+	bt := largeTrace(1<<20 + 3)
+	const fp = 0x5eed
+	got, err := Decode(Encode(bt, fp), fp)
+	if err != nil {
+		t.Fatalf("decode failed: %v", err)
+	}
+	if !reflect.DeepEqual(got, bt) {
+		t.Fatal("large capture round trip diverged")
+	}
+
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(fp, bt); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(fp)
+	if !ok {
+		t.Fatal("cache missed a large capture it just stored")
+	}
+	if !reflect.DeepEqual(got, bt) {
+		t.Fatal("large capture diverged through the cache")
+	}
+}

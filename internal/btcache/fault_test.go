@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"memorex/internal/connect"
 	"memorex/internal/sim"
 	"memorex/internal/workload"
 )
@@ -16,12 +17,11 @@ import (
 // assert end-to-end result integrity, not just struct equality.
 func replayFigures(t *testing.T, bt *sim.BehaviorTrace) (lat, nrg float64) {
 	t.Helper()
-	conn := testConn(t, bt)
-	res, err := sim.Replay(bt, conn)
+	res, err := sim.ReplayBatch(bt, []*connect.Arch{testConn(t, bt)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.AvgLatency(), res.AvgEnergy()
+	return res[0].AvgLatency(), res[0].AvgEnergy()
 }
 
 // TestFaultInjectionSuite is the cache's central correctness gate:

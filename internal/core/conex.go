@@ -81,7 +81,7 @@ type Config struct {
 	Engine *engine.Engine
 	// Exact forces the one-phase simulator that re-runs the memory
 	// modules for every connectivity candidate, instead of the default
-	// two-phase capture-and-replay path. Replay is exact for full
+	// two-phase capture-and-replay path. The replay is exact for full
 	// simulations of non-prefetching architectures and within the
 	// fidelity tolerance everywhere else; Exact exists as the reference
 	// fallback.

@@ -7,14 +7,13 @@
 // parameters: followers share the leader's replay result and only
 // recompute their own (closed-form) gate cost. The remaining leaders
 // of each group are chunked across the worker pool, one ReplayBatch
-// pass per chunk.
+// pass per chunk; a group with a single leader is a K=1 chunk.
 //
-// Requests that cannot batch — Exact mode, unknown modes, or
-// fingerprint groups below the minBatch threshold — spill to the
-// per-request path; cache hits and single-flight duplicates wait
-// without holding a worker slot. All of this preserves the engine's
-// contracts: results in submission order, first real error wins over
-// the cancellations it causes, failures are never memoized.
+// Exact requests take the one-phase path; cache hits and single-flight
+// duplicates wait without holding a worker slot. All of this preserves
+// the engine's contracts: results in submission order, first real
+// error wins over the cancellations it causes, failures are never
+// memoized.
 package engine
 
 import (
@@ -28,14 +27,9 @@ import (
 	"memorex/internal/sim"
 )
 
-// Batch tuning: fingerprint groups below minBatch leaders spill to the
-// per-arch Replay path (the shared-decode setup isn't worth paying for
-// one candidate); chunks are balanced across the worker pool and
-// capped at maxBatch so per-batch replay state stays cache-resident.
-const (
-	minBatch = 2
-	maxBatch = 32
-)
+// maxBatch caps a chunk so per-batch replay state stays cache-resident;
+// below it, chunks are balanced across the worker pool.
+const maxBatch = 32
 
 // chunkSpan returns the chunk size for n group leaders on w workers:
 // an even split across the pool, re-balanced under the maxBatch cap.
@@ -54,7 +48,7 @@ func chunkSpan(n, w int) int {
 // Evaluate runs a batch of requests on the worker pool and returns the
 // values in submission order. Two-phase requests sharing a behavior
 // trace are dispatched as batched replays (see the package comment of
-// this file); everything else takes the per-request path. On error the
+// this file); Exact requests run one at a time. On error the
 // batch is cancelled and the first error (in submission order) is
 // returned; ctx cancellation stops the batch between evaluations.
 func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) {
@@ -78,6 +72,11 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	for i, r := range reqs {
 		if r.Trace == nil || r.Mem == nil || r.Conn == nil {
 			errs[i] = fmt.Errorf("engine: request missing trace, memory or connectivity architecture")
+			invalid = true
+			continue
+		}
+		if r.Mode != Sampled && r.Mode != Full {
+			errs[i] = fmt.Errorf("engine: unknown evaluation mode %d", r.Mode)
 			invalid = true
 			continue
 		}
@@ -109,15 +108,15 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	// Group the owned two-phase requests by behavior fingerprint,
 	// dedup identical timing signatures within each group, and chunk
 	// the remaining leaders for batched replay.
-	var singles []int
+	var exact []int
 	var groupOrder []uint64
 	groups := map[uint64][]int{}
 	for i, r := range reqs {
 		if errs[i] != nil || !owned[i] {
 			continue
 		}
-		if r.Exact || (r.Mode != Sampled && r.Mode != Full) {
-			singles = append(singles, i)
+		if r.Exact {
+			exact = append(exact, i)
 			continue
 		}
 		bk := e.behaviorKey(r)
@@ -128,7 +127,6 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	}
 	var chunks [][]int     // request indices, one ReplayBatch pass each
 	var followers [][2]int // {follower index, leader index}
-	var spilled int64
 	for _, bk := range groupOrder {
 		var leaders []int
 		sigSeen := map[uint64]int{}
@@ -141,11 +139,6 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 			sigSeen[sig] = i
 			leaders = append(leaders, i)
 		}
-		if len(leaders) < minBatch {
-			singles = append(singles, leaders...)
-			spilled += int64(len(leaders))
-			continue
-		}
 		span := chunkSpan(len(leaders), e.workers)
 		for lo := 0; lo < len(leaders); lo += span {
 			hi := lo + span
@@ -155,19 +148,18 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 			chunks = append(chunks, leaders[lo:hi])
 		}
 	}
-	if spilled > 0 {
-		e.mu.Lock()
-		e.stats.BatchSpills += spilled
-		e.mu.Unlock()
-		e.m.batchSpills.Add(spilled)
-	}
 
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
-	fail := func(i int, err error) {
-		errs[i] = err
-		e.finishOwned(keys[i], ents[i], Value{}, err)
+	finish := func(i int, v Value, err error) {
+		if err != nil {
+			errs[i] = err
+		} else {
+			out[i] = v
+		}
+		e.finishOwned(keys[i], ents[i], v, err)
 	}
+	fail := func(i int, err error) { finish(i, Value{}, err) }
 	abort := func(err error) {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			cancel()
@@ -201,18 +193,15 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		go func(i, leader int) {
 			defer wg.Done()
 			v, err := e.awaitShared(bctx, reqs[i], ents[leader])
+			finish(i, v, err)
 			if err != nil {
-				fail(i, err)
 				abort(err)
-				return
 			}
-			e.finishOwned(keys[i], ents[i], v, nil)
-			out[i] = v
 		}(fl[0], fl[1])
 	}
 
-	// Per-request path: Exact requests and spilled leaders.
-	for _, i := range singles {
+	// One-phase path: Exact requests, one worker slot each.
+	for _, i := range exact {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -229,14 +218,11 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 				fail(i, err)
 				return
 			}
-			v, err := e.computeOne(bctx, reqs[i])
+			v, err := e.computeOne(reqs[i])
+			finish(i, v, err)
 			if err != nil {
-				fail(i, err)
 				abort(err)
-				return
 			}
-			e.finishOwned(keys[i], ents[i], v, nil)
-			out[i] = v
 		}(i)
 	}
 
@@ -261,7 +247,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 				}
 				return
 			}
-			e.computeChunk(bctx, reqs, chunk, keys, ents, out, errs, abort)
+			e.computeChunk(bctx, reqs, chunk, finish, abort)
 		}(chunk)
 	}
 
@@ -283,10 +269,11 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 // computeChunk replays one fingerprint-group chunk through
 // sim.ReplayBatch: the behavior trace is resolved once (single-flight
 // memoized across chunks) and every member's connectivity architecture
-// is re-timed in the same trace pass. A batch-level failure falls back
-// to the per-request path so one poisoned member cannot take down its
-// group-mates.
-func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, keys []uint64, ents []*entry, out []Value, errs []error, abort func(error)) {
+// is re-timed in the same trace pass. A batch fails as a whole when any
+// member's architecture is rejected, so on failure each member is
+// re-timed as its own K=1 replay: the error names its own request and
+// one poisoned member cannot take down its group-mates.
+func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, finish func(int, Value, error), abort func(error)) {
 	instrumented := e.obs.Enabled() || e.metrics != nil
 	var start time.Time
 	if instrumented {
@@ -295,31 +282,39 @@ func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, 
 	bt, err := e.behaviorTrace(ctx, reqs[chunk[0]])
 	if err != nil {
 		for _, i := range chunk {
-			errs[i] = err
-			e.finishOwned(keys[i], ents[i], Value{}, err)
+			finish(i, Value{}, err)
 		}
 		abort(err)
 		return
 	}
+	if e.replayChunk(bt, reqs, chunk, start, finish) == nil {
+		return
+	}
+	for j, i := range chunk {
+		if instrumented {
+			start = time.Now()
+		}
+		if err := e.replayChunk(bt, reqs, chunk[j:j+1], start, finish); err != nil {
+			finish(i, Value{}, err)
+			abort(err)
+		}
+	}
+}
+
+// replayChunk re-times the chunk's members on a resolved behavior trace
+// in one ReplayBatch pass and publishes their values with full stats
+// and observability accounting; start is when the chunk's work began
+// (zero when uninstrumented). On error nothing is published.
+func (e *Engine) replayChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int, start time.Time, finish func(int, Value, error)) error {
 	archs := make([]*connect.Arch, len(chunk))
 	for j, i := range chunk {
 		archs[j] = reqs[i].Conn
 	}
-	results, rerr := sim.ReplayBatch(bt, archs)
-	if rerr != nil {
-		for _, i := range chunk {
-			v, err := e.computeOne(ctx, reqs[i])
-			if err != nil {
-				errs[i] = err
-				e.finishOwned(keys[i], ents[i], Value{}, err)
-				abort(err)
-				continue
-			}
-			e.finishOwned(keys[i], ents[i], v, nil)
-			out[i] = v
-		}
-		return
+	results, err := sim.ReplayBatch(bt, archs)
+	if err != nil {
+		return err
 	}
+	instrumented := e.obs.Enabled() || e.metrics != nil
 	var wall, amort time.Duration
 	if instrumented {
 		wall = time.Since(start)
@@ -350,8 +345,7 @@ func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, 
 			}
 			e.emitEval(r, v, amort)
 		}
-		e.finishOwned(keys[i], ents[i], v, nil)
-		out[i] = v
+		finish(i, v, nil)
 	}
 	e.mu.Lock()
 	e.stats.BatchReplays++
@@ -362,6 +356,7 @@ func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, 
 	if instrumented {
 		e.m.batchWall.Observe(float64(wall.Microseconds()))
 	}
+	return nil
 }
 
 // awaitShared waits for a timing-identical leader's result and adapts

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"memorex/internal/connect"
@@ -78,8 +80,9 @@ func twoCacheArch() *mem.Architecture {
 
 // TestEvaluateBatchPath: a group of distinct connectivity candidates
 // sharing one behavior trace must be served entirely by batched
-// replays, produce values identical to the per-request path at every
-// worker count, and seed the memo cache for later requests. The
+// replays, produce values identical to each request evaluated alone (a
+// K=1 chunk) at every worker count, and seed the memo cache for later
+// requests. The
 // multi-module case varies a single channel's component, so the
 // candidates are near neighbors of each other.
 func TestEvaluateBatchPath(t *testing.T) {
@@ -136,15 +139,14 @@ func TestEvaluateBatchPath(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Bit-exact against a fresh engine running the per-request path.
-			ref := New(1)
+			// Bit-exact against each request alone on a fresh engine.
 			for i, r := range reqs {
-				want, err := ref.computeOne(context.Background(), r)
+				want, err := New(1).EvaluateOne(context.Background(), r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i].Cost != want.Cost || got[i].Latency != want.Latency || got[i].Energy != want.Energy {
-					t.Errorf("req %d: batch value %+v != per-request value %+v", i, got[i], want)
+				if got[i] != want {
+					t.Errorf("req %d: batch value %+v != lone value %+v", i, got[i], want)
 				}
 				if got[i].Hit || got[i].Work == 0 {
 					t.Errorf("req %d: batch value should be a fresh simulation, got %+v", i, got[i])
@@ -261,9 +263,9 @@ func TestEvaluateBatchDedup(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchSpill: a fingerprint group with a single candidate
-// must spill to the per-request path rather than pay batch setup.
-func TestEvaluateBatchSpill(t *testing.T) {
+// TestEvaluateSingleton: a fingerprint group with a single candidate is
+// a K=1 chunk on the same batched path as any other group.
+func TestEvaluateSingleton(t *testing.T) {
 	tr := testTrace(t)
 	a := testArch(4096)
 	e := New(2)
@@ -271,11 +273,55 @@ func TestEvaluateBatchSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.BatchSpills != 1 {
-		t.Errorf("BatchSpills = %d, want 1", st.BatchSpills)
+	if st.BatchReplays != 1 {
+		t.Errorf("BatchReplays = %d, want 1", st.BatchReplays)
 	}
-	if st.BatchReplays != 0 {
-		t.Errorf("BatchReplays = %d, want 0", st.BatchReplays)
+	if st.BatchedEvals != 1 {
+		t.Errorf("BatchedEvals = %d, want 1", st.BatchedEvals)
+	}
+}
+
+// TestEvaluateBatchFallback: when one member's architecture makes the
+// whole batch replay fail, the member's own error is returned (not the
+// cancellation it triggers) and its group-mates are still re-timed one
+// by one and memoized.
+func TestEvaluateBatchFallback(t *testing.T) {
+	tr := testTrace(t)
+	a := testArch(4096)
+	// A connectivity architecture built for another memory architecture
+	// covers channels the behavior trace does not have.
+	bad := sampled(tr, a, testConn(t, twoCacheArch(), "ahb32"))
+	mates := []Request{
+		sampled(tr, a, testConn(t, a, "ahb32")),
+		sampled(tr, a, testConn(t, a, "mux32")),
+		sampled(tr, a, testConn(t, a, "apb32")),
+	}
+	// One worker puts all four leaders into a single chunk.
+	e := New(1)
+	_, err := e.Evaluate(context.Background(), append([]Request{bad}, mates...))
+	if err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("Evaluate returned %v; want the mismatched member's own error", err)
+	}
+	if !strings.Contains(err.Error(), "channels") {
+		t.Errorf("error %q does not name the channel mismatch", err)
+	}
+	st := e.Stats()
+	if st.BatchReplays != int64(len(mates)) || st.BatchedEvals != int64(len(mates)) {
+		t.Errorf("BatchReplays = %d, BatchedEvals = %d; want %d K=1 replays",
+			st.BatchReplays, st.BatchedEvals, len(mates))
+	}
+	if st.BehaviorCaptures != 1 {
+		t.Errorf("BehaviorCaptures = %d, want 1 (fallback reuses the trace)", st.BehaviorCaptures)
+	}
+
+	again, err := e.Evaluate(context.Background(), mates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range again {
+		if !v.Hit {
+			t.Errorf("group-mate %d: %+v, want a memo hit", i, v)
+		}
 	}
 }
 

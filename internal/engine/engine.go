@@ -142,13 +142,10 @@ type Stats struct {
 	// BatchReplays counts ReplayBatch dispatches and BatchedEvals the
 	// evaluations they served; BatchDedupHits counts evaluations that
 	// shared a timing-identical group-mate's replay instead of running
-	// their own; BatchSpills counts evaluations routed to the per-arch
-	// path because their fingerprint group was below the batch
-	// threshold.
+	// their own.
 	BatchReplays   int64
 	BatchedEvals   int64
 	BatchDedupHits int64
-	BatchSpills    int64
 	// Phases lists per-phase wall times and counters in first-use
 	// order.
 	Phases []PhaseStat
@@ -167,9 +164,9 @@ func (s Stats) String() string {
 			out += fmt.Sprintf(", %d disk hits", s.BehaviorDiskHits)
 		}
 	}
-	if s.BatchReplays > 0 || s.BatchDedupHits > 0 || s.BatchSpills > 0 {
-		out += fmt.Sprintf("; %d batch replays covering %d evals, %d dedup shares, %d spills",
-			s.BatchReplays, s.BatchedEvals, s.BatchDedupHits, s.BatchSpills)
+	if s.BatchReplays > 0 || s.BatchDedupHits > 0 {
+		out += fmt.Sprintf("; %d batch replays covering %d evals, %d dedup shares",
+			s.BatchReplays, s.BatchedEvals, s.BatchDedupHits)
 	}
 	for _, p := range s.Phases {
 		out += fmt.Sprintf("\n  phase %-18s %10v  %6d evals  %6d sims",
@@ -244,7 +241,6 @@ type instruments struct {
 	evalWallFull        *obs.Histogram
 	batches             *obs.Counter
 	batchDedup          *obs.Counter
-	batchSpills         *obs.Counter
 	batchSize           *obs.Histogram
 	batchWall           *obs.Histogram
 }
@@ -312,7 +308,6 @@ func New(workers int, opts ...Option) *Engine {
 			evalWallFull:    e.metrics.Histogram("engine/eval_wall_us/full"),
 			batches:         e.metrics.Counter("engine/batch/dispatches"),
 			batchDedup:      e.metrics.Counter("engine/batch/dedup_hits"),
-			batchSpills:     e.metrics.Counter("engine/batch/spills"),
 			batchSize:       e.metrics.Histogram("engine/batch/size"),
 			batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
 		}
@@ -427,18 +422,16 @@ func (e *Engine) emitEval(r Request, v Value, wall time.Duration) {
 	})
 }
 
-// computeOne runs the per-request simulation path — Exact requests,
-// fingerprint groups too small to batch, and the fallback when a batch
-// replay fails — with full stats and observability accounting. With no
-// observer and no registry attached it adds two nil checks and nothing
-// else.
-func (e *Engine) computeOne(ctx context.Context, r Request) (Value, error) {
+// computeOne runs the one-phase simulator for an Exact request with
+// full stats and observability accounting. With no observer and no
+// registry attached it adds two nil checks and nothing else.
+func (e *Engine) computeOne(r Request) (Value, error) {
 	instrumented := e.obs.Enabled() || e.metrics != nil
 	var start time.Time
 	if instrumented {
 		start = time.Now()
 	}
-	v, err := e.simulate(ctx, r)
+	v, err := e.simulate(r)
 	if err != nil {
 		return Value{}, err
 	}
@@ -489,42 +482,12 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 	return v, nil
 }
 
-// simulate runs the actual simulator for a request (no caching of the
-// final value; the Phase A behavior trace is memoized internally).
-func (e *Engine) simulate(ctx context.Context, r Request) (Value, error) {
+// simulate runs the one-phase simulator that re-runs the memory modules
+// for the request's connectivity architecture: the sampling estimator
+// in Sampled mode, the whole trace in Full mode.
+func (e *Engine) simulate(r Request) (Value, error) {
 	cost := r.Mem.Gates() + r.Conn.Gates()
-	if r.Exact {
-		return e.simulateExact(r, cost)
-	}
-	switch r.Mode {
-	case Sampled, Full:
-	default:
-		return Value{}, fmt.Errorf("engine: unknown evaluation mode %d", r.Mode)
-	}
-	bt, err := e.behaviorTrace(ctx, r)
-	if err != nil {
-		return Value{}, err
-	}
-	res, err := sim.Replay(bt, r.Conn)
-	if err != nil {
-		return Value{}, err
-	}
-	e.m.schedIssues.Add(res.SchedIssues)
-	e.m.schedConflicts.Add(res.SchedConflicts)
-	return Value{
-		Cost:      cost,
-		Latency:   res.AvgLatency(),
-		Energy:    res.AvgEnergy(),
-		Estimated: r.Mode == Sampled,
-		Work:      res.Accesses,
-	}, nil
-}
-
-// simulateExact is the one-phase fallback: the full module + connectivity
-// simulation the engine ran before the two-phase split.
-func (e *Engine) simulateExact(r Request, cost float64) (Value, error) {
-	switch r.Mode {
-	case Sampled:
+	if r.Mode == Sampled {
 		res, simulated, err := sampling.Estimate(r.Trace, r.Mem, r.Conn, r.Sampling)
 		if err != nil {
 			return Value{}, err
@@ -538,26 +501,23 @@ func (e *Engine) simulateExact(r Request, cost float64) (Value, error) {
 			Estimated: true,
 			Work:      simulated,
 		}, nil
-	case Full:
-		s, err := sim.New(r.Mem, r.Conn)
-		if err != nil {
-			return Value{}, err
-		}
-		res, err := s.Run(r.Trace)
-		if err != nil {
-			return Value{}, err
-		}
-		e.m.schedIssues.Add(res.SchedIssues)
-		e.m.schedConflicts.Add(res.SchedConflicts)
-		return Value{
-			Cost:    cost,
-			Latency: res.AvgLatency(),
-			Energy:  res.AvgEnergy(),
-			Work:    res.Accesses,
-		}, nil
-	default:
-		return Value{}, fmt.Errorf("engine: unknown evaluation mode %d", r.Mode)
 	}
+	s, err := sim.New(r.Mem, r.Conn)
+	if err != nil {
+		return Value{}, err
+	}
+	res, err := s.Run(r.Trace)
+	if err != nil {
+		return Value{}, err
+	}
+	e.m.schedIssues.Add(res.SchedIssues)
+	e.m.schedConflicts.Add(res.SchedConflicts)
+	return Value{
+		Cost:    cost,
+		Latency: res.AvgLatency(),
+		Energy:  res.AvgEnergy(),
+		Work:    res.Accesses,
+	}, nil
 }
 
 // behaviorTrace returns the Phase A event trace of a request, capturing

@@ -226,10 +226,14 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	e := New(4)
 	a := testArch(4096)
 	good := sampled(tr, a, testConn(t, a, "ahb32"))
-	bad := Request{Trace: tr, Mem: nil, Conn: good.Conn, Mode: Sampled}
-	_, err := e.Evaluate(context.Background(), []Request{good, bad, good})
-	if err == nil || errors.Is(err, context.Canceled) {
-		t.Fatalf("batch with invalid request returned %v; want the request error", err)
+	for _, bad := range []Request{
+		{Trace: tr, Mem: nil, Conn: good.Conn, Mode: Sampled},
+		{Trace: tr, Mem: a, Conn: good.Conn, Mode: Mode(7)},
+	} {
+		_, err := e.Evaluate(context.Background(), []Request{good, bad, good})
+		if err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("batch with invalid request returned %v; want the request error", err)
+		}
 	}
 	if _, err := e.EvaluateOne(context.Background(), good); err != nil {
 		t.Fatalf("engine unusable after a failed batch: %v", err)

@@ -12,7 +12,7 @@
 //
 // CaptureBehavior therefore runs the module model once per
 // (trace, memory architecture, sampling plan) and records a compact
-// struct-of-arrays event trace. Phase B (replay.go) re-times that event
+// struct-of-arrays event trace. Phase B (ReplayBatch) re-times that event
 // trace against any connectivity architecture without ever touching the
 // module models again: per candidate it performs only bus arbitration,
 // reservation-table scheduling, DRAM-latency bookkeeping and energy

@@ -1,19 +1,23 @@
-// Batched connectivity replay: one pass over the behavior event trace
-// re-times K connectivity architectures simultaneously.
+// Phase B of the two-phase simulator: connectivity replay. One pass
+// over the behavior event trace re-times K connectivity architectures
+// simultaneously; a single candidate is simply K=1.
 //
-// Replay (replay.go) is the reference implementation: one architecture,
-// one pass. When the exploration holds many candidates for the same
-// captured behavior — the common case, since ConEx enumerates hundreds
-// of connectivity mappings per memory architecture — walking the trace
-// once per candidate re-decodes identical event streams K times.
-// ReplayBatch decodes each event exactly once and applies it to every
-// architecture in an inner loop over dense struct-of-arrays state:
-// per-(arch,channel) component, cycle and energy tables live in flat
-// arrays indexed a*numChannels+ch, per-(arch,module) prefetch state in
-// flat arrays indexed a*numModules+m.
+// ReplayBatch performs only the connectivity-dependent work — bus
+// arbitration through the reservation-table schedulers, transfer and
+// DRAM-latency arithmetic, and energy accounting — with all module
+// behavior read from the flat event arrays. When the exploration holds
+// many candidates for the same captured behavior — the common case,
+// since ConEx enumerates hundreds of connectivity mappings per memory
+// architecture — walking the trace once per candidate would re-decode
+// identical event streams K times. ReplayBatch decodes each event
+// exactly once and applies it to every architecture in an inner loop
+// over dense struct-of-arrays state: per-(arch,channel) component,
+// cycle and energy tables live in flat arrays indexed a*numChannels+ch,
+// per-(arch,module) prefetch state in flat arrays indexed
+// a*numModules+m.
 //
 // Two structural facts make the batch pass much cheaper than K
-// reference replays while staying bit-exact:
+// one-architecture replays while staying bit-exact:
 //
 //   - Contention analysis. The replayed CPU is blocking (one
 //     outstanding access; the clock advances past every demand leg
@@ -38,10 +42,15 @@
 // traffic, non-prefetching module) are classified once per batch and
 // handled by a short fast path on uncontended architectures.
 //
-// Energy is accumulated with exactly the same sequence of float64
-// additions as Replay — shared tables hold the very values
-// TransferEnergy returns — so results are bit-identical, not merely
-// close.
+// Prefetch stalls (stream buffers, self-indirect DMA) are recomputed in
+// the replay's own clock from the recorded prefetch structure and each
+// architecture's actual fetch latency, exactly as the modules
+// themselves would, so a full-trace replay reproduces the one-phase
+// simulator's timing; see behavior.go for the one sampling-mode
+// approximation. Energy is accumulated with the same sequence of
+// float64 additions as a one-architecture replay — shared tables hold
+// the very values TransferEnergy returns — so results do not depend on
+// which architectures share a batch.
 package sim
 
 import (
@@ -55,7 +64,7 @@ import (
 )
 
 // checkReplayArch validates a connectivity architecture against a
-// behavior trace, exactly as Replay requires.
+// behavior trace.
 func checkReplayArch(bt *BehaviorTrace, connArch *connect.Arch) error {
 	if err := connArch.Validate(); err != nil {
 		return err
@@ -74,10 +83,11 @@ func checkReplayArch(bt *BehaviorTrace, connArch *connect.Arch) error {
 
 // ReplayBatch re-times a captured behavior trace against K connectivity
 // architectures in a single pass over the event arrays and returns one
-// Result per architecture, in input order. Every Result is bit-exact
-// equal to Replay(bt, archs[i]) — including energy, histogram and
-// scheduler counters. The behavior trace is read-only; distinct batches
-// may run concurrently.
+// Result per architecture, in input order, each shaped like
+// Simulator.Run's. Every Result is bit-exact equal to the K=1 replay
+// of archs[i] alone — including energy, histogram and scheduler
+// counters. The behavior trace is read-only; distinct batches may run
+// concurrently.
 func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 	for i, a := range archs {
 		if a == nil {

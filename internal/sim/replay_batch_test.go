@@ -54,10 +54,10 @@ func batchConns(t *testing.T, m *mem.Architecture) []*connect.Arch {
 	return append(conns, shared)
 }
 
-// assertBatchExact replays the batch and asserts every member is
-// bit-exact against the per-arch reference Replay — every counter,
-// the float energy accumulator, the latency histogram and the
-// scheduler statistics included.
+// assertBatchExact replays the batch and asserts every member — in the
+// batch and replayed alone as K=1 — is bit-exact against the per-arch
+// replayReference: every counter, the float energy accumulator, the
+// latency histogram and the scheduler statistics included.
 func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*connect.Arch) {
 	t.Helper()
 	batch, err := ReplayBatch(bt, conns)
@@ -68,13 +68,17 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 		t.Fatalf("%s: ReplayBatch returned %d results for %d archs", name, len(batch), len(conns))
 	}
 	for i, c := range conns {
-		ref, err := Replay(bt, c)
+		ref, err := replayReference(bt, c)
 		if err != nil {
-			t.Fatalf("%s[%d]: Replay: %v", name, i, err)
+			t.Fatalf("%s[%d]: replayReference: %v", name, i, err)
 		}
 		if !reflect.DeepEqual(batch[i], ref) {
-			t.Errorf("%s[%d]: batch result diverged from Replay:\n got %+v\nwant %+v",
+			t.Errorf("%s[%d]: batch result diverged from replayReference:\n got %+v\nwant %+v",
 				name, i, batch[i], ref)
+		}
+		if one := replayOne(t, bt, c); !reflect.DeepEqual(one, ref) {
+			t.Errorf("%s[%d]: K=1 result diverged from replayReference:\n got %+v\nwant %+v",
+				name, i, one, ref)
 		}
 	}
 }
@@ -83,8 +87,8 @@ func assertBatchExact(t *testing.T, name string, bt *BehaviorTrace, conns []*con
 // connectivity architecture in the library — across module kinds
 // (cache, stream buffer, DMA, direct DRAM), with and without a shared
 // L2, on full and windowed captures — ReplayBatch must be bit-exact
-// against per-arch Replay. The mismatched-channel and nil-arch error
-// paths are covered below.
+// against the per-arch replayReference. The mismatched-channel and
+// nil-arch error paths are covered below.
 func TestReplayBatchMatchesReplay(t *testing.T) {
 	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 40_000)
 	for _, withL2 := range []bool{false, true} {
@@ -176,7 +180,7 @@ func randConn(t *testing.T, rng *rand.Rand, m *mem.Architecture) *connect.Arch {
 // TestReplayBatchProperty is the randomized batch gate: a random
 // library of cluster assignments × component choices, replayed on full
 // and windowed captures with and without a shared L2, must agree
-// bit-for-bit between ReplayBatch and the per-arch reference Replay.
+// bit-for-bit between ReplayBatch and the per-arch replayReference.
 func TestReplayBatchProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 12_000)
@@ -206,7 +210,7 @@ func TestReplayBatchProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, c := range conns {
-				want, err := Replay(bt, c)
+				want, err := replayReference(bt, c)
 				if err != nil {
 					t.Fatal(err)
 				}

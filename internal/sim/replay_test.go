@@ -60,6 +60,17 @@ func runExact(t *testing.T, m *mem.Architecture, c *connect.Arch, tr *trace.Trac
 	return r
 }
 
+// replayOne re-times a behavior trace against one connectivity
+// architecture: a K=1 ReplayBatch, the per-candidate production path.
+func replayOne(t *testing.T, bt *BehaviorTrace, c *connect.Arch) *Result {
+	t.Helper()
+	res, err := ReplayBatch(bt, []*connect.Arch{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
 // TestReplayFidelityLibrary is the acceptance fidelity gate: for every
 // component of the connectivity library, on all three paper workloads,
 // a full-trace capture + replay must match the exact simulator within
@@ -84,10 +95,7 @@ func TestReplayFidelityLibrary(t *testing.T) {
 				}
 				c := buildConnT(t, m, on, off)
 				exact := runExact(t, m, c, tr)
-				got, err := Replay(bt, c)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := replayOne(t, bt, c)
 				name := tr.Name + "/" + comp.Name
 				if withL2 {
 					name += "/l2"
@@ -152,10 +160,7 @@ func TestReplayExactOnFullTrace(t *testing.T) {
 	for _, on := range []string{"ded32", "apb32", "ahb32"} {
 		c := buildConnT(t, m, on, "off32")
 		exact := runExact(t, m, c, tr)
-		got, err := Replay(bt, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := replayOne(t, bt, c)
 		if got.TotalLatency != exact.TotalLatency || got.EnergyNJ != exact.EnergyNJ ||
 			got.Cycles != exact.Cycles || got.LatencyHist != exact.LatencyHist {
 			t.Fatalf("%s: full-trace replay not exact: latency %d vs %d, cycles %d vs %d",
@@ -203,10 +208,7 @@ func TestReplaySampledWindows(t *testing.T) {
 			}
 			pos = w.Hi
 		}
-		got, err := Replay(bt, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := replayOne(t, bt, c)
 		if e := relErr(got.AvgLatency(), exact.AvgLatency()); e > tol {
 			t.Errorf("%s: sampled avg latency %.4f vs exact %.4f (err %.2f%%)",
 				comp, got.AvgLatency(), exact.AvgLatency(), 100*e)
@@ -229,7 +231,7 @@ func TestReplayRejectsMismatchedChannels(t *testing.T) {
 	}
 	other := cacheArch(4096)
 	c := buildConnT(t, other, "ahb32", "off32")
-	if _, err := Replay(bt, c); err == nil {
+	if _, err := ReplayBatch(bt, []*connect.Arch{c}); err == nil {
 		t.Fatal("channel mismatch accepted")
 	}
 }

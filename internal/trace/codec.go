@@ -8,22 +8,28 @@ import (
 	"io"
 )
 
-// Binary trace format ("MTR1"):
+// Binary trace formats. Every file starts with the same header:
 //
-//	magic   [4]byte  "MTR1"
+//	magic   [4]byte  "MTR2" (or "MTR1")
 //	nameLen uint16, name bytes
 //	nDS     uint16
 //	  per DS: nameLen uint16, name bytes, base uint32, size uint32, elem uint32
 //	nAcc    uint64
-//	  per access: addr uint32, ds uint16, kind uint8, size uint8
 //
-// All integers little-endian. The format exists so that long traces can be
-// generated once (cmd/tracegen) and replayed by many exploration runs.
+// followed by nAcc access records. Write emits MTR2, whose compact
+// delta records are described in codec2.go. Read also accepts the
+// original MTR1 format, whose records are fixed 8 bytes:
+//
+//	per access: addr uint32, ds uint16, kind uint8, size uint8
+//
+// so existing MTR1 files still load. All integers little-endian. The
+// formats exist so that long traces can be generated once
+// (cmd/tracegen) and replayed by many exploration runs.
 
 var magic = [4]byte{'M', 'T', 'R', '1'}
 
 // ErrBadMagic is returned by Read when the stream is not a trace file.
-var ErrBadMagic = errors.New("trace: bad magic (not an MTR1 stream)")
+var ErrBadMagic = errors.New("trace: bad magic (not an MTR1 or MTR2 stream)")
 
 const maxSaneAccesses = 1 << 32 // decoder sanity bound
 
@@ -32,43 +38,63 @@ const maxSaneAccesses = 1 << 32 // decoder sanity bound
 // accesses is 32 GiB. Longer traces grow as their records arrive.
 const maxPrealloc = 1 << 16
 
-// Write encodes t to w in the MTR1 binary format.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
+// writeHeader encodes the format-independent header of t, magic first.
+func writeHeader(w io.Writer, m [4]byte, t *Trace) error {
+	if _, err := w.Write(m[:]); err != nil {
 		return err
 	}
-	if err := writeString(bw, t.Name); err != nil {
+	if err := writeString(w, t.Name); err != nil {
 		return err
 	}
 	if len(t.DS) > 0xFFFF {
 		return fmt.Errorf("trace: too many data structures (%d)", len(t.DS))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(t.DS))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint16(len(t.DS))); err != nil {
 		return err
 	}
 	for _, d := range t.DS {
-		if err := writeString(bw, d.Name); err != nil {
+		if err := writeString(w, d.Name); err != nil {
 			return err
 		}
-		if err := binary.Write(bw, binary.LittleEndian, [3]uint32{d.Base, d.Size, d.Elem}); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(t.Accesses))); err != nil {
-		return err
-	}
-	var rec [8]byte
-	for _, a := range t.Accesses {
-		binary.LittleEndian.PutUint32(rec[0:], a.Addr)
-		binary.LittleEndian.PutUint16(rec[4:], uint16(a.DS))
-		rec[6] = uint8(a.Kind)
-		rec[7] = a.Size
-		if _, err := bw.Write(rec[:]); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, [3]uint32{d.Base, d.Size, d.Elem}); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return binary.Write(w, binary.LittleEndian, uint64(len(t.Accesses)))
+}
+
+// readHeader decodes the header after the magic bytes: the trace with
+// its data structures and no accesses yet, and the claimed access count.
+func readHeader(br *bufio.Reader) (*Trace, uint64, error) {
+	name, err := readString(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	var nDS uint16
+	if err := binary.Read(br, binary.LittleEndian, &nDS); err != nil {
+		return nil, 0, err
+	}
+	t := &Trace{Name: name, DS: make([]DSInfo, nDS)}
+	for i := range t.DS {
+		dsName, err := readString(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		var f [3]uint32
+		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
+			return nil, 0, err
+		}
+		t.DS[i] = DSInfo{Name: dsName, Base: f[0], Size: f[1], Elem: f[2]}
+	}
+	var nAcc uint64
+	if err := binary.Read(br, binary.LittleEndian, &nAcc); err != nil {
+		return nil, 0, err
+	}
+	if nAcc > maxSaneAccesses {
+		return nil, 0, fmt.Errorf("trace: implausible access count %d", nAcc)
+	}
+	t.Accesses = make([]Access, 0, min(nAcc, maxPrealloc))
+	return t, nAcc, nil
 }
 
 // Read decodes an MTR1 or MTR2 stream into a Trace and validates it,
@@ -91,34 +117,10 @@ func Read(r io.Reader) (*Trace, error) {
 
 // readBody decodes the MTR1 stream after the magic bytes.
 func readBody(br *bufio.Reader) (*Trace, error) {
-	name, err := readString(br)
+	t, nAcc, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	var nDS uint16
-	if err := binary.Read(br, binary.LittleEndian, &nDS); err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: name, DS: make([]DSInfo, nDS)}
-	for i := range t.DS {
-		dsName, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		var f [3]uint32
-		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
-			return nil, err
-		}
-		t.DS[i] = DSInfo{Name: dsName, Base: f[0], Size: f[1], Elem: f[2]}
-	}
-	var nAcc uint64
-	if err := binary.Read(br, binary.LittleEndian, &nAcc); err != nil {
-		return nil, err
-	}
-	if nAcc > maxSaneAccesses {
-		return nil, fmt.Errorf("trace: implausible access count %d", nAcc)
-	}
-	t.Accesses = make([]Access, 0, min(nAcc, maxPrealloc))
 	var rec [8]byte
 	for range nAcc {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

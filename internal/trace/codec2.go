@@ -3,12 +3,11 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
-// Compressed binary trace format ("MTR2"): the header matches MTR1, but
-// each access is encoded as
+// Compressed binary trace format ("MTR2"): the shared header (see
+// codec.go), then each access encoded as
 //
 //	uvarint  dsID
 //	svarint  address delta vs. the previous access of the same DS
@@ -16,41 +15,19 @@ import (
 //
 // Memory traces are dominated by small per-structure strides (streams,
 // probe walks), so per-DS deltas compress 3-6x against MTR1's fixed
-// 8-byte records. trace.Read auto-detects both formats.
+// 8-byte records.
 
 var magic2 = [4]byte{'M', 'T', 'R', '2'}
 
-// WriteCompressed encodes t to w in the MTR2 format.
-func WriteCompressed(w io.Writer, t *Trace) error {
+// Write encodes t to w in the MTR2 format.
+func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic2[:]); err != nil {
-		return err
-	}
-	if err := writeString(bw, t.Name); err != nil {
-		return err
-	}
-	if len(t.DS) > 0xFFFF {
-		return fmt.Errorf("trace: too many data structures (%d)", len(t.DS))
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(t.DS))); err != nil {
-		return err
-	}
-	for _, d := range t.DS {
-		if err := writeString(bw, d.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, [3]uint32{d.Base, d.Size, d.Elem}); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(t.Accesses))); err != nil {
+	if err := writeHeader(bw, magic2, t); err != nil {
 		return err
 	}
 	last := make([]uint32, len(t.DS))
 	for i := range last {
-		if i < len(t.DS) {
-			last[i] = t.DS[i].Base
-		}
+		last[i] = t.DS[i].Base
 	}
 	var buf [2 * binary.MaxVarintLen64]byte
 	for _, a := range t.Accesses {
@@ -87,38 +64,14 @@ func sizeLog2(size uint8) uint8 {
 
 // readCompressedBody decodes the MTR2 stream after the magic bytes.
 func readCompressedBody(br *bufio.Reader) (*Trace, error) {
-	name, err := readString(br)
+	t, nAcc, err := readHeader(br)
 	if err != nil {
 		return nil, err
-	}
-	var nDS uint16
-	if err := binary.Read(br, binary.LittleEndian, &nDS); err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: name, DS: make([]DSInfo, nDS)}
-	for i := range t.DS {
-		dsName, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		var f [3]uint32
-		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
-			return nil, err
-		}
-		t.DS[i] = DSInfo{Name: dsName, Base: f[0], Size: f[1], Elem: f[2]}
-	}
-	var nAcc uint64
-	if err := binary.Read(br, binary.LittleEndian, &nAcc); err != nil {
-		return nil, err
-	}
-	if nAcc > maxSaneAccesses {
-		return nil, fmt.Errorf("trace: implausible access count %d", nAcc)
 	}
 	last := make([]uint32, len(t.DS))
 	for i := range last {
 		last[i] = t.DS[i].Base
 	}
-	t.Accesses = make([]Access, 0, min(nAcc, maxPrealloc))
 	for range nAcc {
 		ds, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -10,13 +10,14 @@ import (
 	"memorex/internal/trace"
 )
 
-// writers are the two encoders a decoded trace must round-trip through.
+// writers are the two encoders a decoded trace must round-trip through:
+// the production MTR2 writer and the test-only MTR1 reference.
 var writers = []struct {
 	name  string
 	write func(io.Writer, *trace.Trace) error
 }{
-	{"MTR1", trace.Write},
-	{"MTR2", trace.WriteCompressed},
+	{"MTR1", trace.WriteMTR1},
+	{"MTR2", trace.Write},
 }
 
 // fuzzSeedTraces returns small valid traces: an empty one, one with

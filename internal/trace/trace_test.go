@@ -147,8 +147,8 @@ func TestInfoOutOfRange(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	tr := buildSample(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeMTR1(&buf, tr); err != nil {
+		t.Fatalf("writeMTR1: %v", err)
 	}
 	got, err := Read(&buf)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestCodecBadMagic(t *testing.T) {
 func TestCodecTruncated(t *testing.T) {
 	tr := buildSample(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeMTR1(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -205,7 +205,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		}
 		tr := b.Build()
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := writeMTR1(&buf, tr); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
@@ -247,8 +247,8 @@ func TestBuilderZeroSizeRegion(t *testing.T) {
 func TestCompressedCodecRoundTrip(t *testing.T) {
 	tr := buildSample(t)
 	var buf bytes.Buffer
-	if err := WriteCompressed(&buf, tr); err != nil {
-		t.Fatalf("WriteCompressed: %v", err)
+	if err := Write(&buf, tr); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf) // auto-detected
 	if err != nil {
@@ -268,10 +268,10 @@ func TestCompressedSmallerOnStriding(t *testing.T) {
 	}
 	tr := b.Build()
 	var plain, packed bytes.Buffer
-	if err := Write(&plain, tr); err != nil {
+	if err := writeMTR1(&plain, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCompressed(&packed, tr); err != nil {
+	if err := Write(&packed, tr); err != nil {
 		t.Fatal(err)
 	}
 	if packed.Len()*2 > plain.Len() {
@@ -283,7 +283,7 @@ func TestCompressedSmallerOnStriding(t *testing.T) {
 func TestCompressedTruncated(t *testing.T) {
 	tr := buildSample(t)
 	var buf bytes.Buffer
-	if err := WriteCompressed(&buf, tr); err != nil {
+	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -317,7 +317,7 @@ func TestQuickBothCodecsAgree(t *testing.T) {
 		}
 		tr := b.Build()
 		var b1, b2 bytes.Buffer
-		if Write(&b1, tr) != nil || WriteCompressed(&b2, tr) != nil {
+		if writeMTR1(&b1, tr) != nil || Write(&b2, tr) != nil {
 			return false
 		}
 		t1, err1 := Read(&b1)
