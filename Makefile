@@ -71,7 +71,8 @@ serve-smoke:
 
 # fuzz runs each native fuzz target for 30 seconds: the MTR1/MTR2 trace
 # decoder, the behavior-trace cache decoder, the profiler against its
-# map-based reference, and the request wire format. Inputs that fail
+# map-based reference, the request wire format, the connectivity
+# library loader and the architecture description parser. Inputs that fail
 # land in the package's testdata/fuzz and then run in every go test.
 # check runs only the seed corpora, through go test -race ./....
 fuzz:
@@ -79,6 +80,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/btcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/profile/
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreRequestJSON$$' -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadLibrary$$' -fuzztime 30s ./internal/connect/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/adl/
 
 # check is the gate a change must pass before review: formatting is
 # clean, vet finds nothing, the whole suite passes under the race

@@ -7,7 +7,7 @@
 //
 //	memorex [-bench compress|li|vocoder] [-scale N] [-seed N] [-workers N]
 //	        [-keep N] [-cap N] [-scenario power|cost|perf] [-limit V]
-//	        [-exact] [-trace-cache DIR] [-trace-cache-limit SIZE]
+//	        [-trace-cache DIR] [-trace-cache-limit SIZE]
 //	        [-events FILE] [-progress] [-debug-addr ADDR]
 //	        [-cpuprofile file] [-memprofile file]
 //
@@ -103,7 +103,6 @@ func main() {
 		memorex.WithLibrary(lib),
 		memorex.WithKeepPerArch(*keep),
 		memorex.WithAssignCap(*assignCap),
-		memorex.WithExact(ev.Exact),
 		memorex.WithObserver(observer),
 	}
 	if cf.Dir != "" {

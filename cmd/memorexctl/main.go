@@ -6,7 +6,7 @@
 // Usage:
 //
 //	memorexctl submit [-server URL] [-tenant NAME] [-bench B] [-scale N]
-//	                  [-seed N] [-keep N] [-cap N] [-exact]
+//	                  [-seed N] [-keep N] [-cap N]
 //	                  [-strategy full|pruned|neighborhood|ga|sa]
 //	                  [-search-seed N] [-search-budget N] [-search-population N]
 //	                  [-scenario power|cost|perf -limit V]
@@ -116,7 +116,6 @@ func cmdSubmit(ctx context.Context, args []string) error {
 	reqPath := fs.String("req", "", "submit this ExploreRequest JSON file instead of building one from flags")
 	keep := fs.Int("keep", 0, "designs kept per memory architecture (0 = daemon default)")
 	assignCap := fs.Int("cap", -1, "max connectivity assignments per clustering level (-1 = daemon default, 0 = exhaustive)")
-	exact := fs.Bool("exact", false, "force the one-phase exact simulator")
 	scenario := fs.String("scenario", "", "constrained selection: power, cost or perf")
 	limit := fs.Float64("limit", 0, "constraint value for -scenario (nJ, gates or cycles)")
 	wait := fs.Bool("wait", false, "poll until the job finishes and print the report JSON")
@@ -138,7 +137,6 @@ func cmdSubmit(ctx context.Context, args []string) error {
 		req = memorex.ExploreRequest{
 			Benchmark:   wl.Bench,
 			KeepPerArch: *keep,
-			Exact:       *exact,
 			Strategy:    sf.Strategy,
 		}
 		cfg := wl.Config()

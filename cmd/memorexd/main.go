@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	memorexd [-addr localhost:8344] [-workers N] [-exact]
+//	memorexd [-addr localhost:8344] [-workers N]
 //	         [-queue N] [-max-running N] [-tenant-quota N]
 //	         [-job-retention D] [-drain-timeout D] [-shared-events]
 //	         [-lib FILE] [-trace-cache DIR] [-trace-cache-limit SIZE]
@@ -90,7 +90,6 @@ func run() int {
 
 	exOpts := []memorex.ExplorerOption{
 		memorex.WithWorkers(ev.Workers),
-		memorex.WithExact(ev.Exact),
 		memorex.WithLibrary(lib),
 		memorex.WithObserver(observer),
 	}

@@ -458,6 +458,7 @@ func TestDaemonValidation(t *testing.T) {
 		{"unknown strategy", `{"benchmark": "vocoder", "strategy": "tabu"}`},
 		{"bad search budget", `{"benchmark": "vocoder", "strategy": "ga", "search": {"budget": -1}}`},
 		{"bad search cooling", `{"benchmark": "vocoder", "strategy": "sa", "search": {"cooling": 1.5}}`},
+		{"unknown field exact", `{"benchmark": "vocoder", "exact": true}`},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitRaw(ctx, []byte(tc.body))

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperbench [-exp fig3|fig4|fig6|fige|tab1|tab2|search|all] [-preset paper|quick]
-//	           [-workers N] [-stats] [-exact]
+//	           [-workers N] [-stats]
 //	           [-trace-cache DIR] [-trace-cache-limit SIZE]
 //	           [-events FILE] [-progress] [-debug-addr ADDR]
 //	           [-cpuprofile file] [-memprofile file]
@@ -63,10 +63,6 @@ func main() {
 	if ev.Workers != 0 {
 		opt.ConEx.Workers = ev.Workers
 		opt.Table2ConEx.Workers = ev.Workers
-	}
-	if ev.Exact {
-		opt.ConEx.Exact = true
-		opt.Table2ConEx.Exact = true
 	}
 
 	observer, closeObs, err := ob.Observer()

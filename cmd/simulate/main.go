@@ -7,12 +7,12 @@
 //	simulate -arch system.adl [-bench compress] [-trace file.mtr]
 //	         [-trace-cache DIR] [-trace-cache-limit SIZE]
 //
-// With -trace-cache the simulation runs in two phases: the memory-
-// module behavior of (trace, memory architecture) is captured once and
-// persisted in the cache directory, and this and every later run — of
-// this command or of the exploration engines sharing the directory —
-// only replays the connectivity against it. Results are identical to
-// the one-phase simulation.
+// The simulation runs in two phases: the memory-module behavior of
+// (trace, memory architecture) is captured once and the connectivity is
+// replayed against it; results are identical to the one-phase
+// simulation. -trace-cache persists the capture in the cache directory,
+// so every later run — of this command or of the exploration engines
+// sharing the directory — only replays the connectivity.
 //
 // Example system.adl:
 //
@@ -103,17 +103,11 @@ func main() {
 	}
 }
 
-// run simulates the system: one-phase by default, or capture-and-replay
-// through the persistent behavior-trace cache with -trace-cache, where
-// the capture is served from disk when an earlier run already did it.
+// run simulates the system: the memory-module behavior is captured
+// once and the connectivity re-timed against it as a K=1 ReplayBatch.
+// With -trace-cache the capture is persisted, and served from disk when
+// an earlier run already did it.
 func run(tr *trace.Trace, sys *adl.System, cf *cliutil.CacheFlags) (*sim.Result, error) {
-	if cf.Dir == "" {
-		s, err := sim.New(sys.Mem, sys.Conn)
-		if err != nil {
-			return nil, err
-		}
-		return s.Run(tr)
-	}
 	cache, err := cf.Open(nil)
 	if err != nil {
 		return nil, err
@@ -127,7 +121,9 @@ func run(tr *trace.Trace, sys *adl.System, cf *cliutil.CacheFlags) (*sim.Result,
 		if err := cache.Put(fp, bt); err != nil {
 			log.Printf("trace cache: %v", err)
 		}
-		fmt.Printf("\ntrace cache:  captured behavior into %s\n", cf.Dir)
+		if cache != nil {
+			fmt.Printf("\ntrace cache:  captured behavior into %s\n", cf.Dir)
+		}
 	} else {
 		fmt.Printf("\ntrace cache:  behavior loaded from %s (capture skipped)\n", cf.Dir)
 	}

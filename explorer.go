@@ -212,12 +212,6 @@ func WithAssignCap(n int) ExplorerOption {
 	return func(c *explorerConfig) { c.conexCfg.MaxAssignPerLevel = n }
 }
 
-// WithExact forces the one-phase reference simulator instead of the
-// two-phase capture-and-replay path.
-func WithExact(exact bool) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg.Exact = exact }
-}
-
 // NewExplorer builds an Explorer. Configuration is validated here, in
 // one place: zero configs become the paper-reproduction defaults,
 // while explicitly invalid values are reported as errors instead of
@@ -443,9 +437,6 @@ func (x *Explorer) resolve(req ExploreRequest) (workload.Config, apex.Config, co
 	}
 	if req.MaxAssignPerLevel != nil {
 		conexCfg.MaxAssignPerLevel = *req.MaxAssignPerLevel
-	}
-	if req.Exact {
-		conexCfg.Exact = true
 	}
 	if req.Search != nil {
 		conexCfg.Search = *req.Search

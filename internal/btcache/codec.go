@@ -63,8 +63,8 @@ const (
 	headerSize = 28
 	// sectionCount is the number of payload sections.
 	sectionCount = 3
-	// maxCount bounds the channel/module/window counts a decoder will
-	// accept; real architectures have a handful of each.
+	// maxCount bounds the channel/module counts a decoder will accept;
+	// real architectures have a handful of each.
 	maxCount = 1 << 20
 )
 
@@ -373,20 +373,23 @@ func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 // decodeWindows parses section 2 into the sampling-window bookkeeping.
 func decodeWindows(sec []byte, bt *sim.BehaviorTrace) error {
 	r := &reader{b: sec, section: "windows"}
-	nw := r.count("windows")
+	// A fine sampling plan on a long trace plans over a million windows
+	// (and twice that many resync records per module), so both counts
+	// are bounded by the section's exact byte length, not by maxCount.
+	nw := int(r.u32())
 	if r.err != nil {
 		return r.err
 	}
-	if len(sec)-r.off < nw*(4+8) {
+	if int64(len(sec)-r.off) < int64(nw)*(4+8) {
 		return corruptf("windows section too short for %d windows", nw)
 	}
 	bt.WindowLen = r.i32s(nw)
 	bt.GapCycles = r.i64s(nw)
-	nr := r.count("resync records")
+	nr := int(r.u32())
 	if r.err != nil {
 		return r.err
 	}
-	if want := 4 + nw*(4+8) + 4 + nr*4; len(sec) != want {
+	if want := 4 + int64(nw)*(4+8) + 4 + int64(nr)*4; int64(len(sec)) != want {
 		return corruptf("windows section is %d bytes, %d windows + %d resyncs need %d",
 			len(sec), nw, nr, want)
 	}

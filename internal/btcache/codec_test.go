@@ -239,7 +239,33 @@ func largeTrace(n int) *sim.BehaviorTrace {
 // through Encode/Decode and through the cache, not be rejected as an
 // implausible count and quarantined.
 func TestLargeCaptureRoundTrip(t *testing.T) {
-	bt := largeTrace(1<<20 + 3)
+	assertLargeRoundTrip(t, largeTrace(1<<20+3))
+}
+
+// TestManyWindowsRoundTrip: a capture of more than 2^20 sampling
+// windows — the plan of {"benchmark":"li","sampling":{"on_window":1,
+// "off_ratio":1}} has about 1.25M — must round-trip like a capture of
+// many events, with its resync records too.
+func TestManyWindowsRoundTrip(t *testing.T) {
+	const n = 1<<20 + 1
+	bt := largeTrace(n)
+	bt.WindowLen = make([]int32, n)
+	bt.GapCycles = make([]int64, n)
+	bt.Resync = make([]int32, n*len(bt.Modules)*2)
+	for i := range n {
+		bt.WindowLen[i] = 1
+		bt.GapCycles[i] = int64(i % 29)
+	}
+	for i := range bt.Resync {
+		bt.Resync[i] = int32(i % 31)
+	}
+	assertLargeRoundTrip(t, bt)
+}
+
+// assertLargeRoundTrip checks that bt survives Encode/Decode and a
+// Put/Get through a fresh cache unchanged.
+func assertLargeRoundTrip(t *testing.T, bt *sim.BehaviorTrace) {
+	t.Helper()
 	const fp = 0x5eed
 	got, err := Decode(Encode(bt, fp), fp)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package cliutil factors the flag sets, logging setup and
 // observability plumbing shared by the cmd/* binaries, so every
-// command spells -bench/-scale/-seed, -workers/-exact,
+// command spells -bench/-scale/-seed, -workers,
 // -cpuprofile/-memprofile and -events/-progress/-debug-addr the same
 // way and gains new shared flags in one place.
 package cliutil
@@ -95,17 +95,14 @@ func (w *WorkloadFlags) Load() (*trace.Trace, error) {
 	return wl.Generate(cfg), nil
 }
 
-// EvalFlags is the shared evaluation-control flag set: -workers and
-// -exact.
+// EvalFlags is the shared evaluation-control flag set: -workers.
 type EvalFlags struct {
 	Workers int
-	Exact   bool
 }
 
-// Register installs -workers/-exact on fs.
+// Register installs -workers on fs.
 func (e *EvalFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&e.Workers, "workers", 0, "evaluation worker pool size (0 = all CPUs)")
-	fs.BoolVar(&e.Exact, "exact", false, "use the one-phase exact simulator instead of behavior-trace replay")
 }
 
 // SearchFlags is the shared exploration-driver flag set: -strategy

@@ -79,13 +79,6 @@ type Config struct {
 	// repeated simulations of equivalent designs. When nil, each
 	// Explore call builds a private engine from Workers.
 	Engine *engine.Engine
-	// Exact forces the one-phase simulator that re-runs the memory
-	// modules for every connectivity candidate, instead of the default
-	// two-phase capture-and-replay path. The replay is exact for full
-	// simulations of non-prefetching architectures and within the
-	// fidelity tolerance everywhere else; Exact exists as the reference
-	// fallback.
-	Exact bool
 	// Search parameterizes the heuristic exploration drivers (the GA
 	// and SA strategies of internal/explore); the enumeration-based
 	// strategies ignore it. The zero value means the defaults.
@@ -102,8 +95,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// IsZero reports whether the algorithmic fields are all zero. Workers,
-// Engine and Exact are execution knobs, not part of the design-space
+// IsZero reports whether the algorithmic fields are all zero. Workers
+// and Engine are execution knobs, not part of the design-space
 // description, so they do not affect zeroness.
 func (c Config) IsZero() bool {
 	return c.Library == nil && c.Sampling.IsZero() &&
@@ -112,7 +105,7 @@ func (c Config) IsZero() bool {
 
 // Normalize resolves the config the exploration runs with: when every
 // algorithmic field is zero they are filled from DefaultConfig (the
-// execution knobs Workers/Engine/Exact are preserved). In a partially
+// execution knobs Workers/Engine are preserved). In a partially
 // set config the unset sub-pieces fall back individually — a nil
 // Library means the built-in IP library, a zero Sampling means the
 // paper's 1:9 plan, KeepPerArch 0 means the default 8 — while
@@ -121,7 +114,7 @@ func (c Config) IsZero() bool {
 func (c Config) Normalize() (Config, error) {
 	if c.IsZero() {
 		def := DefaultConfig()
-		def.Workers, def.Engine, def.Exact = c.Workers, c.Engine, c.Exact
+		def.Workers, def.Engine = c.Workers, c.Engine
 		return def, nil
 	}
 	def := DefaultConfig()
@@ -251,39 +244,49 @@ func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.T
 	}
 	stop := eng.StartPhase(phaseEstimate)
 	defer stop()
-	// One homogeneous slice per memory architecture: every request below
+	// One homogeneous slice per memory architecture: every design below
 	// shares the behavior-trace fingerprint, so the engine dispatches
 	// the whole candidate set as batched replays of one captured trace.
-	reqs := make([]engine.Request, len(candidates))
+	points := make([]DesignPoint, len(candidates))
 	for i, conn := range candidates {
+		points[i] = DesignPoint{MemArch: arch, Conn: conn}
+	}
+	work, err := Evaluate(ctx, eng, t, points, engine.Sampled, cfg.Sampling, phaseEstimate)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return points, work, dropped, nil
+}
+
+// Evaluate evaluates designs through the engine in one batch and fills
+// their Cost, Latency, Energy and Estimated fields in place; each
+// design's MemArch and Conn must be set. s is the sampling plan of
+// Sampled mode (ignored in Full mode) and phase attributes the
+// evaluations in the engine statistics. It returns the trace accesses
+// actually simulated; designs served from the memo cache add nothing.
+func Evaluate(ctx context.Context, eng *engine.Engine, t *trace.Trace, designs []DesignPoint, mode engine.Mode, s sampling.Config, phase string) (int64, error) {
+	reqs := make([]engine.Request, len(designs))
+	for i := range designs {
 		reqs[i] = engine.Request{
 			Trace:    t,
-			Mem:      arch,
-			Conn:     conn,
-			Mode:     engine.Sampled,
-			Sampling: cfg.Sampling,
-			Exact:    cfg.Exact,
-			Phase:    phaseEstimate,
+			Mem:      designs[i].MemArch,
+			Conn:     designs[i].Conn,
+			Mode:     mode,
+			Sampling: s,
+			Phase:    phase,
 		}
 	}
 	vals, err := eng.Evaluate(ctx, reqs)
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, err
 	}
-	points := make([]DesignPoint, len(candidates))
 	var work int64
 	for i, v := range vals {
-		points[i] = DesignPoint{
-			MemArch:   arch,
-			Conn:      candidates[i],
-			Cost:      v.Cost,
-			Latency:   v.Latency,
-			Energy:    v.Energy,
-			Estimated: true,
-		}
+		d := &designs[i]
+		d.Cost, d.Latency, d.Energy, d.Estimated = v.Cost, v.Latency, v.Energy, v.Estimated
 		work += v.Work
 	}
-	return points, work, dropped, nil
+	return work, nil
 }
 
 // SelectLocal picks the locally most promising designs of one memory
@@ -381,45 +384,28 @@ func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (
 	// as one slice so survivors of the same memory architecture batch
 	// into shared full-trace replays.
 	stop := eng.StartPhase(phaseFullSim)
-	reqs := make([]engine.Request, len(phase2))
-	for i := range phase2 {
-		reqs[i] = engine.Request{
-			Trace: t,
-			Mem:   phase2[i].MemArch,
-			Conn:  phase2[i].Conn,
-			Mode:  engine.Full,
-			Exact: cfg.Exact,
-			Phase: phaseFullSim,
-		}
-	}
-	vals, err := eng.Evaluate(ctx, reqs)
+	combined := append([]DesignPoint(nil), phase2...)
+	work, err := Evaluate(ctx, eng, t, combined, engine.Full, cfg.Sampling, phaseFullSim)
 	stop()
 	if err != nil {
 		return nil, err
 	}
+	res.SimulatedAccesses = work
 	estErr := eng.Metrics().Histogram("sampling/est_err_pct")
-	combined := make([]DesignPoint, len(phase2))
-	for i, v := range vals {
-		combined[i] = DesignPoint{
-			MemArch: phase2[i].MemArch,
-			Conn:    phase2[i].Conn,
-			Cost:    v.Cost,
-			Latency: v.Latency,
-			Energy:  v.Energy,
-		}
-		res.SimulatedAccesses += v.Work
+	for i := range combined {
 		// Phase II revisits every Phase I survivor, which is exactly the
 		// fidelity experiment of the paper: compare the time-sampled
 		// latency estimate against the full-simulation ground truth.
-		if v.Latency > 0 {
-			rel := 100 * (phase2[i].Latency - v.Latency) / v.Latency
+		est, full := &phase2[i], &combined[i]
+		if full.Latency > 0 {
+			rel := 100 * (est.Latency - full.Latency) / full.Latency
 			if rel < 0 {
 				rel = -rel
 			}
 			estErr.Observe(rel)
 			if o.Enabled() {
-				o.EstimatorError(phase2[i].MemArch.Name, phase2[i].Conn.Describe(phase2[i].MemArch),
-					phase2[i].Latency, v.Latency, rel)
+				o.EstimatorError(est.MemArch.Name, est.Conn.Describe(est.MemArch),
+					est.Latency, full.Latency, rel)
 			}
 		}
 	}

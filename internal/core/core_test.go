@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -505,58 +506,57 @@ func TestSelectLocalKeepOne(t *testing.T) {
 	}
 }
 
-// TestExactReplayFrontEquivalence is the acceptance gate for the
-// two-phase simulator at the exploration level: the pareto fronts
-// selected with the default capture-and-replay evaluation must match
-// the ones the exact one-phase simulator selects, with per-point
-// metrics within the replay fidelity tolerance.
-func TestExactReplayFrontEquivalence(t *testing.T) {
+// TestOnePhaseReferenceAgreement pins the production evaluation path
+// (one behavior capture per memory architecture, re-timed through
+// sim.ReplayBatch) against the one-phase reference simulators at the
+// exploration level: every Phase II design must equal FullSimulate bit
+// for bit, and every Phase I estimate must lie within the sampling
+// fidelity tolerance of sampling.Estimate.
+func TestOnePhaseReferenceAgreement(t *testing.T) {
 	tr := smallTrace()
-	archs := func() []*mem.Architecture {
-		return []*mem.Architecture{
-			testArch(),
-			{
-				Name:    "cache-only",
-				Modules: []mem.Module{mem.MustCache(8192, 32, 2)},
-				DRAM:    mem.DefaultDRAM(),
-				Default: 0,
-			},
-		}
+	archs := []*mem.Architecture{
+		testArch(),
+		{
+			Name:    "cache-only",
+			Modules: []mem.Module{mem.MustCache(8192, 32, 2)},
+			DRAM:    mem.DefaultDRAM(),
+			Default: 0,
+		},
 	}
-	run := func(exact bool) *Result {
-		cfg := fastConfig()
-		cfg.Exact = exact
-		res, err := Explore(context.Background(), tr, archs(), cfg)
+	cfg := fastConfig()
+	res, err := Explore(context.Background(), tr, archs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Combined) == 0 {
+		t.Fatal("no fully simulated designs")
+	}
+	for _, d := range res.Combined {
+		ref, _, err := FullSimulate(tr, d.MemArch, d.Conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if d.Cost != ref.Cost || d.Latency != ref.Latency || d.Energy != ref.Energy || d.Estimated {
+			t.Errorf("%s: (%v, %v, %v, estimated=%v), one-phase reference (%v, %v, %v)",
+				d.Label(), d.Cost, d.Latency, d.Energy, d.Estimated, ref.Cost, ref.Latency, ref.Energy)
+		}
 	}
-	replay, exact := run(false), run(true)
-	if len(replay.CostPerfFront) != len(exact.CostPerfFront) {
-		t.Fatalf("front sizes differ: replay %d vs exact %d",
-			len(replay.CostPerfFront), len(exact.CostPerfFront))
-	}
-	// Sampled Phase I estimates can rank near-tied candidates
-	// differently across the two paths, so the fronts need not pick
-	// identical designs — but each replay-selected point must be an
-	// equally good design: its metrics within the fidelity tolerance of
-	// the exact front's point at the same position.
 	const tol = 0.02
-	for i := range exact.CostPerfFront {
-		r, e := replay.CostPerfFront[i], exact.CostPerfFront[i]
-		if r.Label() != e.Label() {
-			t.Logf("front[%d] selected different designs:\n  replay: %s\n  exact:  %s",
-				i, r.Label(), e.Label())
-		}
-		if d := r.Cost - e.Cost; d > e.Cost*tol || d < -e.Cost*tol {
-			t.Errorf("front[%d] cost %.1f vs exact %.1f", i, r.Cost, e.Cost)
-		}
-		if d := r.Latency - e.Latency; d > e.Latency*tol || d < -e.Latency*tol {
-			t.Errorf("front[%d] latency %.4f vs exact %.4f", i, r.Latency, e.Latency)
-		}
-		if d := r.Energy - e.Energy; d > e.Energy*tol || d < -e.Energy*tol {
-			t.Errorf("front[%d] energy %.4f vs exact %.4f", i, r.Energy, e.Energy)
+	for _, points := range res.PerArch {
+		for _, d := range points {
+			ref, _, err := sampling.Estimate(tr, d.MemArch, d.Conn, cfg.Sampling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Estimated || d.Cost != d.MemArch.Gates()+d.Conn.Gates() {
+				t.Errorf("%s: estimated=%v cost %v", d.Label(), d.Estimated, d.Cost)
+			}
+			if rel := math.Abs(d.Latency-ref.AvgLatency()) / ref.AvgLatency(); rel > tol {
+				t.Errorf("%s: latency %.4f vs reference estimate %.4f", d.Label(), d.Latency, ref.AvgLatency())
+			}
+			if rel := math.Abs(d.Energy-ref.AvgEnergy()) / ref.AvgEnergy(); rel > tol {
+				t.Errorf("%s: energy %.4f vs reference estimate %.4f", d.Label(), d.Energy, ref.AvgEnergy())
+			}
 		}
 	}
 }

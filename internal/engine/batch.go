@@ -1,4 +1,4 @@
-// Batched dispatch: Evaluate groups pending two-phase requests by
+// Batched dispatch: Evaluate groups pending requests by
 // behavior-trace fingerprint and re-times each group's connectivity
 // architectures through sim.ReplayBatch — one pass over the shared
 // event trace per chunk instead of one per candidate. Before anything
@@ -9,11 +9,10 @@
 // of each group are chunked across the worker pool, one ReplayBatch
 // pass per chunk; a group with a single leader is a K=1 chunk.
 //
-// Exact requests take the one-phase path; cache hits and single-flight
-// duplicates wait without holding a worker slot. All of this preserves
-// the engine's contracts: results in submission order, first real
-// error wins over the cancellations it causes, failures are never
-// memoized.
+// Cache hits and single-flight duplicates wait without holding a
+// worker slot. All of this preserves the engine's contracts: results
+// in submission order, first real error wins over the cancellations it
+// causes, failures are never memoized.
 package engine
 
 import (
@@ -46,11 +45,11 @@ func chunkSpan(n, w int) int {
 }
 
 // Evaluate runs a batch of requests on the worker pool and returns the
-// values in submission order. Two-phase requests sharing a behavior
-// trace are dispatched as batched replays (see the package comment of
-// this file); Exact requests run one at a time. On error the
-// batch is cancelled and the first error (in submission order) is
-// returned; ctx cancellation stops the batch between evaluations.
+// values in submission order. Requests sharing a behavior trace are
+// dispatched as batched replays (see the package comment of this
+// file). On error the batch is cancelled and the first error (in
+// submission order) is returned; ctx cancellation stops the batch
+// between evaluations.
 func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -105,18 +104,13 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		cancel() // abort the rest of the batch, like any failing member
 	}
 
-	// Group the owned two-phase requests by behavior fingerprint,
-	// dedup identical timing signatures within each group, and chunk
-	// the remaining leaders for batched replay.
-	var exact []int
+	// Group the owned requests by behavior fingerprint, dedup identical
+	// timing signatures within each group, and chunk the remaining
+	// leaders for batched replay.
 	var groupOrder []uint64
 	groups := map[uint64][]int{}
 	for i, r := range reqs {
 		if errs[i] != nil || !owned[i] {
-			continue
-		}
-		if r.Exact {
-			exact = append(exact, i)
 			continue
 		}
 		bk := e.behaviorKey(r)
@@ -198,32 +192,6 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 				abort(err)
 			}
 		}(fl[0], fl[1])
-	}
-
-	// One-phase path: Exact requests, one worker slot each.
-	for _, i := range exact {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-bctx.Done():
-				fail(i, bctx.Err())
-				return
-			}
-			defer func() { <-sem }()
-			// The sem send can win the select against an already
-			// cancelled context; re-check before doing work.
-			if err := bctx.Err(); err != nil {
-				fail(i, err)
-				return
-			}
-			v, err := e.computeOne(reqs[i])
-			finish(i, v, err)
-			if err != nil {
-				abort(err)
-			}
-		}(i)
 	}
 
 	// Batched chunks: each occupies one worker slot and serves all its

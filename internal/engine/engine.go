@@ -73,12 +73,6 @@ type Request struct {
 	// Sampling configures the estimator; used only when Mode is
 	// Sampled (and part of the memoization key then).
 	Sampling sampling.Config
-	// Exact forces the one-phase simulator that re-runs the memory
-	// modules for every connectivity candidate. The default (false)
-	// uses the two-phase path: module behavior is captured once per
-	// (trace, memory architecture, sampling plan) and each candidate is
-	// a fast connectivity replay of that event trace.
-	Exact bool
 	// Phase optionally attributes the evaluation to a named phase in
 	// the engine statistics.
 	Phase string
@@ -422,36 +416,6 @@ func (e *Engine) emitEval(r Request, v Value, wall time.Duration) {
 	})
 }
 
-// computeOne runs the one-phase simulator for an Exact request with
-// full stats and observability accounting. With no observer and no
-// registry attached it adds two nil checks and nothing else.
-func (e *Engine) computeOne(r Request) (Value, error) {
-	instrumented := e.obs.Enabled() || e.metrics != nil
-	var start time.Time
-	if instrumented {
-		start = time.Now()
-	}
-	v, err := e.simulate(r)
-	if err != nil {
-		return Value{}, err
-	}
-	e.recordSim(r, v)
-	if instrumented {
-		wall := time.Since(start)
-		e.m.evals.Inc()
-		e.m.sims.Inc()
-		if r.Mode == Full {
-			e.m.fullAcc.Add(v.Work)
-			e.m.evalWallFull.Observe(float64(wall.Microseconds()))
-		} else {
-			e.m.sampledAcc.Add(v.Work)
-			e.m.evalWallSampled.Observe(float64(wall.Microseconds()))
-		}
-		e.emitEval(r, v, wall)
-	}
-	return v, nil
-}
-
 // awaitHit waits for the owning computation of an already-claimed memo
 // entry and returns its value as a cache hit.
 func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, error) {
@@ -480,44 +444,6 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 		e.emitEval(r, v, time.Since(start))
 	}
 	return v, nil
-}
-
-// simulate runs the one-phase simulator that re-runs the memory modules
-// for the request's connectivity architecture: the sampling estimator
-// in Sampled mode, the whole trace in Full mode.
-func (e *Engine) simulate(r Request) (Value, error) {
-	cost := r.Mem.Gates() + r.Conn.Gates()
-	if r.Mode == Sampled {
-		res, simulated, err := sampling.Estimate(r.Trace, r.Mem, r.Conn, r.Sampling)
-		if err != nil {
-			return Value{}, err
-		}
-		e.m.schedIssues.Add(res.SchedIssues)
-		e.m.schedConflicts.Add(res.SchedConflicts)
-		return Value{
-			Cost:      cost,
-			Latency:   res.AvgLatency(),
-			Energy:    res.AvgEnergy(),
-			Estimated: true,
-			Work:      simulated,
-		}, nil
-	}
-	s, err := sim.New(r.Mem, r.Conn)
-	if err != nil {
-		return Value{}, err
-	}
-	res, err := s.Run(r.Trace)
-	if err != nil {
-		return Value{}, err
-	}
-	e.m.schedIssues.Add(res.SchedIssues)
-	e.m.schedConflicts.Add(res.SchedConflicts)
-	return Value{
-		Cost:    cost,
-		Latency: res.AvgLatency(),
-		Energy:  res.AvgEnergy(),
-		Work:    res.Accesses,
-	}, nil
 }
 
 // behaviorTrace returns the Phase A event trace of a request, capturing

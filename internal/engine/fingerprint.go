@@ -30,7 +30,6 @@ func (e *Engine) key(r Request) uint64 {
 	writeU64(h, e.memFingerprint(r.Mem))
 	writeU64(h, connFingerprint(r.Conn))
 	writeU64(h, uint64(r.Mode))
-	writeBool(h, r.Exact)
 	if r.Mode == Sampled {
 		writeU64(h, uint64(r.Sampling.OnWindow))
 		writeU64(h, uint64(r.Sampling.OffRatio))

@@ -248,7 +248,7 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 		// Expand the connectivity neighborhood of the selected (pareto)
 		// designs: fully simulate each single-component swap (the
 		// paper's "points in the neighborhood of the selected points").
-		sel := selectedFronts(res.Combined)
+		sel := core.SelectLocal(res.Combined, len(res.Combined))
 		extra, work, err := connectivityNeighbors(ctx, eng, t, res.Combined, sel, cfg)
 		if err != nil {
 			return nil, err
@@ -272,42 +272,12 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	return out, nil
 }
 
-// selectedFronts returns the union of the three 2-D pareto fronts of the
-// designs — the "selected points" whose neighborhood is worth expanding.
-func selectedFronts(points []core.DesignPoint) []core.DesignPoint {
-	pts := make([]pareto.Point, len(points))
-	for i := range points {
-		pts[i] = points[i].Point()
-		pts[i].Meta = i
-	}
-	seen := map[int]bool{}
-	var out []core.DesignPoint
-	for _, proj := range [][2]pareto.Dim{
-		{pareto.Cost, pareto.Latency},
-		{pareto.Latency, pareto.Energy},
-		{pareto.Cost, pareto.Energy},
-	} {
-		for _, p := range pareto.Front(pts, proj[0], proj[1]) {
-			i := p.Meta.(int)
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, points[i])
-			}
-		}
-	}
-	return out
-}
-
 // connectivityNeighbors fully simulates every single-component swap of
 // every design in expand, skipping designs already present in seed (and
 // deduplicating across the generated neighbors themselves, so the
 // outcome holds no duplicate design points even though the engine would
 // memoize the repeats anyway).
 func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Trace, seed, expand []core.DesignPoint, cfg core.Config) ([]core.DesignPoint, int64, error) {
-	type job struct {
-		arch *mem.Architecture
-		conn *connect.Arch
-	}
 	seen := map[string]bool{}
 	sig := func(arch *mem.Architecture, conn *connect.Arch) string {
 		s := arch.Name
@@ -319,7 +289,7 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 		}
 		return s
 	}
-	var jobs []job
+	var extra []core.DesignPoint
 	for _, dp := range seed {
 		seen[sig(dp.MemArch, dp.Conn)] = true
 	}
@@ -342,91 +312,40 @@ func connectivityNeighbors(ctx context.Context, eng *engine.Engine, t *trace.Tra
 					continue
 				}
 				seen[s] = true
-				jobs = append(jobs, job{arch: dp.MemArch, conn: neighbor})
+				extra = append(extra, core.DesignPoint{MemArch: dp.MemArch, Conn: neighbor})
 			}
 		}
 	}
 	stop := eng.StartPhase("explore/neighborhood")
 	defer stop()
-	reqs := make([]engine.Request, len(jobs))
-	for i := range jobs {
-		reqs[i] = engine.Request{
-			Trace: t,
-			Mem:   jobs[i].arch,
-			Conn:  jobs[i].conn,
-			Mode:  engine.Full,
-			Exact: cfg.Exact,
-			Phase: "explore/neighborhood",
-		}
-	}
-	vals, err := eng.Evaluate(ctx, reqs)
+	work, err := core.Evaluate(ctx, eng, t, extra, engine.Full, cfg.Sampling, "explore/neighborhood")
 	if err != nil {
 		return nil, 0, err
-	}
-	extra := make([]core.DesignPoint, len(jobs))
-	var work int64
-	for i, v := range vals {
-		extra[i] = core.DesignPoint{
-			MemArch: jobs[i].arch,
-			Conn:    jobs[i].conn,
-			Cost:    v.Cost,
-			Latency: v.Latency,
-			Energy:  v.Energy,
-		}
-		work += v.Work
 	}
 	return extra, work, nil
 }
 
 // runFull simulates the entire combined space through the engine.
 func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Space, cfg core.Config, out *Outcome) error {
-	type job struct {
-		arch *mem.Architecture
-		conn *connect.Arch
-	}
 	// Enumerate all candidate (memory, connectivity) pairs first.
 	brgs, err := sp.brgs(ctx, t, sp.AllMem, eng.Workers())
 	if err != nil {
 		return err
 	}
-	var jobs []job
+	var points []core.DesignPoint
 	for _, brg := range brgs {
-		arch := brg.Arch
 		for _, level := range core.Levels(brg) {
 			cands, _ := core.EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
 			for _, c := range cands {
-				jobs = append(jobs, job{arch: arch, conn: c})
+				points = append(points, core.DesignPoint{MemArch: brg.Arch, Conn: c})
 			}
 		}
 	}
 	stop := eng.StartPhase("explore/full-space")
 	defer stop()
-	reqs := make([]engine.Request, len(jobs))
-	for i := range jobs {
-		reqs[i] = engine.Request{
-			Trace: t,
-			Mem:   jobs[i].arch,
-			Conn:  jobs[i].conn,
-			Mode:  engine.Full,
-			Exact: cfg.Exact,
-			Phase: "explore/full-space",
-		}
-	}
-	vals, err := eng.Evaluate(ctx, reqs)
+	work, err := core.Evaluate(ctx, eng, t, points, engine.Full, cfg.Sampling, "explore/full-space")
 	if err != nil {
 		return err
-	}
-	points := make([]core.DesignPoint, len(jobs))
-	var work int64
-	for i, v := range vals {
-		points[i] = core.DesignPoint{
-			MemArch: jobs[i].arch,
-			Conn:    jobs[i].conn,
-			Cost:    v.Cost,
-			Latency: v.Latency,
-			Energy:  v.Energy,
-		}
-		work += v.Work
 	}
 	out.Points = points
 	out.WorkAccesses = work

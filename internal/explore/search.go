@@ -365,7 +365,7 @@ func (s *searcher) remaining() int { return s.scfg.Budget - int(s.evals) }
 // the batch or against the archive — cost nothing.
 func (s *searcher) estimate(ctx context.Context, gs []genome, limit int) ([]int, error) {
 	idx := make([]int, len(gs))
-	var reqs []engine.Request
+	var designs []core.DesignPoint
 	var newIdx []int
 	budget := s.remaining() - s.estReserve
 	if budget < 0 {
@@ -380,7 +380,7 @@ func (s *searcher) estimate(ctx context.Context, gs []genome, limit int) ([]int,
 			idx[i] = j
 			continue
 		}
-		if len(reqs) >= budget {
+		if len(designs) >= budget {
 			idx[i] = -1
 			continue
 		}
@@ -391,29 +391,21 @@ func (s *searcher) estimate(ctx context.Context, gs []genome, limit int) ([]int,
 		s.arch = append(s.arch, candidate{g: g, conn: conn})
 		idx[i] = j
 		newIdx = append(newIdx, j)
-		reqs = append(reqs, engine.Request{
-			Trace:    s.t,
-			Mem:      ms.arch,
-			Conn:     conn,
-			Mode:     engine.Sampled,
-			Sampling: s.cfg.Sampling,
-			Exact:    s.cfg.Exact,
-			Phase:    phaseSearchEstimate,
-		})
+		designs = append(designs, core.DesignPoint{MemArch: ms.arch, Conn: conn})
 	}
-	if len(reqs) == 0 {
+	if len(designs) == 0 {
 		return idx, nil
 	}
-	vals, err := s.eng.Evaluate(ctx, reqs)
+	work, err := core.Evaluate(ctx, s.eng, s.t, designs, engine.Sampled, s.cfg.Sampling, phaseSearchEstimate)
 	if err != nil {
 		return nil, err
 	}
-	s.evals += int64(len(reqs))
-	s.eng.Metrics().Counter("explore/search/estimates").Add(int64(len(reqs)))
-	for i, v := range vals {
+	s.evals += int64(len(designs))
+	s.workSum += work
+	s.eng.Metrics().Counter("explore/search/estimates").Add(int64(len(designs)))
+	for i := range designs {
 		c := &s.arch[newIdx[i]]
-		c.cost, c.lat, c.nrg = v.Cost, v.Latency, v.Energy
-		s.workSum += v.Work
+		c.cost, c.lat, c.nrg = designs[i].Cost, designs[i].Latency, designs[i].Energy
 	}
 	return idx, nil
 }
@@ -422,8 +414,8 @@ func (s *searcher) estimate(ctx context.Context, gs []genome, limit int) ([]int,
 // than the relative margin m on both axes of some projection — by any
 // other candidate, in all three metric projections. A candidate that
 // survives in at least one projection is "near the front" and worth
-// promoting (the union mirrors selectedFronts). At m = 0 this is plain
-// strict pareto domination per projection.
+// promoting (the union mirrors core.SelectLocal's three fronts). At
+// m = 0 this is plain strict pareto domination per projection.
 func (s *searcher) marginDominated(i int, m float64) bool {
 	p := &s.arch[i]
 	projs := [3][2]float64{
@@ -492,51 +484,37 @@ func (s *searcher) promote(ctx context.Context, limit int) error {
 	if len(picks) == 0 {
 		return nil
 	}
-	reqs := make([]engine.Request, len(picks))
+	designs := make([]core.DesignPoint, len(picks))
 	for i, j := range picks {
 		c := &s.arch[j]
-		reqs[i] = engine.Request{
-			Trace: s.t,
-			Mem:   s.mems[c.g.mem].arch,
-			Conn:  c.conn,
-			Mode:  engine.Full,
-			Exact: s.cfg.Exact,
-			Phase: phaseSearchPromote,
-		}
+		designs[i] = core.DesignPoint{MemArch: s.mems[c.g.mem].arch, Conn: c.conn}
 	}
-	vals, err := s.eng.Evaluate(ctx, reqs)
+	work, err := core.Evaluate(ctx, s.eng, s.t, designs, engine.Full, s.cfg.Sampling, phaseSearchPromote)
 	if err != nil {
 		return err
 	}
-	s.evals += int64(len(reqs))
-	s.prov.Promotions += int64(len(reqs))
+	s.evals += int64(len(designs))
+	s.workSum += work
+	s.prov.Promotions += int64(len(designs))
 	m := s.eng.Metrics()
-	m.Counter("explore/search/promotions").Add(int64(len(reqs)))
+	m.Counter("explore/search/promotions").Add(int64(len(designs)))
 	estErr := m.Histogram("sampling/est_err_pct")
 	o := s.eng.Observer()
-	for i, v := range vals {
-		c := &s.arch[picks[i]]
-		if v.Latency > 0 {
-			rel := math.Abs(c.lat-v.Latency) / v.Latency
+	for i := range designs {
+		c, d := &s.arch[picks[i]], &designs[i]
+		if d.Latency > 0 {
+			rel := math.Abs(c.lat-d.Latency) / d.Latency
 			estErr.Observe(100 * rel)
 			if o.Enabled() {
-				o.EstimatorError(s.mems[c.g.mem].arch.Name, c.conn.Describe(s.mems[c.g.mem].arch),
-					c.lat, v.Latency, 100*rel)
+				o.EstimatorError(d.MemArch.Name, c.conn.Describe(d.MemArch), c.lat, d.Latency, 100*rel)
 			}
 			s.errSum += rel
 			s.errN++
 		}
-		c.cost, c.lat, c.nrg = v.Cost, v.Latency, v.Energy
+		c.cost, c.lat, c.nrg = d.Cost, d.Latency, d.Energy
 		c.full = true
-		s.workSum += v.Work
-		s.out.Points = append(s.out.Points, core.DesignPoint{
-			MemArch: s.mems[c.g.mem].arch,
-			Conn:    c.conn,
-			Cost:    v.Cost,
-			Latency: v.Latency,
-			Energy:  v.Energy,
-		})
 	}
+	s.out.Points = append(s.out.Points, designs...)
 	// Promote-on-estimator-error rule: the band is two average
 	// errors wide, floored at 1% and capped at 8%.
 	if s.errN > 0 {

@@ -57,10 +57,6 @@ type ExploreRequest struct {
 	// MaxAssignPerLevel overrides the per-level assignment enumeration
 	// cap; 0 means exhaustive, nil means the Explorer's setting.
 	MaxAssignPerLevel *int `json:"max_assign_per_level,omitempty"`
-	// Exact forces the one-phase reference simulator for this request.
-	// (false inherits the Explorer's setting rather than overriding
-	// it.)
-	Exact bool `json:"exact,omitempty"`
 
 	// Strategy selects the exploration driver: "pruned" (the paper's
 	// two-phase algorithm, the default), "full" (exhaustive ground

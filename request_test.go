@@ -33,7 +33,6 @@ func TestExploreRequestJSONRoundTrip(t *testing.T) {
 		Library:           connect.Library(),
 		KeepPerArch:       3,
 		MaxAssignPerLevel: &cap,
-		Exact:             true,
 		Strategy:          "ga",
 		Search:            &SearchConfig{Seed: 7, Budget: 64, Population: 8},
 		Constraints:       []Constraint{{Scenario: ScenarioPower, Limit: 1.5}},
