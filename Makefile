@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compare cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet microbench bench bench-compare cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,15 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# microbench runs the layer microbenchmarks six times each — Phase B
+# replay (K=1, a prefetch-free batch and a contended batch), APEX's
+# sim.MemOnly and profile.Analyze — and prints every metric's median
+# and min–max over the six runs.
+microbench:
+	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|MemOnly|ProfileAnalyze)' -benchmem -count 6 . | tee microbench.out
+	@awk -f scripts/microbench-summary.awk microbench.out
+	@rm -f microbench.out
 
 # bench runs the benchmark suite (3 fixed iterations, matching how
 # the baselines were measured) and writes the parsed domain metrics —

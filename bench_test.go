@@ -29,6 +29,7 @@ import (
 	"memorex/internal/profile"
 	"memorex/internal/sampling"
 	"memorex/internal/sim"
+	"memorex/internal/trace"
 	"memorex/internal/workload"
 )
 
@@ -668,6 +669,78 @@ func BenchmarkSimulatorReplayBatch(b *testing.B) {
 		b.ReportMetric(float64(res[0].Accesses), "accesses")
 	}
 }
+
+// BenchmarkSimulatorReplayBatchContended measures batched replay on
+// the scheduler path that dominates exhaustive exploration: a cache, a
+// stream buffer and a self-indirect DMA whose backing channels share
+// one off-chip bus, so prefetch traffic contends with demand misses.
+// BenchmarkSimulatorReplayBatch's prefetch-free architecture never
+// reaches a scheduler. Each candidate gives every CPU link its own
+// on-chip component from the library and the shared bus an off-chip
+// one. ns/pair divides the wall time by the (architecture, event)
+// pairs replayed.
+func BenchmarkSimulatorReplayBatchContended(b *testing.B) {
+	tr := quickTrace(b)
+	arch := &mem.Architecture{
+		Name: "contended",
+		Modules: []mem.Module{
+			mem.MustCache(8192, 32, 2),
+			mem.MustStreamBuffer(32, 8),
+			mem.MustSelfIndirectDMA(512, 16, 0.8),
+		},
+		DRAM:    mem.DefaultDRAM(),
+		Route:   map[trace.DSID]int{1: 1, 2: 2},
+		Default: 0,
+	}
+	chans := arch.Channels()
+	var cpu, off []int
+	for i, ch := range chans {
+		if ch.OffChip {
+			off = append(off, i)
+		} else {
+			cpu = append(cpu, i)
+		}
+	}
+	lib := connect.Library()
+	var conns []*connect.Arch
+	for _, bus := range lib {
+		if bus.OnChip {
+			continue
+		}
+		for _, link := range lib {
+			if !link.OnChip {
+				continue
+			}
+			c := &connect.Arch{Channels: chans}
+			for _, ch := range cpu {
+				c.Clusters = append(c.Clusters, []int{ch})
+				c.Assign = append(c.Assign, link)
+			}
+			c.Clusters = append(c.Clusters, off)
+			c.Assign = append(c.Assign, bus)
+			conns = append(conns, c)
+		}
+	}
+	bt, err := sim.CaptureBehavior(tr.Trace, arch, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.ReplayBatch(bt, conns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replaySink = res
+	}
+	pairs := int64(b.N) * int64(len(conns)) * int64(bt.NumEvents())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	b.ReportMetric(float64(len(conns)), "archs")
+}
+
+// replaySink keeps BenchmarkSimulatorReplayBatchContended's result live.
+var replaySink []*sim.Result
 
 // BenchmarkInstrumentedExploration is BenchmarkFigure4 with the full
 // observability stack attached — event ring, JSONL-equivalent fan-out

@@ -147,6 +147,15 @@ func (c *Component) Table(n int) *rtable.Table {
 	return t
 }
 
+// OutlivesTransfer reports whether the reservation table of some
+// transfer of n >= 1 bytes holds a resource after TransferCycles(n):
+// only a non-pipelined component with neither arbitration nor beat
+// cycles, whose arbiter is held one cycle for a zero-cycle transfer.
+// Every other table ends by the time its transfer completes.
+func (c *Component) OutlivesTransfer() bool {
+	return !c.Pipelined && c.ArbCycles == 0 && c.BeatCycles == 0
+}
+
 // Stages returns the dynamic stage list for an n-byte transfer (the
 // Table flattened), ready for a rtable.Scheduler.
 func (c *Component) Stages(n int) []rtable.Stage {

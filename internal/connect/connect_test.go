@@ -114,6 +114,34 @@ func TestComponentTableClampsLongBursts(t *testing.T) {
 	}
 }
 
+// TestOutlivesTransfer pins OutlivesTransfer to the reservation
+// tables themselves: over a grid of timing shapes (zero and small
+// values, and ones long enough to hit the 62-cycle clamp) and every
+// transfer size, it must report exactly whether some stage ends after
+// TransferCycles(n).
+func TestOutlivesTransfer(t *testing.T) {
+	for _, width := range []int{1, 2, 4, 8} {
+		for _, arb := range []int{0, 1, 2, 3, 24, 40} {
+			for _, beat := range []int{0, 1, 2, 3, 50} {
+				for _, pipelined := range []bool{false, true} {
+					c := Component{WidthBytes: width, ArbCycles: arb, BeatCycles: beat, Pipelined: pipelined}
+					outlives := false
+					for n := 1; n <= 64; n++ {
+						for _, st := range c.Stages(n) {
+							if st.Start+st.Len > c.TransferCycles(n) {
+								outlives = true
+							}
+						}
+					}
+					if got := c.OutlivesTransfer(); got != outlives {
+						t.Errorf("%+v: OutlivesTransfer() = %v, stage tables say %v", c, got, outlives)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestComponentSchedulingWithScheduler(t *testing.T) {
 	lib := Library()
 	ded, _ := ByName(lib, "ded32")

@@ -176,7 +176,8 @@ type Scheduler struct {
 // owned by one simulation goroutine) and are read after the run, when
 // the engine folds them into the exploration's metrics registry.
 type Stats struct {
-	// Issues counts EarliestIssue calls (one per transfer scheduled).
+	// Issues counts transfers scheduled: EarliestIssue, Query, Reserve
+	// and Grant calls.
 	Issues int64
 	// Conflicts counts busy-run collisions skipped while searching for
 	// an issue slot; Conflicts/Issues measures bus contention.
@@ -317,21 +318,24 @@ func (s *Scheduler) markRange(res int, t int64, n int) {
 // EarliestIssue returns the first cycle >= at where stages can be
 // reserved without conflicting with prior reservations, and reserves
 // them. Stages must reference resources < the scheduler's count.
+//
+// It is the composition of the partial entry points below: Query finds
+// the grant, and the grant's stages are then reserved. Callers that can
+// prove part of that work redundant call the part they need; each part
+// counts the issue and slides the window exactly as EarliestIssue does,
+// so the scheduler's later answers and Stats are unchanged.
 func (s *Scheduler) EarliestIssue(at int64, stages []Stage) int64 {
-	if at < 0 {
-		at = 0
-	}
-	maxEnd := 0
-	for _, st := range stages {
-		if st.Res < 0 || st.Res >= s.res {
-			panic(fmt.Sprintf("rtable: stage resource %d out of range (have %d)", st.Res, s.res))
-		}
-		if end := st.Start + st.Len; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	s.advance(at + int64(maxEnd))
-	s.stats.Issues++
+	t := s.Query(at, stages)
+	s.mark(t, stages)
+	return t
+}
+
+// Query returns the cycle EarliestIssue(at, stages) would grant,
+// counting the issue and its conflicts and sliding the window as
+// EarliestIssue does, but reserves nothing. It replaces EarliestIssue
+// when the caller knows the reservation can overlap no later query.
+func (s *Scheduler) Query(at int64, stages []Stage) int64 {
+	at, maxEnd := s.issue(at, stages)
 	t := at
 search:
 	for {
@@ -353,10 +357,52 @@ search:
 		}
 		break
 	}
+	return t
+}
+
+// Reserve reserves stages issued at cycle at without searching,
+// counting the issue and sliding the window as EarliestIssue does. It
+// equals EarliestIssue(at, stages) when nothing is reserved at or after
+// cycle at; the caller must know that.
+func (s *Scheduler) Reserve(at int64, stages []Stage) {
+	at, _ = s.issue(at, stages)
+	s.mark(at, stages)
+}
+
+// Grant counts an issue granted at its asking cycle and slides the
+// window as EarliestIssue(at, stages) does, without searching or
+// reserving. It stands in for EarliestIssue when nothing is reserved at
+// or after cycle at and the reservation can overlap no later query.
+func (s *Scheduler) Grant(at int64, stages []Stage) {
+	s.issue(at, stages)
+}
+
+// issue is the prologue every entry point shares: it validates stages,
+// clamps the asking cycle, slides the window to cover the request and
+// counts the issue. It returns the clamped cycle and the stages' span.
+func (s *Scheduler) issue(at int64, stages []Stage) (int64, int) {
+	if at < 0 {
+		at = 0
+	}
+	maxEnd := 0
+	for _, st := range stages {
+		if st.Res < 0 || st.Res >= s.res {
+			panic(fmt.Sprintf("rtable: stage resource %d out of range (have %d)", st.Res, s.res))
+		}
+		if end := st.Start + st.Len; end > maxEnd {
+			maxEnd = end
+		}
+	}
+	s.advance(at + int64(maxEnd))
+	s.stats.Issues++
+	return at, maxEnd
+}
+
+// mark reserves stages issued at cycle t.
+func (s *Scheduler) mark(t int64, stages []Stage) {
 	for _, st := range stages {
 		s.markRange(st.Res, t+int64(st.Start), st.Len)
 	}
-	return t
 }
 
 // Stats returns the scheduler's activity counters.

@@ -261,3 +261,93 @@ func TestQuickSchedulerNoOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartialEntryPointsMatchEarliestIssue pins Query, Reserve and
+// Grant to the part of EarliestIssue each one stands for. Two
+// schedulers receive the same random history; then one calls
+// EarliestIssue and the other the partial entry point, under the
+// precondition the entry point documents. The grant, Issues and
+// Conflicts must agree, and so must every grant and counter of a
+// random run of later EarliestIssue calls. Far-future asks and
+// non-monotone later asks make the 4096-cycle window slide and forget,
+// so an entry point that slid the window differently would diverge.
+func TestPartialEntryPointsMatchEarliestIssue(t *testing.T) {
+	stagesOf := func(rng *rand.Rand) []Stage {
+		st := []Stage{{Res: 0, Start: 0, Len: 1 + rng.Intn(6)}}
+		if rng.Intn(3) > 0 {
+			st = append(st, Stage{Res: 1, Start: rng.Intn(4), Len: 1 + rng.Intn(60)})
+		}
+		return st
+	}
+	span := func(st []Stage) int64 {
+		var end int64
+		for _, s := range st {
+			if e := int64(s.Start + s.Len); e > end {
+				end = e
+			}
+		}
+		return end
+	}
+	ask := func(rng *rand.Rand, from int64) int64 {
+		if rng.Intn(8) == 0 {
+			return from + 4000 + rng.Int63n(20_000) // far future: slides the window
+		}
+		return from + rng.Int63n(300)
+	}
+	for _, op := range []string{"Query", "Reserve", "Grant"} {
+		for seed := int64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ref, got := NewScheduler(2), NewScheduler(2)
+			var horizon, at int64 // latest reservation end; last ask
+			for i := rng.Intn(40); i > 0; i-- {
+				at = ask(rng, at-150)
+				st := stagesOf(rng)
+				g := ref.EarliestIssue(at, st)
+				got.EarliestIssue(at, st)
+				if e := g + span(st); e > horizon {
+					horizon = e
+				}
+			}
+
+			st := stagesOf(rng)
+			var gRef, gGot, later int64
+			switch op {
+			case "Query":
+				at = ask(rng, at-150)
+				gRef = ref.EarliestIssue(at, st)
+				gGot = got.Query(at, st)
+				later = gRef + span(st) // the unreserved stages end here
+			case "Reserve":
+				at = horizon + rng.Int63n(6000)
+				gRef = ref.EarliestIssue(at, st)
+				got.Reserve(at, st)
+				gGot = at
+				later = 0 // reserved on both: any later ask is fair
+			case "Grant":
+				at = horizon + rng.Int63n(6000)
+				gRef = ref.EarliestIssue(at, st)
+				got.Grant(at, st)
+				gGot = at
+				later = at + span(st)
+			}
+			if gGot != gRef || got.Stats() != ref.Stats() {
+				t.Fatalf("%s seed %d: grant %d stats %+v, EarliestIssue grant %d stats %+v",
+					op, seed, gGot, got.Stats(), gRef, ref.Stats())
+			}
+			// Asks that pile up just after the floor build a queue long
+			// enough for searches to slide the window; asks behind the
+			// slid base then read forgotten reservations as free.
+			for i := 0; i < 150; i++ {
+				a := later + rng.Int63n(2000)
+				if rng.Intn(20) == 0 {
+					a += 4000 + rng.Int63n(20_000)
+				}
+				st := stagesOf(rng)
+				if g, w := got.EarliestIssue(a, st), ref.EarliestIssue(a, st); g != w || got.Stats() != ref.Stats() {
+					t.Fatalf("%s seed %d: later ask %d at %d granted %d stats %+v, want %d stats %+v",
+						op, seed, i, a, g, got.Stats(), w, ref.Stats())
+				}
+			}
+		}
+	}
+}

@@ -5,42 +5,55 @@
 // ReplayBatch performs only the connectivity-dependent work — bus
 // arbitration through the reservation-table schedulers, transfer and
 // DRAM-latency arithmetic, and energy accounting — with all module
-// behavior read from the flat event arrays. When the exploration holds
-// many candidates for the same captured behavior — the common case,
-// since ConEx enumerates hundreds of connectivity mappings per memory
-// architecture — walking the trace once per candidate would re-decode
-// identical event streams K times. ReplayBatch decodes each event
-// exactly once and applies it to every architecture in an inner loop
-// over dense struct-of-arrays state: per-(arch,channel) component,
-// cycle and energy tables live in flat arrays indexed a*numChannels+ch,
-// per-(arch,module) prefetch state in flat arrays indexed
-// a*numModules+m.
+// behavior read from the flat event arrays. ConEx enumerates hundreds
+// of connectivity mappings per memory architecture, so the batch
+// shares everything that does not depend on the connectivity:
 //
-// Two structural facts make the batch pass much cheaper than K
-// one-architecture replays while staying bit-exact:
+//   - Each event is decoded once per batch into a small struct, then
+//     applied to every architecture in an inner loop over dense
+//     per-architecture state: each architecture owns a window of the
+//     batch's flat per-channel wiring and per-module prefetch arrays.
 //
-//   - Contention analysis. The replayed CPU is blocking (one
-//     outstanding access; the clock advances past every demand leg
-//     before the next event), so the only reservations that can overlap
-//     a later, earlier-timed query are the background prefetch legs.
-//     A cluster that never receives prefetch traffic therefore grants
-//     every request at its asking cycle with zero conflicts: the
-//     reservation-table scheduler is provably a no-op there, and the
-//     batch replayer skips it (counting the issue) instead of searching
-//     and marking bitmaps. Real schedulers are built only for clusters
-//     that back a prefetching module (or the L2<->DRAM cluster of a
-//     prefetching system, which prefetch misses forward to).
+//   - Counters that are the same for every architecture (accesses,
+//     hits, misses, off-chip, per-channel bytes and transfers) are
+//     added up once per event and copied into each Result at the end;
+//     scheduler issues follow from the transfer counts.
 //
-//   - Shared timing tables. Transfer-cycle, transfer-energy and
-//     reservation-stage tables depend only on a component's timing
-//     parameters, not on which architecture uses it, so architectures
-//     assigning the same library component share one set of dense
-//     tables for the whole batch instead of rebuilding ~(MaxBytes ×
-//     MaxDRAMLat) stage lists per replay.
+//   - Transfer-cycle, transfer-energy and reservation-stage tables
+//     depend only on a component's timing parameters, so architectures
+//     assigning the same library component share one set of tables.
+//     The stages of a dead-time off-chip leg depend only on their
+//     (clamped) length and come from one package-level table.
 //
-// Events that reduce to a pure on-chip hit (no stall, no backing
-// traffic, non-prefetching module) are classified once per batch and
-// handled by a short fast path on uncontended architectures.
+// Contention. The replayed CPU is blocking: it has one outstanding
+// access, and the clock advances past every demand leg before the next
+// leg asks. Every stage list of a transfer ends by the time the
+// transfer completes, so a demand reservation can never overlap a
+// later query; only background prefetch legs can. Hence:
+//
+//   - A cluster that backs no prefetching module (nor is the L2<->DRAM
+//     cluster of a prefetching system, which prefetch misses forward
+//     to) is uncontended: every grant is the asking cycle, and it has
+//     no scheduler at all.
+//
+//   - A contended cluster keeps a prefetch horizon, the latest end of
+//     any prefetch reservation. Demand legs are never reserved: one
+//     asking at or after the horizon is granted its asking cycle with
+//     no search (rtable Grant), an earlier one is searched but not
+//     reserved (Query). A prefetch leg at or after the horizon is
+//     reserved with no search (Reserve); an earlier one is scheduled in
+//     full (EarliestIssue).
+//
+// Each bypass still counts its issue and slides the scheduler's window
+// exactly as EarliestIssue would. That matters: the window forgets
+// reservations that fall behind it, so a prefetch pushed far into the
+// future makes later, earlier-asking queries read older reservations as
+// free, and results stay bit-exact only if every window slide happens
+// where the reference makes it. A component with a stage that outlives
+// its transfer (non-pipelined, no arbitration cycles, no beat cycles:
+// the arbiter is held one cycle for a zero-cycle transfer) breaks the
+// precondition (connect.Component.OutlivesTransfer), so a contended
+// cluster using one schedules and reserves every leg.
 //
 // Prefetch stalls (stream buffers, self-indirect DMA) are recomputed in
 // the replay's own clock from the recorded prefetch structure and each
@@ -111,13 +124,23 @@ func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 
 // compTables is the per-distinct-component set of dense timing tables,
 // shared by every (arch, channel) slot of the batch that resolves to a
-// component with identical timing parameters. plain and dead are filled
-// lazily (and only touched for contended clusters).
+// component with identical timing parameters. plain is allocated once
+// a contended cluster uses the component and filled on first use.
 type compTables struct {
-	cyc   []int32   // n -> TransferCycles(n)
-	en    []float64 // n -> TransferEnergy(n)
-	plain [][]rtable.Stage
-	dead  [][]rtable.Stage
+	comp  *connect.Component // the first component with these parameters
+	cyc   []int32            // n -> TransferCycles(n)
+	en    []float64          // n -> TransferEnergy(n)
+	plain [][]rtable.Stage   // n -> Stages(n)
+}
+
+// stages returns the memoized plain-transfer stages of n bytes.
+func (ct *compTables) stages(n int) []rtable.Stage {
+	if st := ct.plain[n]; st != nil {
+		return st
+	}
+	st := ct.comp.Stages(n)
+	ct.plain[n] = st
+	return st
 }
 
 // compSig identifies a component up to replay timing and energy: name,
@@ -128,62 +151,132 @@ type compSig struct {
 	epb              float64
 }
 
+// deadStages[n] is the stage list of a non-split off-chip transaction
+// holding the bus for n cycles through its DRAM dead time, as
+// deadTimeStages builds it; the length is clamped to 62 there.
+var deadStages = func() (t [63][]rtable.Stage) {
+	for n := range t {
+		t[n] = []rtable.Stage{{Res: 0, Start: 0, Len: n}, {Res: 1, Start: 0, Len: n}}
+	}
+	return t
+}()
+
+// cluster is the reservation state of one contended cluster of one
+// architecture.
+type cluster struct {
+	sched   *rtable.Scheduler
+	horizon int64 // latest end of any prefetch reservation
+	exact   bool  // a stage outlives its transfer: schedule and reserve every leg
+}
+
+// leg returns the grant of a transfer with stages st asking at cycle
+// at; pref marks background prefetch traffic. See the package comment
+// for why skipped searches and reservations leave every grant
+// unchanged.
+func (c *cluster) leg(at int64, st []rtable.Stage, pref bool) int64 {
+	switch {
+	case c.exact:
+		return c.sched.EarliestIssue(at, st)
+	case !pref && at >= c.horizon:
+		c.sched.Grant(at, st)
+		return at
+	case !pref:
+		return c.sched.Query(at, st)
+	}
+	g := at
+	if at >= c.horizon {
+		c.sched.Reserve(at, st)
+	} else {
+		g = c.sched.EarliestIssue(at, st)
+	}
+	for _, s := range st {
+		if end := g + int64(s.Start+s.Len); end > c.horizon {
+			c.horizon = end
+		}
+	}
+	return g
+}
+
+// slot is the wiring of one (arch, channel) pair.
+type slot struct {
+	tab   *compTables
+	cl    *cluster // nil when uncontended: every grant is the asking cycle
+	split bool     // split-transaction component
+}
+
+// backLeg is the recorded traffic of one backing transaction.
+type backLeg struct {
+	n, l2off, dram int
+}
+
+// access is one behavior-trace event, decoded once per batch.
+type access struct {
+	route    int16
+	size     int
+	hit      bool
+	pure     bool // on-chip hit with no stall and no backing traffic
+	stall    int64
+	topup    int // stream-buffer lines the event's prefetch tops up
+	meta     *ModuleMeta
+	cpu      int32 // CPU channel (direct DRAM channel when route < 0)
+	back     int32 // backing channel (-1 if none)
+	demand   backLeg
+	pref     backLeg
+	hasDem   bool
+	prefBack bool // a prefetch leg with a backing channel
+}
+
+// modState is the prefetch state of one module on one architecture.
+type modState struct {
+	fetch   int64   // actual fetch latency on this architecture
+	streamQ []int64 // stream buffer: readyAt FIFO (len == Depth once touched)
+	dmaLast int64   // DMA: last touch cycle
+}
+
+// archState is the replay state of one architecture of the batch. Its
+// slots and mods are windows of flat arrays shared by the batch.
+type archState struct {
+	now        int64
+	res        *Result
+	slots      []slot     // channel -> wiring
+	mods       []modState // module -> prefetch state
+	clusters   []*cluster // contended clusters
+	splitChans []int32    // off-chip channels on split components (two issues per leg)
+}
+
 // batchReplayer holds the state of one ReplayBatch pass.
 type batchReplayer struct {
 	bt *BehaviorTrace
-	k  int // architectures
-	nc int // channels
-	nm int // modules
 
 	// Shared, behavior-trace-derived (identical for every arch).
 	cpuChan    []int32 // module -> CPU channel
 	backChan   []int32 // module -> backing channel (-1 if none)
 	directChan int32
 	l2DRAMChan int32
-	pure       []bool // event -> pure on-chip hit (fast-path eligible)
+	shared     Result // the architecture-independent counters
 
-	// Flat per-(arch,channel) tables, indexed a*nc+ch.
-	comps  []*connect.Component
-	cont   []bool // channel's cluster is contended on this arch
-	scheds []*rtable.Scheduler
-	tabs   []*compTables
-
-	// Flat per-(arch,module) prefetch state, indexed a*nm+m.
-	fetch   []int64
-	streamQ [][]int64
-	dmaLast []int64
-
-	// Per-arch accumulators.
-	archScheds [][]*rtable.Scheduler // real schedulers (contended clusters only)
-	fastIssues []int64               // trivially granted issues (uncontended clusters)
-	now        []int64
-	res        []Result
+	archs []archState
+	res   []Result
 }
 
 func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 	k, nc, nm := len(archs), len(bt.Channels), len(bt.Modules)
 	b := &batchReplayer{
-		bt: bt, k: k, nc: nc, nm: nm,
+		bt:         bt,
 		cpuChan:    make([]int32, nm),
 		backChan:   make([]int32, nm),
 		directChan: -1,
 		l2DRAMChan: -1,
-		comps:      make([]*connect.Component, k*nc),
-		cont:       make([]bool, k*nc),
-		scheds:     make([]*rtable.Scheduler, k*nc),
-		tabs:       make([]*compTables, k*nc),
-		fetch:      make([]int64, k*nm),
-		streamQ:    make([][]int64, k*nm),
-		dmaLast:    make([]int64, k*nm),
-		archScheds: make([][]*rtable.Scheduler, k),
-		fastIssues: make([]int64, k),
-		now:        make([]int64, k),
+		archs:      make([]archState, k),
 		res:        make([]Result, k),
 	}
+	slots := make([]slot, k*nc)
+	mods := make([]modState, k*nm)
+	b.shared.ChannelBytes = make([]int64, nc)
+	b.shared.ChannelTransfers = make([]int64, nc)
 	for m := range b.backChan {
 		b.backChan[m] = -1
 	}
-	clusterOf := make([]int32, nc) // per-arch scratch
 	for ci, ch := range bt.Channels {
 		switch ch.Kind {
 		case mem.ChanCPUModule:
@@ -197,37 +290,28 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		}
 	}
 
-	// Classify events once for the whole batch: which modules generate
-	// background prefetch traffic (the only source of scheduler
-	// contention, see the package comment) and which events are pure
-	// on-chip hits.
+	// Which modules generate background prefetch traffic: the only
+	// source of scheduler contention (see the package comment).
 	modHasPref := make([]bool, nm)
 	anyPref := false
-	b.pure = make([]bool, len(bt.Route))
 	for i, route := range bt.Route {
-		if route < 0 {
-			continue
-		}
-		if bt.PrefBytes[i] > 0 {
+		if route >= 0 && bt.PrefBytes[i] > 0 {
 			modHasPref[route] = true
 			anyPref = true
 		}
-		if bt.Flags[i]&flagHit == 0 || bt.Stall[i] != 0 ||
-			bt.DemandBytes[i] != 0 || bt.PrefBytes[i] != 0 {
-			continue
-		}
-		if kind := bt.Modules[route].Kind; kind == mem.KindStream || kind == mem.KindDMA {
-			continue
-		}
-		b.pure[i] = true
 	}
 
-	// Per-architecture wiring: dense component/table slots, contended
-	// clusters, real schedulers only where contention is possible.
+	// Per-architecture wiring: shared component tables, contended
+	// clusters, schedulers only where contention is possible.
 	intern := map[compSig]*compTables{}
+	clusterOf := make([]int, nc) // per-arch scratch
 	for a, arch := range archs {
+		st := &b.archs[a]
+		st.res = &b.res[a]
+		st.slots = slots[a*nc : (a+1)*nc]
+		st.mods = mods[a*nm : (a+1)*nm]
 		for ci := range bt.Channels {
-			clusterOf[ci] = int32(arch.ComponentOf(ci))
+			clusterOf[ci] = arch.ComponentOf(ci)
 		}
 		contCl := make([]bool, len(arch.Clusters))
 		if anyPref {
@@ -240,18 +324,17 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 				contCl[clusterOf[b.l2DRAMChan]] = true
 			}
 		}
-		clSched := make([]*rtable.Scheduler, len(arch.Clusters))
+		cls := make([]*cluster, len(arch.Clusters))
 		for ci := range bt.Channels {
-			x := a*nc + ci
 			cl := clusterOf[ci]
 			comp := &arch.Assign[cl]
-			b.comps[x] = comp
 			sig := compSig{comp.WidthBytes, comp.ArbCycles, comp.BeatCycles, comp.Pipelined, comp.EnergyPerByte}
 			ct := intern[sig]
 			if ct == nil {
 				ct = &compTables{
-					cyc: make([]int32, bt.MaxBytes+1),
-					en:  make([]float64, bt.MaxBytes+1),
+					comp: comp,
+					cyc:  make([]int32, bt.MaxBytes+1),
+					en:   make([]float64, bt.MaxBytes+1),
 				}
 				for n := 0; n <= bt.MaxBytes; n++ {
 					ct.cyc[n] = int32(comp.TransferCycles(n))
@@ -259,153 +342,202 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 				}
 				intern[sig] = ct
 			}
-			b.tabs[x] = ct
+			s := &st.slots[ci]
+			s.tab = ct
+			s.split = comp.Split
+			if comp.Split && bt.Channels[ci].OffChip {
+				st.splitChans = append(st.splitChans, int32(ci))
+			}
 			if contCl[cl] {
-				b.cont[x] = true
-				if clSched[cl] == nil {
-					clSched[cl] = rtable.NewScheduler(connect.NumResources())
-					b.archScheds[a] = append(b.archScheds[a], clSched[cl])
+				if cls[cl] == nil {
+					if ct.plain == nil {
+						ct.plain = make([][]rtable.Stage, bt.MaxBytes+1)
+					}
+					cls[cl] = &cluster{sched: rtable.NewScheduler(connect.NumResources()), exact: comp.OutlivesTransfer()}
+					st.clusters = append(st.clusters, cls[cl])
 				}
-				b.scheds[x] = clSched[cl]
+				s.cl = cls[cl]
 			}
 		}
 		// Actual fetch latencies, mirroring sim.New's readiness wiring.
 		for m := 0; m < nm; m++ {
 			if bc := b.backChan[m]; bc != -1 {
-				f := b.comps[a*nc+int(bc)].TransferCycles(32)
+				f := arch.Assign[clusterOf[bc]].TransferCycles(32)
 				if bt.HasL2 {
 					f += bt.L2Latency
 				} else {
 					f += bt.DRAMRowHit
 				}
-				b.fetch[a*nm+m] = int64(f)
+				st.mods[m].fetch = int64(f)
 			}
 		}
-		b.res[a].ChannelBytes = make([]int64, nc)
-		b.res[a].ChannelWait = make([]int64, nc)
-		b.res[a].ChannelTransfers = make([]int64, nc)
+		st.res.ChannelWait = make([]int64, nc)
 	}
 	return b
 }
 
-// plainStages returns the memoized plain-transfer stages for slot x
-// (shared per distinct component across the batch).
-func (b *batchReplayer) plainStages(x, n int) []rtable.Stage {
-	ct := b.tabs[x]
-	if ct.plain == nil {
-		ct.plain = make([][]rtable.Stage, b.bt.MaxBytes+1)
+// decode reads event i into e and adds its architecture-independent
+// counters to the shared result.
+func (b *batchReplayer) decode(i int, e *access) {
+	bt := b.bt
+	sh := &b.shared
+	sh.Accesses++
+	e.route = bt.Route[i]
+	e.size = int(bt.Size[i])
+	e.demand = backLeg{int(bt.DemandBytes[i]), int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i])}
+	if e.route < 0 {
+		e.cpu = b.directChan
+		e.pure = false
+		sh.Misses++
+		sh.OffChipBytes += int64(e.size)
+		sh.ChannelBytes[e.cpu] += int64(e.size)
+		sh.ChannelTransfers[e.cpu]++
+		return
 	}
-	if st := ct.plain[n]; st != nil {
-		return st
+	e.meta = &bt.Modules[e.route]
+	e.cpu = b.cpuChan[e.route]
+	e.back = b.backChan[e.route]
+	e.hit = bt.Flags[i]&flagHit != 0
+	e.stall = int64(bt.Stall[i])
+	e.pref = backLeg{int(bt.PrefBytes[i]), int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i])}
+	e.hasDem = e.demand.n > 0
+	hasPref := e.pref.n > 0
+	e.prefBack = hasPref && e.back != -1
+	e.topup = 0
+	if e.meta.LineBytes > 0 {
+		e.topup = e.pref.n / e.meta.LineBytes
 	}
-	st := b.comps[x].Stages(n)
-	ct.plain[n] = st
-	return st
+	kind := e.meta.Kind
+	e.pure = e.hit && e.stall == 0 && !e.hasDem && !hasPref && kind != mem.KindStream && kind != mem.KindDMA
+	sh.ChannelBytes[e.cpu] += int64(e.size)
+	sh.ChannelTransfers[e.cpu]++
+	if e.hit {
+		sh.Hits++
+	} else {
+		sh.Misses++
+	}
+	if e.hasDem {
+		b.countBacking(e.back, e.demand)
+	}
+	if e.prefBack {
+		b.countBacking(e.back, e.pref)
+	}
 }
 
-// deadStages returns the memoized stages of a non-split off-chip
-// transaction holding the bus through dead DRAM cycles.
-func (b *batchReplayer) deadStages(x, n, dead int) []rtable.Stage {
-	ct := b.tabs[x]
-	if ct.dead == nil {
-		ct.dead = make([][]rtable.Stage, (b.bt.MaxBytes+1)*(b.bt.MaxDRAMLat+1))
+// countBacking adds the shared counters of one backing transaction,
+// mirroring backing's accounting.
+func (b *batchReplayer) countBacking(back int32, l backLeg) {
+	sh := &b.shared
+	sh.ChannelBytes[back] += int64(l.n)
+	sh.ChannelTransfers[back]++
+	if !b.bt.HasL2 {
+		sh.OffChipBytes += int64(l.n)
+		return
 	}
-	idx := n*(b.bt.MaxDRAMLat+1) + dead
-	if st := ct.dead[idx]; st != nil {
-		return st
+	if l.l2off > 0 && b.l2DRAMChan != -1 {
+		sh.OffChipBytes += int64(l.l2off)
+		sh.ChannelBytes[b.l2DRAMChan] += int64(l.l2off)
+		sh.ChannelTransfers[b.l2DRAMChan]++
 	}
-	st := deadTimeStages(b.comps[x], n, dead)
-	ct.dead[idx] = st
-	return st
 }
 
 // run replays every window of the behavior trace for every arch.
 func (b *batchReplayer) run() {
 	bt := b.bt
-	nmods := b.nm
+	nmods := len(bt.Modules)
+	var e access
 	pos := 0
 	for wi, wlen := range bt.WindowLen {
 		if bt.GapCycles[wi] > 0 {
 			rs := bt.Resync[wi*nmods*2 : (wi+1)*nmods*2]
-			for a := 0; a < b.k; a++ {
-				gapStart := b.now[a]
-				b.now[a] += bt.GapCycles[wi]
-				b.applyResync(a, rs, gapStart)
+			for a := range b.archs {
+				st := &b.archs[a]
+				gapStart := st.now
+				st.now += bt.GapCycles[wi]
+				b.applyResync(st, rs, gapStart)
 			}
 		}
 		for i := pos; i < pos+int(wlen); i++ {
-			if b.pure[i] {
-				route := bt.Route[i]
-				size := int(bt.Size[i])
-				ch := b.cpuChan[route]
-				modLat := int64(bt.Modules[route].Latency)
-				modEnergy := bt.Modules[route].Energy
-				for a := 0; a < b.k; a++ {
-					x := a*b.nc + int(ch)
-					if b.cont[x] {
-						b.slowEvent(a, i)
-						continue
-					}
-					// Pure on-chip hit on an uncontended cluster: the
-					// grant is the asking cycle, so the whole event
-					// reduces to table lookups. The two energy adds
-					// stay separate and ordered to match event().
-					ct := b.tabs[x]
-					lat := int64(ct.cyc[size]) + modLat
-					r := &b.res[a]
-					r.EnergyNJ += ct.en[size]
-					r.EnergyNJ += modEnergy
-					r.ChannelBytes[ch] += int64(size)
-					r.ChannelTransfers[ch]++
-					r.Hits++
-					b.fastIssues[a]++
-					r.Accesses++
-					r.TotalLatency += lat
-					r.LatencyHist[latBucket(int(lat))]++
-					r.Cycles += lat + 1
-					b.now[a] += lat + 1
+			b.decode(i, &e)
+			if !e.pure {
+				for a := range b.archs {
+					st := &b.archs[a]
+					st.retire(b.event(st, &e))
 				}
-			} else {
-				for a := 0; a < b.k; a++ {
-					b.slowEvent(a, i)
+				continue
+			}
+			// A pure on-chip hit: the CPU link and the module latency.
+			// The two energy adds stay separate and ordered to match
+			// event().
+			ch := int(e.cpu)
+			modLat := int64(e.meta.Latency)
+			modEnergy := e.meta.Energy
+			for a := range b.archs {
+				st := &b.archs[a]
+				s := &st.slots[ch]
+				r := st.res
+				lat := int64(s.tab.cyc[e.size]) + modLat
+				if s.cl != nil {
+					wait := s.cl.leg(st.now, s.tab.stages(e.size), false) - st.now
+					r.ChannelWait[ch] += wait
+					lat += wait
 				}
+				r.EnergyNJ += s.tab.en[e.size]
+				r.EnergyNJ += modEnergy
+				st.retire(lat)
 			}
 		}
 		pos += int(wlen)
 	}
-	for a := 0; a < b.k; a++ {
-		issues, conflicts := schedTotals(b.archScheds[a])
-		b.res[a].SchedIssues = issues + b.fastIssues[a]
-		b.res[a].SchedConflicts = conflicts
+	sh := &b.shared
+	var legs int64
+	for _, n := range sh.ChannelTransfers {
+		legs += n
+	}
+	for a := range b.archs {
+		st := &b.archs[a]
+		r := st.res
+		r.Accesses = sh.Accesses
+		r.Hits = sh.Hits
+		r.Misses = sh.Misses
+		r.OffChipBytes = sh.OffChipBytes
+		r.ChannelBytes = append([]int64(nil), sh.ChannelBytes...)
+		r.ChannelTransfers = append([]int64(nil), sh.ChannelTransfers...)
+		r.Cycles = r.TotalLatency + r.Accesses // one CPU cycle per access
+		// Every transfer is one scheduler issue; a split off-chip
+		// transfer issues its address and data phases separately.
+		r.SchedIssues = legs
+		for _, ch := range st.splitChans {
+			r.SchedIssues += sh.ChannelTransfers[ch]
+		}
+		for _, c := range st.clusters {
+			r.SchedConflicts += c.sched.Stats().Conflicts
+		}
 	}
 }
 
-// slowEvent is the full per-event path, with the same accounting as the
-// reference replayer's run loop.
-func (b *batchReplayer) slowEvent(a, i int) {
-	lat := b.event(a, i)
-	r := &b.res[a]
-	r.Accesses++
-	r.TotalLatency += int64(lat)
-	r.LatencyHist[latBucket(lat)]++
-	r.Cycles += int64(lat) + 1
-	b.now[a] += int64(lat) + 1
+// retire books one access of latency lat.
+func (st *archState) retire(lat int64) {
+	st.res.TotalLatency += lat
+	st.res.LatencyHist[latBucket(int(lat))]++
+	st.now += lat + 1
 }
 
-// applyResync mirrors (*replayer).applyResync for arch a.
-func (b *batchReplayer) applyResync(a int, resync []int32, gapStart int64) {
-	now := b.now[a]
+// applyResync mirrors (*replayer).applyResync for one architecture.
+func (b *batchReplayer) applyResync(st *archState, resync []int32, gapStart int64) {
+	now := st.now
 	gap := now - gapStart
 	for mi := range b.bt.Modules {
+		ms := &st.mods[mi]
 		switch b.bt.Modules[mi].Kind {
 		case mem.KindStream:
 			refills := int64(resync[2*mi])
 			anchor := int64(resync[2*mi+1])
-			q := b.streamQ[a*b.nm+mi]
+			q := ms.streamQ
 			if len(q) == 0 && refills == 0 && anchor < 0 {
 				continue // never touched: nothing to rebuild
 			}
-			f := b.fetch[a*b.nm+mi]
+			f := ms.fetch
 			start, span := gapStart, gap
 			var chain int64
 			if anchor >= 0 {
@@ -437,107 +569,79 @@ func (b *batchReplayer) applyResync(a int, resync []int32, gapStart int64) {
 				}
 				q[j] = rj
 			}
-			b.streamQ[a*b.nm+mi] = q
+			ms.streamQ = q
 		case mem.KindDMA:
-			b.dmaLast[a*b.nm+mi] = now - int64(resync[2*mi])
+			ms.dmaLast = now - int64(resync[2*mi])
 		}
 	}
 }
 
-// event replays one access event for arch a, mirroring
-// (*replayer).event step for step.
-func (b *batchReplayer) event(a, i int) int {
-	bt := b.bt
-	route := bt.Route[i]
-	size := int(bt.Size[i])
-	now := b.now[a]
-	r := &b.res[a]
-	if route < 0 {
-		done, energy := b.offChip(a, b.directChan, size, int(bt.DemandDRAM[i]), now)
-		r.Misses++
+// event replays one decoded access for one architecture and returns
+// its latency, mirroring (*replayer).event step for step.
+func (b *batchReplayer) event(st *archState, e *access) int64 {
+	now := st.now
+	r := st.res
+	if e.route < 0 {
+		done, energy := b.offChip(st, e.cpu, e.size, e.demand.dram, now, false)
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(size)
-		r.ChannelBytes[b.directChan] += int64(size)
-		return int(done - now)
+		return done - now
 	}
 
 	// 1. CPU <-> module link.
-	cpuCh := b.cpuChan[route]
-	x := a*b.nc + int(cpuCh)
+	s := &st.slots[e.cpu]
 	grant := now
-	if b.cont[x] {
-		grant = b.scheds[x].EarliestIssue(now, b.plainStages(x, size))
-	} else {
-		b.fastIssues[a]++
+	if s.cl != nil {
+		grant = s.cl.leg(now, s.tab.stages(e.size), false)
+		r.ChannelWait[e.cpu] += grant - now
 	}
-	ct := b.tabs[x]
-	t := grant + int64(ct.cyc[size])
-	r.EnergyNJ += ct.en[size]
-	r.ChannelBytes[cpuCh] += int64(size)
-	r.ChannelWait[cpuCh] += grant - now
-	r.ChannelTransfers[cpuCh]++
+	t := grant + int64(s.tab.cyc[e.size])
+	r.EnergyNJ += s.tab.en[e.size]
 
 	// 2. The module: behavior from the event, prefetch stalls recomputed
 	// in this architecture's clock.
-	meta := &bt.Modules[route]
-	hit := bt.Flags[i]&flagHit != 0
-	var stall int64
-	switch meta.Kind {
+	stall := e.stall
+	switch e.meta.Kind {
 	case mem.KindStream:
-		stall = b.streamStall(a, route, i, t, hit)
+		stall = streamStall(&st.mods[e.route], e, t)
 	case mem.KindDMA:
-		stall = b.dmaStall(a, route, t, hit)
-	default:
-		stall = int64(bt.Stall[i])
+		stall = dmaStall(&st.mods[e.route], t, e.hit)
 	}
-	t += int64(meta.Latency) + stall
-	r.EnergyNJ += meta.Energy
-	if hit {
-		r.Hits++
-	} else {
-		r.Misses++
-	}
+	t += int64(e.meta.Latency) + stall
+	r.EnergyNJ += e.meta.Energy
 
 	// 3. Demand backing traffic.
-	if bt.DemandBytes[i] > 0 {
-		t = b.backing(a, b.backChan[route], int(bt.DemandBytes[i]), int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i]), t)
+	if e.hasDem {
+		t = b.backing(st, e.back, e.demand, t, false)
 	}
 
 	// 4. Background prefetch traffic (does not hold up the CPU).
-	if bt.PrefBytes[i] > 0 {
-		if bc := b.backChan[route]; bc != -1 {
-			b.backing(a, bc, int(bt.PrefBytes[i]), int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i]), t)
-		}
+	if e.prefBack {
+		b.backing(st, e.back, e.pref, t, true)
 	}
-	return int(t - now)
+	return t - now
 }
 
-// streamStall mirrors (*replayer).streamStall for arch a.
-func (b *batchReplayer) streamStall(a int, route int16, i int, t int64, hit bool) int64 {
-	bt := b.bt
-	meta := &bt.Modules[route]
-	mi := a*b.nm + int(route)
-	f := b.fetch[mi]
-	q := b.streamQ[mi]
+// streamStall mirrors (*replayer).streamStall for one stream module's
+// state.
+func streamStall(ms *modState, e *access, t int64) int64 {
+	depth := e.meta.Depth
+	f := ms.fetch
+	q := ms.streamQ
 	if q == nil {
-		q = make([]int64, 0, meta.Depth)
+		q = make([]int64, 0, depth)
 	}
-	topup := 0
-	if meta.LineBytes > 0 {
-		topup = int(bt.PrefBytes[i]) / meta.LineBytes
-	}
-	if !hit {
+	if !e.hit {
 		q = q[:0]
 		last := t
 		q = append(q, last)
-		for j := 0; j < topup && len(q) < meta.Depth; j++ {
+		for j := 0; j < e.topup && len(q) < depth; j++ {
 			last += f
 			q = append(q, last)
 		}
-		b.streamQ[mi] = q
+		ms.streamQ = q
 		return 0
 	}
-	k := topup
+	k := e.topup
 	if k >= len(q) {
 		k = len(q) - 1
 	}
@@ -556,96 +660,82 @@ func (b *batchReplayer) streamStall(a int, route int16, i int, t int64, hit bool
 	if len(q) > 0 && q[len(q)-1] > last {
 		last = q[len(q)-1]
 	}
-	for j := 0; j < topup && len(q) < meta.Depth; j++ {
+	for j := 0; j < e.topup && len(q) < depth; j++ {
 		last += f
 		q = append(q, last)
 	}
-	b.streamQ[mi] = q
+	ms.streamQ = q
 	return stall
 }
 
-// dmaStall mirrors (*replayer).dmaStall for arch a.
-func (b *batchReplayer) dmaStall(a int, route int16, t int64, hit bool) int64 {
-	mi := a*b.nm + int(route)
-	last := b.dmaLast[mi]
-	b.dmaLast[mi] = t
+// dmaStall mirrors (*replayer).dmaStall for one DMA module's state.
+func dmaStall(ms *modState, t int64, hit bool) int64 {
+	last := ms.dmaLast
+	ms.dmaLast = t
 	if !hit {
 		return 0
 	}
-	if ready := last + b.fetch[mi]; ready > t {
+	if ready := last + ms.fetch; ready > t {
 		return ready - t
 	}
 	return 0
 }
 
-// backing mirrors (*replayer).backing for arch a.
-func (b *batchReplayer) backing(a int, backCh int32, n, l2off, dramLat int, at int64) int64 {
-	r := &b.res[a]
+// backing mirrors (*replayer).backing for one architecture.
+func (b *batchReplayer) backing(st *archState, backCh int32, l backLeg, at int64, pref bool) int64 {
+	r := st.res
 	if !b.bt.HasL2 {
-		done, energy := b.offChip(a, backCh, n, dramLat, at)
+		done, energy := b.offChip(st, backCh, l.n, l.dram, at, pref)
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(n)
-		r.ChannelBytes[backCh] += int64(n)
 		return done
 	}
-	x := a*b.nc + int(backCh)
+	s := &st.slots[backCh]
 	grant := at
-	if b.cont[x] {
-		grant = b.scheds[x].EarliestIssue(at, b.plainStages(x, n))
-	} else {
-		b.fastIssues[a]++
+	if s.cl != nil {
+		grant = s.cl.leg(at, s.tab.stages(l.n), pref)
+		r.ChannelWait[backCh] += grant - at
 	}
-	ct := b.tabs[x]
-	r.ChannelWait[backCh] += grant - at
-	r.ChannelTransfers[backCh]++
-	r.ChannelBytes[backCh] += int64(n)
-	r.EnergyNJ += ct.en[n]
-	t := grant + int64(ct.cyc[n])
+	r.EnergyNJ += s.tab.en[l.n]
+	t := grant + int64(s.tab.cyc[l.n])
 
 	t += int64(b.bt.L2Latency)
 	r.EnergyNJ += b.bt.L2Energy
-	if l2off > 0 && b.l2DRAMChan != -1 {
-		done, energy := b.offChip(a, b.l2DRAMChan, l2off, dramLat, t)
+	if l.l2off > 0 && b.l2DRAMChan != -1 {
+		done, energy := b.offChip(st, b.l2DRAMChan, l.l2off, l.dram, t, pref)
 		r.EnergyNJ += energy
-		r.OffChipBytes += int64(l2off)
-		r.ChannelBytes[b.l2DRAMChan] += int64(l2off)
 		t = done
 	}
 	return t
 }
 
-// offChip mirrors (*replayer).offChip for arch a. On uncontended
-// clusters every grant is the asking cycle (for split components both
-// the address and the data phase), so the scheduler and its stage
-// tables are skipped entirely.
-func (b *batchReplayer) offChip(a int, ch int32, n, dramLat int, at int64) (int64, float64) {
-	x := a*b.nc + int(ch)
-	comp := b.comps[x]
-	ct := b.tabs[x]
-	r := &b.res[a]
+// offChip mirrors (*replayer).offChip for one architecture. On
+// uncontended clusters every grant is the asking cycle (for split
+// components both the address and the data phase).
+func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int64, pref bool) (int64, float64) {
+	r := st.res
+	s := &st.slots[ch]
+	ct := s.tab
 	energy := ct.en[n] + b.bt.DRAMEnergy
-
-	r.ChannelTransfers[ch]++
-	if comp.Split {
-		if !b.cont[x] {
-			b.fastIssues[a] += 2
+	if s.split {
+		if s.cl == nil {
 			return at + int64(ct.cyc[4]) + int64(dramLat) + int64(ct.cyc[n]), energy
 		}
-		sched := b.scheds[x]
-		addrGrant := sched.EarliestIssue(at, b.plainStages(x, 4))
+		addrGrant := s.cl.leg(at, ct.stages(4), pref)
 		ready := addrGrant + int64(ct.cyc[4]) + int64(dramLat)
-		dataGrant := sched.EarliestIssue(ready, b.plainStages(x, n))
+		dataGrant := s.cl.leg(ready, ct.stages(n), pref)
 		r.ChannelWait[ch] += (addrGrant - at) + (dataGrant - ready)
 		return dataGrant + int64(ct.cyc[n]), energy
 	}
-	if !b.cont[x] {
-		b.fastIssues[a]++
-		return at + int64(ct.cyc[n]) + int64(dramLat), energy
+	grant := at
+	if s.cl != nil {
+		held := int(ct.cyc[n]) + dramLat
+		if held > 62 {
+			held = 62
+		}
+		grant = s.cl.leg(at, deadStages[held], pref)
+		r.ChannelWait[ch] += grant - at
 	}
-	stages := b.deadStages(x, n, dramLat)
-	grant := b.scheds[x].EarliestIssue(at, stages)
-	r.ChannelWait[ch] += grant - at
-	return grant + int64(comp.ArbCycles+dramLat+comp.Beats(n)*comp.BeatCycles), energy
+	return grant + int64(ct.cyc[n]) + int64(dramLat), energy
 }
 
 // FNV-1a parameters for the per-channel signature hash.

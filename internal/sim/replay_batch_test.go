@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -347,5 +348,115 @@ func TestReplayBatchErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "batch arch 1") {
 		t.Fatalf("mismatch error does not identify the member: %v", err)
+	}
+}
+
+// randComp draws a synthetic component for the contended stress test.
+// A third of the draws put arbitration or beat cycles at zero, so the
+// degenerate non-pipelined, zero-arbitration, zero-beat shape (whose
+// arbiter stage outlives its zero-cycle transfer) occurs often.
+func randComp(rng *rand.Rand, onChip bool) connect.Component {
+	edge := func(max int) int {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return 1 + rng.Intn(max)
+	}
+	return connect.Component{
+		Name:          "synthetic",
+		WidthBytes:    1 + rng.Intn(8),
+		ArbCycles:     edge(24),
+		BeatCycles:    edge(50),
+		Pipelined:     rng.Intn(2) == 0,
+		Split:         rng.Intn(2) == 0,
+		MaxPorts:      16,
+		OnChip:        onChip,
+		EnergyPerByte: float64(1+rng.Intn(100)) / 1000,
+	}
+}
+
+// randSyntheticConn builds a random partition of m's channels into
+// clusters, each assigned a fresh synthetic component.
+func randSyntheticConn(t *testing.T, rng *rand.Rand, m *mem.Architecture) *connect.Arch {
+	t.Helper()
+	chans := m.Channels()
+	a := &connect.Arch{Channels: chans}
+	var on, off []int
+	for i, ch := range chans {
+		if ch.OffChip {
+			off = append(off, i)
+		} else {
+			on = append(on, i)
+		}
+	}
+	for _, idx := range [][]int{on, off} {
+		idx = append([]int(nil), idx...)
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for len(idx) > 0 {
+			n := 1 + rng.Intn(len(idx))
+			a.Clusters = append(a.Clusters, append([]int(nil), idx[:n]...))
+			a.Assign = append(a.Assign, randComp(rng, !chans[idx[0]].OffChip))
+			idx = idx[n:]
+		}
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatalf("synthetic arch invalid: %v", err)
+	}
+	return a
+}
+
+// TestReplayBatchContendedStress drives the contended-cluster bypasses
+// of ReplayBatch (prefetch horizon, window slides of skipped issues,
+// the fallback for stages that outlive their transfer) with synthetic
+// components far outside the library: slow, narrow buses build long
+// prefetch queues whose searches slide the scheduler window and make
+// it forget reservations. Every member must equal replayReference bit
+// for bit, on full and windowed captures, with and without an L2.
+func TestReplayBatchContendedStress(t *testing.T) {
+	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 2000)
+	type capture struct {
+		name string
+		m    *mem.Architecture
+		bt   *BehaviorTrace
+	}
+	var caps []capture
+	for _, withL2 := range []bool{false, true} {
+		m := richArch(withL2)
+		for _, windowed := range []bool{false, true} {
+			var windows []Window
+			if windowed {
+				for lo := 0; lo < tr.NumAccesses(); lo += 700 {
+					windows = append(windows, Window{Lo: lo, Hi: lo + 300})
+				}
+			}
+			bt, err := CaptureBehavior(tr, m, windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps = append(caps, capture{fmt.Sprintf("l2=%v windowed=%v", withL2, windowed), m, bt})
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, c := range caps {
+			conns := make([]*connect.Arch, 5)
+			for i := range conns {
+				conns[i] = randSyntheticConn(t, rng, c.m)
+			}
+			batch, err := ReplayBatch(c.bt, conns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, conn := range conns {
+				want, err := replayReference(c.bt, conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch[i], want) {
+					t.Errorf("seed %d %s arch %d %+v: ReplayBatch diverged:\n got %+v\nwant %+v",
+						seed, c.name, i, conn.Assign, batch[i], want)
+				}
+			}
+		}
 	}
 }
