@@ -15,11 +15,11 @@ vet:
 	$(GO) vet ./...
 
 # microbench runs the layer microbenchmarks six times each — Phase B
-# replay (K=1, a prefetch-free batch and a contended batch), APEX's
-# sim.MemOnly and profile.Analyze — and prints every metric's median
-# and min–max over the six runs.
+# replay (K=1, a prefetch-free batch and a contended batch), Phase A
+# capture (full and sampled), APEX's sim.MemOnly and profile.Analyze —
+# and prints every metric's median and min–max over the six runs.
 microbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|MemOnly|ProfileAnalyze)' -benchmem -count 6 . | tee microbench.out
+	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze)' -benchmem -count 6 . | tee microbench.out
 	@awk -f scripts/microbench-summary.awk microbench.out
 	@rm -f microbench.out
 

@@ -742,6 +742,48 @@ func BenchmarkSimulatorReplayBatchContended(b *testing.B) {
 // replaySink keeps BenchmarkSimulatorReplayBatchContended's result live.
 var replaySink []*sim.Result
 
+// BenchmarkCaptureBehavior measures Phase A: sim.CaptureBehavior of a
+// cache, a stream buffer, a self-indirect DMA and a direct-DRAM data
+// structure over the 60k-access compress slice, once over the whole
+// slice (full) and once over the on-windows of the default 1:9
+// sampling plan (sampled). ns/event divides the wall time by the events
+// recorded.
+func BenchmarkCaptureBehavior(b *testing.B) {
+	tr := quickTrace(b)
+	arch := &mem.Architecture{
+		Name: "capture",
+		Modules: []mem.Module{
+			mem.MustCache(8192, 32, 2),
+			mem.MustStreamBuffer(32, 8),
+			mem.MustSelfIndirectDMA(512, 16, 0.8),
+		},
+		DRAM:    mem.DefaultDRAM(),
+		Route:   map[trace.DSID]int{1: 1, 2: 2, 3: mem.DirectDRAM},
+		Default: 0,
+	}
+	plans := []struct {
+		name    string
+		windows []sim.Window
+	}{
+		{"full", nil},
+		{"sampled", sampling.Plan(tr.NumAccesses(), sampling.DefaultConfig())},
+	}
+	for _, p := range plans {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				bt, err := sim.CaptureBehavior(tr.Trace, arch, p.windows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += int64(bt.NumEvents())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
 // BenchmarkInstrumentedExploration is BenchmarkFigure4 with the full
 // observability stack attached — event ring, JSONL-equivalent fan-out
 // and metrics registry — so the before/after reports quantify the

@@ -45,13 +45,16 @@ import (
 //
 //	section 0  architecture: channels, module metadata, L2/DRAM
 //	           constants, transfer-size and DRAM-latency bounds
-//	section 1  events: the ten parallel per-access columns
+//	section 1  events: the ten parallel per-access columns (the class
+//	           table expanded back into one row per event)
 //	section 2  windows: per-window lengths, gap cycles, resync records
 //
 // Every count is cross-checked against its section's exact byte length
 // before anything is allocated, and each section must be consumed to
-// its last byte, so a CRC-valid but structurally inconsistent entry is
-// still rejected.
+// its last byte. Decode compiles the event columns into the trace's
+// class table and checks every event against the architecture section
+// (sim.BehaviorTrace.CompileEvents), so a CRC-valid but structurally
+// inconsistent entry is still rejected rather than replayed.
 const (
 	// Magic identifies a behavior-trace cache entry.
 	Magic = "MXBT"
@@ -145,18 +148,13 @@ func Encode(bt *sim.BehaviorTrace, fp uint64) []byte {
 	w.i32(int32(bt.MaxBytes))
 	w.i32(int32(bt.MaxDRAMLat))
 
-	// Section 1: event columns.
+	// Section 1: event columns, expanded from the class table.
 	w.u32(uint32(n))
-	w.i16s(bt.Route)
-	w.u8s(bt.Size)
-	w.u8s(bt.Flags)
-	w.i32s(bt.Stall)
-	w.i32s(bt.DemandBytes)
-	w.i32s(bt.DemandL2Off)
-	w.i16s(bt.DemandDRAM)
-	w.i32s(bt.PrefBytes)
-	w.i32s(bt.PrefL2Off)
-	w.i16s(bt.PrefDRAM)
+	cols := splitColumns(buf[w.off:], n)
+	for i, id := range bt.IDs {
+		cols.put(i, &bt.Classes[id].Event)
+	}
+	w.off += n * eventBytes
 
 	// Section 2: window bookkeeping.
 	w.u32(uint32(len(bt.WindowLen)))
@@ -344,7 +342,8 @@ func decodeArch(sec []byte, bt *sim.BehaviorTrace) error {
 	return r.finish()
 }
 
-// decodeEvents parses section 1 into the per-event columns.
+// decodeEvents parses section 1 and compiles its columns into the
+// trace's class table, validating every event against section 0.
 func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 	r := &reader{b: sec, section: "events"}
 	// A full-trace capture holds one event per access, millions of
@@ -357,17 +356,64 @@ func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 	if want := 4 + int64(n)*eventBytes; int64(len(sec)) != want {
 		return corruptf("events section is %d bytes, %d events need %d", len(sec), n, want)
 	}
-	bt.Route = r.i16s(n)
-	bt.Size = r.u8s(n)
-	bt.Flags = r.u8s(n)
-	bt.Stall = r.i32s(n)
-	bt.DemandBytes = r.i32s(n)
-	bt.DemandL2Off = r.i32s(n)
-	bt.DemandDRAM = r.i16s(n)
-	bt.PrefBytes = r.i32s(n)
-	bt.PrefL2Off = r.i32s(n)
-	bt.PrefDRAM = r.i16s(n)
-	return r.finish()
+	cols := splitColumns(sec[4:], n)
+	if err := bt.CompileEvents(n, cols.events); err != nil {
+		return corruptf("events section: %v", err)
+	}
+	return nil
+}
+
+// columns are the ten per-event columns of an events section, in file
+// order; element i of a column of width w is at [w*i, w*(i+1)).
+type columns struct {
+	route, size, flags, stall, demBytes, demL2, demDRAM, pref, prefL2, prefDRAM []byte
+}
+
+// splitColumns slices the columns of n events out of b.
+func splitColumns(b []byte, n int) *columns {
+	next := func(width int) []byte {
+		col := b[:width*n]
+		b = b[width*n:]
+		return col
+	}
+	return &columns{
+		route: next(2), size: next(1), flags: next(1), stall: next(4),
+		demBytes: next(4), demL2: next(4), demDRAM: next(2),
+		pref: next(4), prefL2: next(4), prefDRAM: next(2),
+	}
+}
+
+// put writes event i.
+func (c *columns) put(i int, ev *sim.Event) {
+	le := binary.LittleEndian
+	le.PutUint16(c.route[2*i:], uint16(ev.Route))
+	c.size[i] = ev.Size
+	c.flags[i] = ev.Flags
+	le.PutUint32(c.stall[4*i:], uint32(ev.Stall))
+	le.PutUint32(c.demBytes[4*i:], uint32(ev.DemandBytes))
+	le.PutUint32(c.demL2[4*i:], uint32(ev.DemandL2Off))
+	le.PutUint16(c.demDRAM[2*i:], uint16(ev.DemandDRAM))
+	le.PutUint32(c.pref[4*i:], uint32(ev.PrefBytes))
+	le.PutUint32(c.prefL2[4*i:], uint32(ev.PrefL2Off))
+	le.PutUint16(c.prefDRAM[2*i:], uint16(ev.PrefDRAM))
+}
+
+// events reads events first, first+1, ... into dst.
+func (c *columns) events(dst []sim.Event, first int) {
+	le := binary.LittleEndian
+	for j := range dst {
+		i, ev := first+j, &dst[j]
+		ev.Route = int16(le.Uint16(c.route[2*i:]))
+		ev.Size = c.size[i]
+		ev.Flags = c.flags[i]
+		ev.Stall = int32(le.Uint32(c.stall[4*i:]))
+		ev.DemandBytes = int32(le.Uint32(c.demBytes[4*i:]))
+		ev.DemandL2Off = int32(le.Uint32(c.demL2[4*i:]))
+		ev.DemandDRAM = int16(le.Uint16(c.demDRAM[2*i:]))
+		ev.PrefBytes = int32(le.Uint32(c.pref[4*i:]))
+		ev.PrefL2Off = int32(le.Uint32(c.prefL2[4*i:]))
+		ev.PrefDRAM = int16(le.Uint16(c.prefDRAM[2*i:]))
+	}
 }
 
 // decodeWindows parses section 2 into the sampling-window bookkeeping.
@@ -417,13 +463,6 @@ func (w *writer) bool(v bool) {
 		w.u8(1)
 	} else {
 		w.u8(0)
-	}
-}
-func (w *writer) u8s(v []uint8) { copy(w.b[w.off:], v); w.off += len(v) }
-func (w *writer) i16s(v []int16) {
-	for _, x := range v {
-		binary.LittleEndian.PutUint16(w.b[w.off:], uint16(x))
-		w.off += 2
 	}
 }
 func (w *writer) i32s(v []int32) {
@@ -514,28 +553,6 @@ func (r *reader) bool() bool {
 		r.fail("boolean byte out of range")
 		return false
 	}
-}
-
-func (r *reader) u8s(n int) []uint8 {
-	s := r.take(n)
-	if s == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, s)
-	return out
-}
-
-func (r *reader) i16s(n int) []int16 {
-	s := r.take(2 * n)
-	if s == nil {
-		return nil
-	}
-	out := make([]int16, n)
-	for i := range out {
-		out[i] = int16(binary.LittleEndian.Uint16(s[2*i:]))
-	}
-	return out
 }
 
 func (r *reader) i32s(n int) []int32 {

@@ -2,7 +2,9 @@ package btcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -109,7 +111,7 @@ func TestDecodeWrongFingerprint(t *testing.T) {
 // legs and multi-window resync records. It must stay stable: the
 // golden fixture pins its encoding.
 func goldenTrace() *sim.BehaviorTrace {
-	return &sim.BehaviorTrace{
+	bt := &sim.BehaviorTrace{
 		Channels: []mem.Channel{
 			{Kind: mem.ChanCPUModule, Module: 0},
 			{Kind: mem.ChanModuleDRAM, Module: 0, OffChip: true},
@@ -119,27 +121,31 @@ func goldenTrace() *sim.BehaviorTrace {
 			{Kind: mem.KindCache, Latency: 2, Energy: 0.125, Backed: true},
 			{Kind: mem.KindStream, Latency: 1, Energy: 0.0625, LineBytes: 32, Depth: 4, Backed: true},
 		},
-		HasL2:       true,
-		L2Latency:   6,
-		L2Energy:    0.5,
-		DRAMRowHit:  8,
-		DRAMEnergy:  3.75,
-		Route:       []int16{0, 1, -1, 0},
-		Size:        []uint8{4, 2, 8, 1},
-		Flags:       []uint8{1, 0, 0, 1},
-		Stall:       []int32{0, 3, 0, 1},
-		DemandBytes: []int32{0, 32, 8, 0},
-		DemandL2Off: []int32{0, 32, 0, 0},
-		DemandDRAM:  []int16{-1, 20, 8, -1},
-		PrefBytes:   []int32{0, 64, 0, 0},
-		PrefL2Off:   []int32{0, 0, 0, 0},
-		PrefDRAM:    []int16{-1, 8, -1, -1},
-		WindowLen:   []int32{3, 1},
-		GapCycles:   []int64{0, 1 << 33},
-		Resync:      []int32{0, -1, 5, 12, 7, -1, 0, 0},
-		MaxBytes:    64,
-		MaxDRAMLat:  20,
+		HasL2:      true,
+		L2Latency:  6,
+		L2Energy:   0.5,
+		DRAMRowHit: 8,
+		DRAMEnergy: 3.75,
+		WindowLen:  []int32{3, 1},
+		GapCycles:  []int64{0, 1 << 33},
+		Resync:     []int32{0, -1, 5, 12, 7, -1, 0, 0},
+		MaxBytes:   64,
+		MaxDRAMLat: 20,
 	}
+	return withEvents(bt, []sim.Event{
+		{Route: 0, Size: 4, Flags: 1, DemandDRAM: -1, PrefDRAM: -1},
+		{Route: 1, Size: 2, Stall: 3, DemandBytes: 32, DemandL2Off: 32, DemandDRAM: 20, PrefBytes: 64, PrefDRAM: 8},
+		{Route: -1, Size: 8, DemandBytes: 8, DemandDRAM: 8, PrefDRAM: -1},
+		{Route: 0, Size: 1, Flags: 1, Stall: 1, DemandDRAM: -1, PrefDRAM: -1},
+	})
+}
+
+// withEvents compiles evs into bt's class table.
+func withEvents(bt *sim.BehaviorTrace, evs []sim.Event) *sim.BehaviorTrace {
+	if err := bt.CompileEvents(len(evs), func(dst []sim.Event, first int) { copy(dst, evs[first:]) }); err != nil {
+		panic(err)
+	}
+	return bt
 }
 
 // goldenFingerprint keys the golden fixture.
@@ -203,35 +209,33 @@ func TestSectionBoundaries(t *testing.T) {
 }
 
 // largeTrace is a full-trace-shaped capture of n events in one window,
-// with every column varying so a misplaced column would show.
+// with every field varying so a misplaced column would show; its
+// transfer and DRAM-latency bounds are the ones a capture would record.
 func largeTrace(n int) *sim.BehaviorTrace {
 	bt := goldenTrace()
-	bt.Route = make([]int16, n)
-	bt.Size = make([]uint8, n)
-	bt.Flags = make([]uint8, n)
-	bt.Stall = make([]int32, n)
-	bt.DemandBytes = make([]int32, n)
-	bt.DemandL2Off = make([]int32, n)
-	bt.DemandDRAM = make([]int16, n)
-	bt.PrefBytes = make([]int32, n)
-	bt.PrefL2Off = make([]int32, n)
-	bt.PrefDRAM = make([]int16, n)
+	evs := make([]sim.Event, n)
+	bt.MaxBytes, bt.MaxDRAMLat = 4, 0
 	for i := range n {
-		bt.Route[i] = int16(i%3 - 1)
-		bt.Size[i] = uint8(1 << (i % 4))
-		bt.Flags[i] = uint8(i % 2)
-		bt.Stall[i] = int32(i % 5)
-		bt.DemandBytes[i] = int32(i % 7 * 8)
-		bt.DemandL2Off[i] = int32(i % 11)
-		bt.DemandDRAM[i] = int16(i%13 - 1)
-		bt.PrefBytes[i] = int32(i % 17 * 8)
-		bt.PrefL2Off[i] = int32(i % 19)
-		bt.PrefDRAM[i] = int16(i%23 - 1)
+		evs[i] = sim.Event{
+			Route:       int16(i%3 - 1),
+			Size:        uint8(1 << (i % 4)),
+			Flags:       uint8(i % 2),
+			Stall:       int32(i % 5),
+			DemandBytes: int32(i % 7 * 8),
+			DemandL2Off: int32(i % 11),
+			DemandDRAM:  int16(i%13 - 1),
+			PrefBytes:   int32(i % 17 * 8),
+			PrefL2Off:   int32(i % 19),
+			PrefDRAM:    int16(i%23 - 1),
+		}
+		ev := &evs[i]
+		bt.MaxBytes = max(bt.MaxBytes, int(ev.Size), int(ev.DemandBytes), int(ev.DemandL2Off), int(ev.PrefBytes), int(ev.PrefL2Off))
+		bt.MaxDRAMLat = max(bt.MaxDRAMLat, int(ev.DemandDRAM), int(ev.PrefDRAM))
 	}
 	bt.WindowLen = []int32{int32(n)}
 	bt.GapCycles = []int64{0}
 	bt.Resync = make([]int32, len(bt.Modules)*2)
-	return bt
+	return withEvents(bt, evs)
 }
 
 // TestLargeCaptureRoundTrip: a capture of more than 2^20 events — a
@@ -288,5 +292,65 @@ func assertLargeRoundTrip(t *testing.T, bt *sim.BehaviorTrace) {
 	}
 	if !reflect.DeepEqual(got, bt) {
 		t.Fatal("large capture diverged through the cache")
+	}
+}
+
+// reseal recomputes an entry's payload checksum after a deliberate edit.
+func reseal(data []byte) []byte {
+	binary.LittleEndian.PutUint32(data[24:], crc32.Checksum(data[headerSize:], castagnoli))
+	return data
+}
+
+// TestDecodeRejectsForgedEvents: an entry whose checksum is valid but
+// whose events do not fit its architecture section must be corrupt,
+// never a trace. Rewriting event 0's route to 99 in a three-module
+// capture used to decode fine and then crash ReplayBatch with an index
+// out of range.
+func TestDecodeRejectsForgedEvents(t *testing.T) {
+	bt := captureWorkload(t, workload.Compress{}, false, true)
+	const fp = 7
+	data := Encode(bt, fp)
+	bounds, err := SectionBoundaries(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, events := bounds[1], bounds[2]+4 // section starts; events skip their count
+	n := bt.NumEvents()
+	nCh, nMod := len(bt.Channels), len(bt.Modules)
+	module := func(i int) int { return arch + 4 + nCh*channelBytes + 4 + i*moduleBytes }
+	maxBytesOff := bounds[2] - 8
+	put16 := func(off int, v int16) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint16(b[off:], uint16(v)) }
+	}
+	put32 := func(off int, v int32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }
+	}
+	demBytes := events + n*(2+1+1+4)
+	prefDRAM := events + n*(eventBytes-2)
+	cases := []struct {
+		name string
+		edit func([]byte)
+	}{
+		{"route 99", put16(events, 99)},
+		{"route -2", put16(events, -2)},
+		{"channel module out of range", put32(arch+4+4, int32(nMod))},
+		{"demand bytes above MaxBytes", put32(demBytes, int32(bt.MaxBytes+1))},
+		{"negative demand bytes", put32(demBytes, -8)},
+		{"DRAM latency above MaxDRAMLat", put16(prefDRAM, int16(bt.MaxDRAMLat+1))},
+		{"DRAM latency below -1", put16(prefDRAM, -2)},
+		{"inflated MaxBytes", put32(maxBytesOff, int32(bt.MaxBytes+1))},
+		{"inflated MaxDRAMLat", put32(maxBytesOff+4, int32(bt.MaxDRAMLat+1))},
+		{"stream depth 0", put32(module(1)+20, 0)},
+		{"stream line 0", put32(module(1)+16, 0)},
+	}
+	for _, c := range cases {
+		forged := bytes.Clone(data)
+		c.edit(forged)
+		if _, err := Decode(reseal(forged), fp); !IsCorrupt(err) {
+			t.Errorf("%s: Decode returned %v, want a CorruptError", c.name, err)
+		}
+	}
+	if _, err := Decode(data, fp); err != nil {
+		t.Fatalf("the unedited entry no longer decodes: %v", err)
 	}
 }

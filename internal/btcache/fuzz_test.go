@@ -8,15 +8,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"memorex/internal/connect"
 	"memorex/internal/sim"
 	"memorex/internal/workload"
 )
 
 // FuzzDecode holds Decode to "reject or round-trip, never panic": any
 // input either fails with a CorruptError, or decodes to a trace that
-// encodes back to the very same bytes. Each input is also tried with
-// its checksum recomputed, so mutations reach the structural checks
-// behind the CRC instead of stopping at it.
+// encodes back to the very same bytes and replays through
+// sim.ReplayBatch without a panic (an error is fine). Each input is
+// also tried with its checksum recomputed, so mutations reach the
+// structural checks behind the CRC instead of stopping at it.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.btc"))
 	if err != nil {
@@ -50,6 +52,7 @@ func FuzzDecode(f *testing.F) {
 		if back := Encode(bt, fp); !bytes.Equal(back, data) {
 			t.Fatalf("decoded entry re-encodes to different bytes (%d vs %d)", len(back), len(data))
 		}
+		sim.ReplayBatch(bt, []*connect.Arch{channelArch(bt)})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check(t, data)
@@ -59,4 +62,22 @@ func FuzzDecode(f *testing.F) {
 			check(t, sealed)
 		}
 	})
+}
+
+// channelArch is a one-cluster-per-channel connectivity architecture
+// over bt's own channels: ahb32 on chip, off32 off chip.
+func channelArch(bt *sim.BehaviorTrace) *connect.Arch {
+	lib := connect.Library()
+	on, _ := connect.ByName(lib, "ahb32")
+	off, _ := connect.ByName(lib, "off32")
+	a := &connect.Arch{Channels: bt.Channels}
+	for i, ch := range bt.Channels {
+		a.Clusters = append(a.Clusters, []int{i})
+		if ch.OffChip {
+			a.Assign = append(a.Assign, off)
+		} else {
+			a.Assign = append(a.Assign, on)
+		}
+	}
+	return a
 }

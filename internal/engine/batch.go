@@ -247,13 +247,18 @@ func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, 
 	if instrumented {
 		start = time.Now()
 	}
-	bt, err := e.behaviorTrace(ctx, reqs[chunk[0]])
+	bt, store, err := e.behaviorTrace(ctx, reqs[chunk[0]])
 	if err != nil {
 		for _, i := range chunk {
 			finish(i, Value{}, err)
 		}
 		abort(err)
 		return
+	}
+	if store != nil {
+		// Chunks waiting on this capture replay meanwhile; the write
+		// still completes before Evaluate returns.
+		defer store()
 	}
 	if e.replayChunk(bt, reqs, chunk, start, finish) == nil {
 		return

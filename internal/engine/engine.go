@@ -447,8 +447,11 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 }
 
 // behaviorTrace returns the Phase A event trace of a request, capturing
-// it on first use and serving concurrent duplicates single-flight.
-func (e *Engine) behaviorTrace(ctx context.Context, r Request) (*sim.BehaviorTrace, error) {
+// it on first use and serving concurrent duplicates single-flight. A
+// fresh capture is published to waiting chunks at once; the returned
+// store, non-nil only then, writes it through to the persistent cache
+// and is left to the caller to run once its own replay is done.
+func (e *Engine) behaviorTrace(ctx context.Context, r Request) (bt *sim.BehaviorTrace, store func(), err error) {
 	key := e.behaviorKey(r)
 	e.mu.Lock()
 	if ent, ok := e.behavior[key]; ok {
@@ -456,16 +459,16 @@ func (e *Engine) behaviorTrace(ctx context.Context, r Request) (*sim.BehaviorTra
 		select {
 		case <-ent.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		if ent.err != nil {
-			return nil, ent.err
+			return nil, nil, ent.err
 		}
 		e.mu.Lock()
 		e.stats.BehaviorCacheHits++
 		e.mu.Unlock()
 		e.m.capReuse.Inc()
-		return ent.bt, nil
+		return ent.bt, nil, nil
 	}
 	ent := &behaviorEntry{done: make(chan struct{})}
 	e.behavior[key] = ent
@@ -482,7 +485,7 @@ func (e *Engine) behaviorTrace(ctx context.Context, r Request) (*sim.BehaviorTra
 		e.mu.Unlock()
 		e.m.diskHits.Inc()
 		close(ent.done)
-		return ent.bt, nil
+		return ent.bt, nil, nil
 	}
 
 	ent.bt, ent.err = e.captureBehavior(r)
@@ -490,17 +493,17 @@ func (e *Engine) behaviorTrace(ctx context.Context, r Request) (*sim.BehaviorTra
 		e.mu.Lock()
 		delete(e.behavior, key) // failures are not memoized
 		e.mu.Unlock()
-	} else {
-		e.mu.Lock()
-		e.stats.BehaviorCaptures++
-		e.mu.Unlock()
-		e.m.captures.Inc()
-		// Best-effort persist: a failed write only costs a future
-		// recapture and is counted by the cache's put_errors.
-		e.disk.Put(key, ent.bt)
+		close(ent.done)
+		return nil, nil, ent.err
 	}
+	e.mu.Lock()
+	e.stats.BehaviorCaptures++
+	e.mu.Unlock()
+	e.m.captures.Inc()
 	close(ent.done)
-	return ent.bt, ent.err
+	// Best-effort persist: a failed write only costs a future
+	// recapture and is counted by the cache's put_errors.
+	return ent.bt, func() { e.disk.Put(key, ent.bt) }, nil
 }
 
 // captureBehavior runs Phase A for a request: the whole trace in Full

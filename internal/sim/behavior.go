@@ -12,7 +12,8 @@
 //
 // CaptureBehavior therefore runs the module model once per
 // (trace, memory architecture, sampling plan) and records a compact
-// struct-of-arrays event trace. Phase B (ReplayBatch) re-times that event
+// event trace: the few distinct events (classes) and one class id per
+// access. Phase B (ReplayBatch) re-times that event
 // trace against any connectivity architecture without ever touching the
 // module models again: per candidate it performs only bus arbitration,
 // reservation-table scheduling, DRAM-latency bookkeeping and energy
@@ -24,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"memorex/internal/mem"
 	"memorex/internal/trace"
@@ -60,11 +62,35 @@ const (
 // noDRAM marks an event leg that generates no DRAM transaction.
 const noDRAM = int16(-1)
 
+// Event is one recorded access: everything the replay needs to know
+// about its module behavior. The fields are ordered to leave no
+// padding.
+type Event struct {
+	Route       int16 // module index, or -1 for a direct DRAM access
+	Size        uint8 // CPU access width in bytes
+	Flags       uint8 // flagHit
+	Stall       int32 // module-internal stall (0 for stream buffers and DMA: the replay recomputes theirs)
+	DemandBytes int32 // demand traffic on the backing channel
+	DemandL2Off int32 // demand traffic the L2 forwards to DRAM (L2 systems)
+	PrefBytes   int32 // background prefetch traffic on the backing channel
+	PrefL2Off   int32 // prefetch traffic the L2 forwards to DRAM
+	DemandDRAM  int16 // DRAM latency of the demand leg (noDRAM if none)
+	PrefDRAM    int16 // DRAM latency of the prefetch leg (noDRAM if none)
+}
+
+// EventClass is one distinct event of a behavior trace: the event, how
+// often it occurs, and its decoded replay view.
+type EventClass struct {
+	Event
+	Count int64
+	view  access
+}
+
 // BehaviorTrace is the memoized Phase A artifact: one event per
-// simulated access, stored as parallel flat arrays, plus the per-gap
-// skip bookkeeping of the sampling plan and the architecture-level
-// constants the replay needs. It is immutable once captured and safe
-// for concurrent replay.
+// simulated access, stored as a table of distinct event classes plus
+// one class id per event, the per-gap skip bookkeeping of the sampling
+// plan, and the architecture-level constants the replay needs. It is
+// immutable once captured and safe for concurrent replay.
 type BehaviorTrace struct {
 	// Channels is the channel list of the captured memory architecture;
 	// replayed connectivity architectures must cover exactly these.
@@ -81,17 +107,12 @@ type BehaviorTrace struct {
 	DRAMRowHit int
 	DRAMEnergy float64
 
-	// Per-event arrays (one entry per simulated access, in trace order).
-	Route       []int16 // module index, or -1 for a direct DRAM access
-	Size        []uint8 // CPU access width in bytes
-	Flags       []uint8 // flagHit
-	Stall       []int32 // module-internal stall (used for non-prefetching kinds)
-	DemandBytes []int32 // demand traffic on the backing channel
-	DemandL2Off []int32 // demand traffic the L2 forwards to DRAM (L2 systems)
-	DemandDRAM  []int16 // DRAM latency of the demand leg (noDRAM if none)
-	PrefBytes   []int32 // background prefetch traffic on the backing channel
-	PrefL2Off   []int32 // prefetch traffic the L2 forwards to DRAM
-	PrefDRAM    []int16 // DRAM latency of the prefetch leg (noDRAM if none)
+	// Classes holds the distinct events in order of first occurrence;
+	// IDs holds one index into Classes per simulated access, in trace
+	// order. Real captures have a few dozen classes at most, so the
+	// trace costs four bytes per event.
+	Classes []EventClass
+	IDs     []uint32
 
 	// WindowLen[i] is the number of events of window i. GapCycles[i] is
 	// the clock advance of the skip region preceding window i (0 when
@@ -121,13 +142,172 @@ type BehaviorTrace struct {
 }
 
 // NumEvents returns the number of recorded access events.
-func (bt *BehaviorTrace) NumEvents() int { return len(bt.Route) }
+func (bt *BehaviorTrace) NumEvents() int { return len(bt.IDs) }
 
-// MemoryBytes estimates the footprint of the event arrays, for cache
-// accounting and stats.
+// Event returns the i-th recorded event.
+func (bt *BehaviorTrace) Event(i int) Event { return bt.Classes[bt.IDs[i]].Event }
+
+// MemoryBytes estimates the footprint of the class table, the per-event
+// class ids and the window bookkeeping, for cache accounting and stats.
 func (bt *BehaviorTrace) MemoryBytes() int64 {
-	per := int64(2 + 1 + 1 + 4 + 4 + 4 + 2 + 4 + 4 + 2)
-	return int64(len(bt.Route))*per + int64(len(bt.Resync))*4 + int64(len(bt.GapCycles))*8
+	return int64(len(bt.IDs))*4 + int64(len(bt.Classes))*int64(unsafe.Sizeof(EventClass{})) +
+		int64(len(bt.WindowLen))*4 + int64(len(bt.GapCycles))*8 + int64(len(bt.Resync))*4
+}
+
+// access is the decoded replay view of an event class: the channels
+// its legs use and the figures the replay would otherwise derive from
+// the event every time it occurs.
+type access struct {
+	cpu      int32 // CPU channel (direct DRAM channel when Route < 0); -1 if missing
+	back     int32 // backing channel (-1 if none)
+	topup    int32 // stream-buffer lines the event's prefetch tops up
+	hit      bool
+	hasDem   bool // a demand leg
+	prefBack bool // a prefetch leg with a backing channel
+}
+
+// chanMap resolves the channel roles of a behavior trace's channel
+// list: each module's CPU and backing channel, the direct CPU<->DRAM
+// and the L2<->DRAM channel (-1 where absent).
+type chanMap struct {
+	cpu, back          []int32 // per module
+	direct, l2DRAMChan int32
+}
+
+func newChanMap(bt *BehaviorTrace) chanMap {
+	cm := chanMap{
+		cpu:        make([]int32, len(bt.Modules)),
+		back:       make([]int32, len(bt.Modules)),
+		direct:     -1,
+		l2DRAMChan: -1,
+	}
+	for m := range cm.cpu {
+		cm.cpu[m], cm.back[m] = -1, -1
+	}
+	for ci, ch := range bt.Channels {
+		switch ch.Kind {
+		case mem.ChanCPUModule:
+			cm.cpu[ch.Module] = int32(ci)
+		case mem.ChanModuleDRAM, mem.ChanModuleL2:
+			cm.back[ch.Module] = int32(ci)
+		case mem.ChanCPUDRAM:
+			cm.direct = int32(ci)
+		case mem.ChanL2DRAM:
+			cm.l2DRAMChan = int32(ci)
+		}
+	}
+	return cm
+}
+
+// view decodes an event against the trace's module metadata.
+func (cm *chanMap) view(bt *BehaviorTrace, ev *Event) access {
+	if ev.Route < 0 {
+		return access{cpu: cm.direct, back: -1}
+	}
+	e := access{
+		cpu:    cm.cpu[ev.Route],
+		back:   cm.back[ev.Route],
+		hit:    ev.Flags&flagHit != 0,
+		hasDem: ev.DemandBytes > 0,
+	}
+	e.prefBack = ev.PrefBytes > 0 && e.back != -1
+	if lb := bt.Modules[ev.Route].LineBytes; lb > 0 {
+		e.topup = ev.PrefBytes / int32(lb)
+	}
+	return e
+}
+
+// classTable interns events into a trace's class table while the trace
+// is built, through an open-addressing hash table of class ids over
+// packed event keys; a key comparison is one branch. Checking the
+// previous event's class first was measured slower: in real traces
+// consecutive events alternate between classes often enough that the
+// mispredicted check cost more than the hash it saved. The table is
+// dropped once the trace is complete.
+type classTable struct {
+	bt    *BehaviorTrace
+	keys  []eventKey // class id -> packed event
+	slots []uint32   // class id + 1, 0 for an empty slot
+}
+
+func newClassTable(bt *BehaviorTrace, events int) *classTable {
+	bt.Classes = nil
+	bt.IDs = make([]uint32, 0, events)
+	return &classTable{bt: bt, slots: make([]uint32, 64)}
+}
+
+// finish decodes every class's replay view once the trace is complete.
+func (ct *classTable) finish() {
+	bt := ct.bt
+	cm := newChanMap(bt)
+	for i := range bt.Classes {
+		bt.Classes[i].view = cm.view(bt, &bt.Classes[i].Event)
+	}
+}
+
+// add appends ev as the trace's next event.
+func (ct *classTable) add(ev *Event) {
+	id := ct.lookup(ev)
+	ct.bt.Classes[id].Count++
+	ct.bt.IDs = append(ct.bt.IDs, id)
+}
+
+// lookup returns the class id of ev, adding a class on first sight.
+func (ct *classTable) lookup(ev *Event) uint32 {
+	k := ev.key()
+	if 2*(len(ct.keys)+1) > len(ct.slots) {
+		ct.slots = make([]uint32, 2*len(ct.slots))
+		for id := range ct.keys {
+			ct.slots[ct.free(&ct.keys[id])] = uint32(id) + 1
+		}
+	}
+	mask := uint32(len(ct.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := ct.slots[i]
+		if s == 0 {
+			id := uint32(len(ct.keys))
+			ct.keys = append(ct.keys, k)
+			ct.bt.Classes = append(ct.bt.Classes, EventClass{Event: *ev})
+			ct.slots[i] = id + 1
+			return id
+		}
+		if ct.keys[s-1].eq(&k) {
+			return s - 1
+		}
+	}
+}
+
+// free returns the first empty slot of k's probe sequence.
+func (ct *classTable) free(k *eventKey) uint32 {
+	mask := uint32(len(ct.slots) - 1)
+	i := k.hash() & mask
+	for ct.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// eventKey packs every field of an event into four words.
+type eventKey struct{ a, b, c, d uint64 }
+
+func (ev *Event) key() eventKey {
+	return eventKey{
+		a: uint64(uint16(ev.Route)) | uint64(ev.Size)<<16 | uint64(ev.Flags)<<24 | uint64(uint32(ev.Stall))<<32,
+		b: uint64(uint32(ev.DemandBytes)) | uint64(uint32(ev.DemandL2Off))<<32,
+		c: uint64(uint32(ev.PrefBytes)) | uint64(uint32(ev.PrefL2Off))<<32,
+		d: uint64(uint16(ev.DemandDRAM)) | uint64(uint16(ev.PrefDRAM))<<16,
+	}
+}
+
+// eq compares two keys without a branch per word.
+func (k *eventKey) eq(o *eventKey) bool {
+	return (k.a^o.a)|(k.b^o.b)|(k.c^o.c)|(k.d^o.d) == 0
+}
+
+// hash mixes the key's words with four independent multiplies.
+func (k *eventKey) hash() uint32 {
+	h := k.a*0x9e3779b97f4a7c15 + k.b*0xc2b2ae3d27d4eb4f + k.c*0x165667b19e3779f9 + k.d*0xd6e8feb86659fd93
+	return uint32(h >> 32)
 }
 
 // nominal interconnect used during capture: an AHB32-like on-chip path
@@ -163,12 +343,13 @@ func buildRouteTable(a *mem.Architecture) ([]int16, int16) {
 }
 
 // capture drives Phase A: a cloned memory architecture, the dense route
-// table, and the trace being recorded.
+// table, and the trace being recorded with its class interner.
 type capture struct {
 	arch     *mem.Architecture
 	routeTab []int16
 	routeDef int16
 	bt       *BehaviorTrace
+	classes  *classTable
 	now      int64
 	// Per-module stream bookkeeping of the current skip gap: line
 	// fetches issued since the last restart, and the restart's clock
@@ -224,7 +405,6 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 	}
 	bt.DRAMRowHit = arch.DRAM.RowHitCycles
 	bt.DRAMEnergy = arch.DRAM.Energy()
-	bt.MaxBytes = 4 // split-transaction address phase
 
 	// Nominal fetch latency, mirroring sim.New's readiness wiring.
 	nomFetch := int(nomTransfer(32))
@@ -239,16 +419,7 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 		}
 	}
 
-	bt.Route = make([]int16, 0, total)
-	bt.Size = make([]uint8, 0, total)
-	bt.Flags = make([]uint8, 0, total)
-	bt.Stall = make([]int32, 0, total)
-	bt.DemandBytes = make([]int32, 0, total)
-	bt.DemandL2Off = make([]int32, 0, total)
-	bt.DemandDRAM = make([]int16, 0, total)
-	bt.PrefBytes = make([]int32, 0, total)
-	bt.PrefL2Off = make([]int32, 0, total)
-	bt.PrefDRAM = make([]int16, 0, total)
+	c.classes = newClassTable(bt, total)
 	bt.WindowLen = make([]int32, len(windows))
 	bt.GapCycles = make([]int64, len(windows))
 	bt.Resync = make([]int32, len(windows)*len(arch.Modules)*2)
@@ -268,7 +439,86 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 		bt.WindowLen[wi] = int32(w.Hi - w.Lo)
 		pos = w.Hi
 	}
+	c.classes.finish()
+	bt.MaxBytes, bt.MaxDRAMLat = bt.eventBounds()
 	return bt, nil
+}
+
+// eventBounds returns the largest transfer size, at least the 4-byte
+// address phase of a split transaction, and the largest DRAM latency
+// among the trace's events.
+func (bt *BehaviorTrace) eventBounds() (maxBytes, maxDRAMLat int) {
+	maxBytes = 4
+	for ci := range bt.Classes {
+		ev := &bt.Classes[ci].Event
+		maxBytes = max(maxBytes, int(ev.Size), int(ev.DemandBytes), int(ev.DemandL2Off), int(ev.PrefBytes), int(ev.PrefL2Off))
+		maxDRAMLat = max(maxDRAMLat, int(ev.DemandDRAM), int(ev.PrefDRAM))
+	}
+	return maxBytes, maxDRAMLat
+}
+
+// Bounds a compiled trace may declare. Captures record far smaller
+// values; the bounds keep a forged cache entry from sizing the replay's
+// per-byte tables or stream queues beyond reason.
+const (
+	maxTransferBytes = 1 << 16
+	maxStreamDepth   = 1 << 16
+)
+
+// CompileEvents builds the class table of a trace whose other fields
+// are set from its n events, which fill hands over in trace order a
+// chunk at a time: fill(dst, first) stores events first, first+1, ...
+// into dst. It is the decoder's counterpart of CaptureBehavior's
+// interning and validates everything the replay indexes by: channel
+// module indices and routes in range, stream geometry positive,
+// transfer sizes in [0, MaxBytes], DRAM latencies noDRAM or in
+// [0, MaxDRAMLat], and MaxBytes and MaxDRAMLat exactly the bounds a
+// capture records for these events.
+func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int)) error {
+	nm := len(bt.Modules)
+	for ci, ch := range bt.Channels {
+		switch ch.Kind {
+		case mem.ChanCPUModule, mem.ChanModuleDRAM, mem.ChanModuleL2:
+			if ch.Module < 0 || ch.Module >= nm {
+				return fmt.Errorf("sim: channel %d names module %d of %d", ci, ch.Module, nm)
+			}
+		}
+	}
+	for mi, m := range bt.Modules {
+		if m.Kind == mem.KindStream && (m.LineBytes <= 0 || m.Depth <= 0 || m.Depth > maxStreamDepth) {
+			return fmt.Errorf("sim: stream module %d has line %d bytes, depth %d", mi, m.LineBytes, m.Depth)
+		}
+	}
+	if bt.MaxBytes > maxTransferBytes {
+		return fmt.Errorf("sim: transfer bound %d exceeds %d bytes", bt.MaxBytes, maxTransferBytes)
+	}
+	ct := newClassTable(bt, n)
+	buf := make([]Event, min(n, 512))
+	for first := 0; first < n; first += len(buf) {
+		chunk := buf[:min(len(buf), n-first)]
+		fill(chunk, first)
+		for i := range chunk {
+			ct.add(&chunk[i])
+		}
+	}
+	for ci := range bt.Classes {
+		ev := &bt.Classes[ci].Event
+		if ev.Route < -1 || int(ev.Route) >= nm {
+			return fmt.Errorf("sim: event class %d routes to module %d of %d", ci, ev.Route, nm)
+		}
+		if min(ev.DemandBytes, ev.DemandL2Off, ev.PrefBytes, ev.PrefL2Off) < 0 || min(ev.DemandDRAM, ev.PrefDRAM) < noDRAM {
+			return fmt.Errorf("sim: event class %d has a negative byte count or DRAM latency", ci)
+		}
+	}
+	// With nothing negative, bounds equal to the events' maxima put every
+	// byte count in [0, MaxBytes] and every DRAM latency in
+	// [noDRAM, MaxDRAMLat].
+	if maxBytes, maxDRAM := bt.eventBounds(); maxBytes != bt.MaxBytes || maxDRAM != bt.MaxDRAMLat {
+		return fmt.Errorf("sim: declared bounds %d bytes, %d DRAM cycles; the events need %d, %d",
+			bt.MaxBytes, bt.MaxDRAMLat, maxBytes, maxDRAM)
+	}
+	ct.finish()
+	return nil
 }
 
 // routeOf returns the module index serving ds (DirectDRAM for none).
@@ -279,23 +529,8 @@ func (c *capture) routeOf(ds trace.DSID) int16 {
 	return c.routeDef
 }
 
-// noteBytes keeps the transfer-size and DRAM-latency bounds current.
-func (c *capture) noteBytes(n int) {
-	if n > c.bt.MaxBytes {
-		c.bt.MaxBytes = n
-	}
-}
-
-func (c *capture) noteDRAM(lat int) int16 {
-	if lat > c.bt.MaxDRAMLat {
-		c.bt.MaxDRAMLat = lat
-	}
-	return int16(lat)
-}
-
 // record simulates one access at nominal timing and appends its event.
 func (c *capture) record(a trace.Access) {
-	bt := c.bt
 	route := c.routeOf(a.DS)
 	var (
 		flags                              uint8
@@ -306,16 +541,19 @@ func (c *capture) record(a trace.Access) {
 	var lat int64
 	if route < 0 {
 		dramLat := c.arch.DRAM.AccessLatency(a.Addr)
-		demDRAM = c.noteDRAM(dramLat)
-		c.noteBytes(int(a.Size))
+		demDRAM = int16(dramLat)
 		lat = nomOffChipDone(c.now, int(a.Size), dramLat) - c.now
 	} else {
 		m := c.arch.Modules[route]
 		t := c.now + nomTransfer(int(a.Size))
-		c.noteBytes(int(a.Size))
 		r := m.Access(a, t)
 		t += int64(m.Latency() + r.Stall)
-		stall = int32(r.Stall)
+		// Stream and DMA stalls depend on timing and the replay
+		// recomputes them, so only the other kinds' stalls are recorded
+		// (which also keeps the class table small).
+		if k := c.bt.Modules[route].Kind; k != mem.KindStream && k != mem.KindDMA {
+			stall = int32(r.Stall)
+		}
 		if r.Hit {
 			flags |= flagHit
 		}
@@ -331,16 +569,11 @@ func (c *capture) record(a trace.Access) {
 		}
 		lat = t - c.now
 	}
-	bt.Route = append(bt.Route, route)
-	bt.Size = append(bt.Size, a.Size)
-	bt.Flags = append(bt.Flags, flags)
-	bt.Stall = append(bt.Stall, stall)
-	bt.DemandBytes = append(bt.DemandBytes, demBytes)
-	bt.DemandL2Off = append(bt.DemandL2Off, demL2)
-	bt.DemandDRAM = append(bt.DemandDRAM, demDRAM)
-	bt.PrefBytes = append(bt.PrefBytes, prefBytes)
-	bt.PrefL2Off = append(bt.PrefL2Off, prefL2)
-	bt.PrefDRAM = append(bt.PrefDRAM, prefDRAM)
+	c.classes.add(&Event{
+		Route: route, Size: a.Size, Flags: flags, Stall: stall,
+		DemandBytes: demBytes, DemandL2Off: demL2, DemandDRAM: demDRAM,
+		PrefBytes: prefBytes, PrefL2Off: prefL2, PrefDRAM: prefDRAM,
+	})
 	c.now += lat + 1
 }
 
@@ -348,18 +581,16 @@ func (c *capture) record(a trace.Access) {
 // returning the completion cycle plus the recorded L2 forwarding bytes
 // and DRAM latency of the leg.
 func (c *capture) backing(n int, a trace.Access, at int64) (int64, int32, int16) {
-	c.noteBytes(n)
 	if c.arch.L2 == nil {
 		dramLat := c.arch.DRAM.AccessLatency(a.Addr)
-		return nomOffChipDone(at, n, dramLat), 0, c.noteDRAM(dramLat)
+		return nomOffChipDone(at, n, dramLat), 0, int16(dramLat)
 	}
 	t := at + nomTransfer(n)
 	lr := c.arch.L2.Access(a, t)
 	t += int64(c.arch.L2.Latency() + lr.Stall)
 	if lr.OffChipBytes > 0 {
-		c.noteBytes(lr.OffChipBytes)
 		dramLat := c.arch.DRAM.AccessLatency(a.Addr)
-		return nomOffChipDone(t, lr.OffChipBytes, dramLat), int32(lr.OffChipBytes), c.noteDRAM(dramLat)
+		return nomOffChipDone(t, lr.OffChipBytes, dramLat), int32(lr.OffChipBytes), int16(dramLat)
 	}
 	return t, 0, noDRAM
 }

@@ -1,22 +1,17 @@
-// Phase B of the two-phase simulator: connectivity replay. One pass
-// over the behavior event trace re-times K connectivity architectures
-// simultaneously; a single candidate is simply K=1.
+// Phase B of the two-phase simulator: connectivity replay. ReplayBatch
+// re-times a behavior trace against K connectivity architectures; a
+// single candidate is simply K=1.
 //
 // ReplayBatch performs only the connectivity-dependent work — bus
 // arbitration through the reservation-table schedulers, transfer and
 // DRAM-latency arithmetic, and energy accounting — with all module
-// behavior read from the flat event arrays. ConEx enumerates hundreds
-// of connectivity mappings per memory architecture, so the batch
-// shares everything that does not depend on the connectivity:
-//
-//   - Each event is decoded once per batch into a small struct, then
-//     applied to every architecture in an inner loop over dense
-//     per-architecture state: each architecture owns a window of the
-//     batch's flat per-channel wiring and per-module prefetch arrays.
+// behavior read from the trace's event classes. ConEx enumerates
+// hundreds of connectivity mappings per memory architecture, so the
+// batch shares everything that does not depend on the connectivity:
 //
 //   - Counters that are the same for every architecture (accesses,
 //     hits, misses, off-chip, per-channel bytes and transfers) are
-//     added up once per event and copied into each Result at the end;
+//     computed once from the class counts and copied into each Result;
 //     scheduler issues follow from the transfer counts.
 //
 //   - Transfer-cycle, transfer-energy and reservation-stage tables
@@ -24,6 +19,25 @@
 //     assigning the same library component share one set of tables.
 //     The stages of a dead-time off-chip leg depend only on their
 //     (clamped) length and come from one package-level table.
+//
+// Per (architecture, class) the batch then builds a row. Energy never
+// depends on timing, so every row holds the event's energy addends, in
+// the order replayReference adds them. A class is fast when its module
+// is neither a stream buffer nor a DMA and none of the channels it uses
+// is in a contended cluster (below): its latency is then a constant,
+// read off once by replaying the class at cycle 0. The trace is walked
+// twice, neither pass touching the per-event fields:
+//
+//   - The clock pass, for each architecture with slow classes: a fast
+//     event advances the clock by its constant, a slow one runs the
+//     full event path on the class's decoded view. Fast latencies are
+//     booked as count × constant at the end; integer sums may be
+//     reordered.
+//
+//   - The energy pass, four architectures side by side: each adds its
+//     addends in trace order, so every float sum is the very one
+//     replayReference builds, and results do not depend on which
+//     architectures share a batch.
 //
 // Contention. The replayed CPU is blocking: it has one outstanding
 // access, and the clock advances past every demand leg before the next
@@ -60,10 +74,7 @@
 // architecture's actual fetch latency, exactly as the modules
 // themselves would, so a full-trace replay reproduces the one-phase
 // simulator's timing; see behavior.go for the one sampling-mode
-// approximation. Energy is accumulated with the same sequence of
-// float64 additions as a one-architecture replay — shared tables hold
-// the very values TransferEnergy returns — so results do not depend on
-// which architectures share a batch.
+// approximation.
 package sim
 
 import (
@@ -112,6 +123,9 @@ func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 	}
 	if len(archs) == 0 {
 		return nil, nil
+	}
+	if err := checkClasses(bt); err != nil {
+		return nil, err
 	}
 	b := newBatchReplayer(bt, archs)
 	b.run()
@@ -209,23 +223,6 @@ type backLeg struct {
 	n, l2off, dram int
 }
 
-// access is one behavior-trace event, decoded once per batch.
-type access struct {
-	route    int16
-	size     int
-	hit      bool
-	pure     bool // on-chip hit with no stall and no backing traffic
-	stall    int64
-	topup    int // stream-buffer lines the event's prefetch tops up
-	meta     *ModuleMeta
-	cpu      int32 // CPU channel (direct DRAM channel when route < 0)
-	back     int32 // backing channel (-1 if none)
-	demand   backLeg
-	pref     backLeg
-	hasDem   bool
-	prefBack bool // a prefetch leg with a backing channel
-}
-
 // modState is the prefetch state of one module on one architecture.
 type modState struct {
 	fetch   int64   // actual fetch latency on this architecture
@@ -233,70 +230,73 @@ type modState struct {
 	dmaLast int64   // DMA: last touch cycle
 }
 
+// classRow is how one architecture replays one event class: the
+// event's energy addends are addends[lo:hi]; a fast class has the
+// constant latency lat, a slow one runs event.
+type classRow struct {
+	lat    int64
+	lo, hi int32
+	slow   bool
+}
+
 // archState is the replay state of one architecture of the batch. Its
-// slots and mods are windows of flat arrays shared by the batch.
+// slots, mods and rows are windows of flat arrays shared by the batch.
 type archState struct {
 	now        int64
 	res        *Result
 	slots      []slot     // channel -> wiring
 	mods       []modState // module -> prefetch state
+	rows       []classRow // event class -> replay plan
+	anySlow    bool       // some class is slow: the clock must be kept
 	clusters   []*cluster // contended clusters
 	splitChans []int32    // off-chip channels on split components (two issues per leg)
 }
 
 // batchReplayer holds the state of one ReplayBatch pass.
 type batchReplayer struct {
-	bt *BehaviorTrace
+	bt     *BehaviorTrace
+	chans  chanMap
+	shared Result // the architecture-independent counters
 
-	// Shared, behavior-trace-derived (identical for every arch).
-	cpuChan    []int32 // module -> CPU channel
-	backChan   []int32 // module -> backing channel (-1 if none)
-	directChan int32
-	l2DRAMChan int32
-	shared     Result // the architecture-independent counters
+	// addends holds the energy addends of every (arch, class) pair.
+	addends []float64
 
 	archs []archState
 	res   []Result
 }
 
+// checkClasses rejects a trace whose events use a channel its channel
+// list lacks. A capture always lists them; a decoded cache entry need
+// not.
+func checkClasses(bt *BehaviorTrace) error {
+	for ci := range bt.Classes {
+		if e := &bt.Classes[ci].view; e.cpu < 0 || (e.hasDem && e.back < 0) {
+			return fmt.Errorf("sim: event class %d uses a channel the behavior trace does not list", ci)
+		}
+	}
+	return nil
+}
+
 func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
-	k, nc, nm := len(archs), len(bt.Channels), len(bt.Modules)
+	k, nc, nm, ncl := len(archs), len(bt.Channels), len(bt.Modules), len(bt.Classes)
 	b := &batchReplayer{
-		bt:         bt,
-		cpuChan:    make([]int32, nm),
-		backChan:   make([]int32, nm),
-		directChan: -1,
-		l2DRAMChan: -1,
-		archs:      make([]archState, k),
-		res:        make([]Result, k),
+		bt:    bt,
+		chans: newChanMap(bt),
+		archs: make([]archState, k),
+		res:   make([]Result, k),
 	}
 	slots := make([]slot, k*nc)
 	mods := make([]modState, k*nm)
-	b.shared.ChannelBytes = make([]int64, nc)
-	b.shared.ChannelTransfers = make([]int64, nc)
-	for m := range b.backChan {
-		b.backChan[m] = -1
-	}
-	for ci, ch := range bt.Channels {
-		switch ch.Kind {
-		case mem.ChanCPUModule:
-			b.cpuChan[ch.Module] = int32(ci)
-		case mem.ChanModuleDRAM, mem.ChanModuleL2:
-			b.backChan[ch.Module] = int32(ci)
-		case mem.ChanCPUDRAM:
-			b.directChan = int32(ci)
-		case mem.ChanL2DRAM:
-			b.l2DRAMChan = int32(ci)
-		}
-	}
+	rows := make([]classRow, k*ncl)
+	b.countShared()
 
 	// Which modules generate background prefetch traffic: the only
 	// source of scheduler contention (see the package comment).
 	modHasPref := make([]bool, nm)
 	anyPref := false
-	for i, route := range bt.Route {
-		if route >= 0 && bt.PrefBytes[i] > 0 {
-			modHasPref[route] = true
+	for ci := range bt.Classes {
+		if ev := &bt.Classes[ci].Event; ev.Route >= 0 && ev.PrefBytes > 0 {
+			modHasPref[ev.Route] = true
 			anyPref = true
 		}
 	}
@@ -310,18 +310,19 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		st.res = &b.res[a]
 		st.slots = slots[a*nc : (a+1)*nc]
 		st.mods = mods[a*nm : (a+1)*nm]
+		st.rows = rows[a*ncl : (a+1)*ncl]
 		for ci := range bt.Channels {
 			clusterOf[ci] = arch.ComponentOf(ci)
 		}
 		contCl := make([]bool, len(arch.Clusters))
 		if anyPref {
 			for m := range modHasPref {
-				if modHasPref[m] && b.backChan[m] != -1 {
-					contCl[clusterOf[b.backChan[m]]] = true
+				if modHasPref[m] && b.chans.back[m] != -1 {
+					contCl[clusterOf[b.chans.back[m]]] = true
 				}
 			}
-			if bt.HasL2 && b.l2DRAMChan != -1 {
-				contCl[clusterOf[b.l2DRAMChan]] = true
+			if bt.HasL2 && b.chans.l2DRAMChan != -1 {
+				contCl[clusterOf[b.chans.l2DRAMChan]] = true
 			}
 		}
 		cls := make([]*cluster, len(arch.Clusters))
@@ -361,7 +362,7 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		}
 		// Actual fetch latencies, mirroring sim.New's readiness wiring.
 		for m := 0; m < nm; m++ {
-			if bc := b.backChan[m]; bc != -1 {
+			if bc := b.chans.back[m]; bc != -1 {
 				f := arch.Assign[clusterOf[bc]].TransferCycles(32)
 				if bt.HasL2 {
 					f += bt.L2Latency
@@ -372,122 +373,148 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 			}
 		}
 		st.res.ChannelWait = make([]int64, nc)
+		b.planClasses(st)
 	}
 	return b
 }
 
-// decode reads event i into e and adds its architecture-independent
-// counters to the shared result.
-func (b *batchReplayer) decode(i int, e *access) {
-	bt := b.bt
-	sh := &b.shared
-	sh.Accesses++
-	e.route = bt.Route[i]
-	e.size = int(bt.Size[i])
-	e.demand = backLeg{int(bt.DemandBytes[i]), int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i])}
-	if e.route < 0 {
-		e.cpu = b.directChan
-		e.pure = false
-		sh.Misses++
-		sh.OffChipBytes += int64(e.size)
-		sh.ChannelBytes[e.cpu] += int64(e.size)
-		sh.ChannelTransfers[e.cpu]++
-		return
+// planClasses fills an architecture's class rows. A fast class is
+// replayed once, at cycle 0, to read off its latency.
+func (b *batchReplayer) planClasses(st *archState) {
+	for ci := range b.bt.Classes {
+		c := &b.bt.Classes[ci]
+		row := &st.rows[ci]
+		row.lo = int32(len(b.addends))
+		b.addends = b.energy(st, c, b.addends)
+		row.hi = int32(len(b.addends))
+		if b.slow(st, c) {
+			row.slow = true
+			st.anySlow = true
+		} else {
+			row.lat = b.event(st, c)
+		}
 	}
-	e.meta = &bt.Modules[e.route]
-	e.cpu = b.cpuChan[e.route]
-	e.back = b.backChan[e.route]
-	e.hit = bt.Flags[i]&flagHit != 0
-	e.stall = int64(bt.Stall[i])
-	e.pref = backLeg{int(bt.PrefBytes[i]), int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i])}
-	e.hasDem = e.demand.n > 0
-	hasPref := e.pref.n > 0
-	e.prefBack = hasPref && e.back != -1
-	e.topup = 0
-	if e.meta.LineBytes > 0 {
-		e.topup = e.pref.n / e.meta.LineBytes
+}
+
+// energy appends the energy addends of one event of class c in the
+// order replayReference adds them. None depends on timing, so they are
+// constants of (architecture, class) for every class.
+func (b *batchReplayer) energy(st *archState, c *EventClass, out []float64) []float64 {
+	e := &c.view
+	if c.Route < 0 {
+		return append(out, st.slots[e.cpu].tab.en[c.Size]+b.bt.DRAMEnergy)
 	}
-	kind := e.meta.Kind
-	e.pure = e.hit && e.stall == 0 && !e.hasDem && !hasPref && kind != mem.KindStream && kind != mem.KindDMA
-	sh.ChannelBytes[e.cpu] += int64(e.size)
-	sh.ChannelTransfers[e.cpu]++
-	if e.hit {
-		sh.Hits++
-	} else {
-		sh.Misses++
-	}
+	out = append(out, st.slots[e.cpu].tab.en[c.Size], b.bt.Modules[c.Route].Energy)
 	if e.hasDem {
-		b.countBacking(e.back, e.demand)
+		out = b.backingEnergy(st, e.back, int(c.DemandBytes), int(c.DemandL2Off), out)
 	}
 	if e.prefBack {
-		b.countBacking(e.back, e.pref)
+		out = b.backingEnergy(st, e.back, int(c.PrefBytes), int(c.PrefL2Off), out)
+	}
+	return out
+}
+
+// backingEnergy appends the energy addends of one backing transaction
+// of n bytes, l2off of which the L2 forwards to DRAM.
+func (b *batchReplayer) backingEnergy(st *archState, back int32, n, l2off int, out []float64) []float64 {
+	if !b.bt.HasL2 {
+		return append(out, st.slots[back].tab.en[n]+b.bt.DRAMEnergy)
+	}
+	out = append(out, st.slots[back].tab.en[n], b.bt.L2Energy)
+	if l2 := b.chans.l2DRAMChan; l2off > 0 && l2 != -1 {
+		out = append(out, st.slots[l2].tab.en[l2off]+b.bt.DRAMEnergy)
+	}
+	return out
+}
+
+// slow reports whether class c depends on the replay clock on this
+// architecture: its module recomputes prefetch stalls, or one of the
+// channels it uses is in a contended cluster.
+func (b *batchReplayer) slow(st *archState, c *EventClass) bool {
+	e := &c.view
+	if c.Route >= 0 {
+		if k := b.bt.Modules[c.Route].Kind; k == mem.KindStream || k == mem.KindDMA {
+			return true
+		}
+	}
+	if st.slots[e.cpu].cl != nil {
+		return true
+	}
+	if !e.hasDem && !e.prefBack {
+		return false
+	}
+	if st.slots[e.back].cl != nil {
+		return true
+	}
+	l2 := b.chans.l2DRAMChan
+	if !b.bt.HasL2 || l2 == -1 || st.slots[l2].cl == nil {
+		return false
+	}
+	return (e.hasDem && c.DemandL2Off > 0) || (e.prefBack && c.PrefL2Off > 0)
+}
+
+// countShared adds up the architecture-independent counters from the
+// class counts, mirroring event's and backing's accounting.
+func (b *batchReplayer) countShared() {
+	bt := b.bt
+	sh := &b.shared
+	sh.ChannelBytes = make([]int64, len(bt.Channels))
+	sh.ChannelTransfers = make([]int64, len(bt.Channels))
+	for ci := range bt.Classes {
+		c := &bt.Classes[ci]
+		e := &c.view
+		n := c.Count
+		size := int64(c.Size)
+		sh.Accesses += n
+		sh.ChannelBytes[e.cpu] += n * size
+		sh.ChannelTransfers[e.cpu] += n
+		if c.Route < 0 {
+			sh.Misses += n
+			sh.OffChipBytes += n * size
+			continue
+		}
+		if e.hit {
+			sh.Hits += n
+		} else {
+			sh.Misses += n
+		}
+		if e.hasDem {
+			b.countBacking(e.back, n, int64(c.DemandBytes), int64(c.DemandL2Off))
+		}
+		if e.prefBack {
+			b.countBacking(e.back, n, int64(c.PrefBytes), int64(c.PrefL2Off))
+		}
 	}
 }
 
-// countBacking adds the shared counters of one backing transaction,
-// mirroring backing's accounting.
-func (b *batchReplayer) countBacking(back int32, l backLeg) {
+// countBacking adds the shared counters of n backing transactions of
+// bytes bytes, l2off of which the L2 forwards to DRAM.
+func (b *batchReplayer) countBacking(back int32, n, bytes, l2off int64) {
 	sh := &b.shared
-	sh.ChannelBytes[back] += int64(l.n)
-	sh.ChannelTransfers[back]++
+	sh.ChannelBytes[back] += n * bytes
+	sh.ChannelTransfers[back] += n
 	if !b.bt.HasL2 {
-		sh.OffChipBytes += int64(l.n)
+		sh.OffChipBytes += n * bytes
 		return
 	}
-	if l.l2off > 0 && b.l2DRAMChan != -1 {
-		sh.OffChipBytes += int64(l.l2off)
-		sh.ChannelBytes[b.l2DRAMChan] += int64(l.l2off)
-		sh.ChannelTransfers[b.l2DRAMChan]++
+	if l2 := b.chans.l2DRAMChan; l2off > 0 && l2 != -1 {
+		sh.OffChipBytes += n * l2off
+		sh.ChannelBytes[l2] += n * l2off
+		sh.ChannelTransfers[l2] += n
 	}
 }
 
-// run replays every window of the behavior trace for every arch.
+// run replays the behavior trace for every arch and fills in the
+// results: the clock of every arch with slow classes, one arch at a
+// time, and the energy of all archs, four side by side.
 func (b *batchReplayer) run() {
-	bt := b.bt
-	nmods := len(bt.Modules)
-	var e access
-	pos := 0
-	for wi, wlen := range bt.WindowLen {
-		if bt.GapCycles[wi] > 0 {
-			rs := bt.Resync[wi*nmods*2 : (wi+1)*nmods*2]
-			for a := range b.archs {
-				st := &b.archs[a]
-				gapStart := st.now
-				st.now += bt.GapCycles[wi]
-				b.applyResync(st, rs, gapStart)
-			}
+	for a := range b.archs {
+		if st := &b.archs[a]; st.anySlow {
+			b.runClock(st)
 		}
-		for i := pos; i < pos+int(wlen); i++ {
-			b.decode(i, &e)
-			if !e.pure {
-				for a := range b.archs {
-					st := &b.archs[a]
-					st.retire(b.event(st, &e))
-				}
-				continue
-			}
-			// A pure on-chip hit: the CPU link and the module latency.
-			// The two energy adds stay separate and ordered to match
-			// event().
-			ch := int(e.cpu)
-			modLat := int64(e.meta.Latency)
-			modEnergy := e.meta.Energy
-			for a := range b.archs {
-				st := &b.archs[a]
-				s := &st.slots[ch]
-				r := st.res
-				lat := int64(s.tab.cyc[e.size]) + modLat
-				if s.cl != nil {
-					wait := s.cl.leg(st.now, s.tab.stages(e.size), false) - st.now
-					r.ChannelWait[ch] += wait
-					lat += wait
-				}
-				r.EnergyNJ += s.tab.en[e.size]
-				r.EnergyNJ += modEnergy
-				st.retire(lat)
-			}
-		}
-		pos += int(wlen)
+	}
+	for a := 0; a < len(b.archs); a += energyLanes {
+		b.runEnergy(b.archs[a:min(a+energyLanes, len(b.archs))])
 	}
 	sh := &b.shared
 	var legs int64
@@ -497,6 +524,13 @@ func (b *batchReplayer) run() {
 	for a := range b.archs {
 		st := &b.archs[a]
 		r := st.res
+		for ci, row := range st.rows {
+			if !row.slow {
+				n := b.bt.Classes[ci].Count
+				r.TotalLatency += n * row.lat
+				r.LatencyHist[latBucket(int(row.lat))] += n
+			}
+		}
 		r.Accesses = sh.Accesses
 		r.Hits = sh.Hits
 		r.Misses = sh.Misses
@@ -516,11 +550,76 @@ func (b *batchReplayer) run() {
 	}
 }
 
-// retire books one access of latency lat.
-func (st *archState) retire(lat int64) {
-	st.res.TotalLatency += lat
-	st.res.LatencyHist[latBucket(int(lat))]++
-	st.now += lat + 1
+// energyLanes is the number of archs runEnergy sums side by side.
+const energyLanes = 4
+
+// runEnergy adds up the energy of up to energyLanes archs. A class has
+// the same number of energy addends on every arch, so the group's
+// addends are laid out lane-interleaved per class: each arch's sum
+// still adds its addends in trace order, so it is the very float sum
+// replayReference builds, and the lanes are independent chains the CPU
+// overlaps. Every class is padded with +0 addends to the longest
+// list, so the inner loop has one trip count and its exit is never
+// mispredicted. The padding changes no sum: adding +0 leaves every
+// value but -0 unchanged, and a sum that starts at +0 never becomes -0
+// under round-to-nearest.
+func (b *batchReplayer) runEnergy(group []archState) {
+	bt := b.bt
+	w := 0
+	for _, r := range group[0].rows {
+		w = max(w, int(r.hi-r.lo))
+	}
+	stride := w * energyLanes
+	tab := make([]float64, len(bt.Classes)*stride)
+	for lane := range group {
+		for c, r := range group[lane].rows {
+			for j, x := range b.addends[r.lo:r.hi] {
+				tab[c*stride+energyLanes*j+lane] = x
+			}
+		}
+	}
+	var e0, e1, e2, e3 float64
+	for _, id := range bt.IDs {
+		t := tab[int(id)*stride : int(id)*stride+stride]
+		for j := 0; j+3 < len(t); j += energyLanes {
+			e0 += t[j]
+			e1 += t[j+1]
+			e2 += t[j+2]
+			e3 += t[j+3]
+		}
+	}
+	sums := [energyLanes]float64{e0, e1, e2, e3}
+	for lane := range group {
+		group[lane].res.EnergyNJ = sums[lane]
+	}
+}
+
+// runClock replays every window of the behavior trace for one arch with
+// slow classes: a fast event only advances the clock (its latency is
+// booked per class by run), a slow one runs event.
+func (b *batchReplayer) runClock(st *archState) {
+	bt := b.bt
+	rows := st.rows
+	nmods := len(bt.Modules)
+	pos := 0
+	for wi, wlen := range bt.WindowLen {
+		if bt.GapCycles[wi] > 0 {
+			gapStart := st.now
+			st.now += bt.GapCycles[wi]
+			b.applyResync(st, bt.Resync[wi*nmods*2:(wi+1)*nmods*2], gapStart)
+		}
+		for _, id := range bt.IDs[pos : pos+int(wlen)] {
+			if r := &rows[id]; !r.slow {
+				st.now += r.lat + 1
+				continue
+			}
+			lat := b.event(st, &bt.Classes[id])
+			st.res.TotalLatency += lat
+			st.res.LatencyHist[latBucket(int(lat))]++
+			st.now += lat + 1
+		}
+		pos += int(wlen)
+	}
 }
 
 // applyResync mirrors (*replayer).applyResync for one architecture.
@@ -550,11 +649,14 @@ func (b *batchReplayer) applyResync(st *archState, resync []int32, gapStart int6
 					chain = q[len(q)-1]
 				}
 			}
-			for i := int64(1); i <= refills; i++ {
-				if t := start + i*span/(refills+1); t > chain {
-					chain = t
-				}
-				chain += f
+			// The refills land at t_i = start + i*span/(R+1), i = 1..R,
+			// and chain = max(chain, t_i) + f after each, so the chain
+			// ends at max(chain + R*f, max_i t_i + (R-i+1)*f). Steps of
+			// t_i take one of two adjacent integer values, so t_i - i*f
+			// is monotone for any integer f and the inner maximum is at
+			// i = 1 or i = R: no need to walk every refill.
+			if r := refills; r > 0 {
+				chain = max(chain+r*f, start+span/(r+1)+r*f, start+r*span/(r+1)+f)
 			}
 			depth := b.bt.Modules[mi].Depth
 			if cap(q) < depth {
@@ -576,72 +678,70 @@ func (b *batchReplayer) applyResync(st *archState, resync []int32, gapStart int6
 	}
 }
 
-// event replays one decoded access for one architecture and returns
-// its latency, mirroring (*replayer).event step for step.
-func (b *batchReplayer) event(st *archState, e *access) int64 {
+// event replays the timing of one access of class c for one
+// architecture and returns its latency, mirroring (*replayer).event step
+// for step; its energy comes from the class's addends.
+func (b *batchReplayer) event(st *archState, c *EventClass) int64 {
 	now := st.now
-	r := st.res
-	if e.route < 0 {
-		done, energy := b.offChip(st, e.cpu, e.size, e.demand.dram, now, false)
-		r.EnergyNJ += energy
-		return done - now
+	e := &c.view
+	size := int(c.Size)
+	if c.Route < 0 {
+		return b.offChip(st, e.cpu, size, int(c.DemandDRAM), now, false) - now
 	}
 
 	// 1. CPU <-> module link.
 	s := &st.slots[e.cpu]
 	grant := now
 	if s.cl != nil {
-		grant = s.cl.leg(now, s.tab.stages(e.size), false)
-		r.ChannelWait[e.cpu] += grant - now
+		grant = s.cl.leg(now, s.tab.stages(size), false)
+		st.res.ChannelWait[e.cpu] += grant - now
 	}
-	t := grant + int64(s.tab.cyc[e.size])
-	r.EnergyNJ += s.tab.en[e.size]
+	t := grant + int64(s.tab.cyc[size])
 
 	// 2. The module: behavior from the event, prefetch stalls recomputed
 	// in this architecture's clock.
-	stall := e.stall
-	switch e.meta.Kind {
+	meta := &b.bt.Modules[c.Route]
+	stall := int64(c.Stall)
+	switch meta.Kind {
 	case mem.KindStream:
-		stall = streamStall(&st.mods[e.route], e, t)
+		stall = streamStall(&st.mods[c.Route], meta.Depth, int(e.topup), e.hit, t)
 	case mem.KindDMA:
-		stall = dmaStall(&st.mods[e.route], t, e.hit)
+		stall = dmaStall(&st.mods[c.Route], t, e.hit)
 	}
-	t += int64(e.meta.Latency) + stall
-	r.EnergyNJ += e.meta.Energy
+	t += int64(meta.Latency) + stall
 
 	// 3. Demand backing traffic.
 	if e.hasDem {
-		t = b.backing(st, e.back, e.demand, t, false)
+		t = b.backing(st, e.back, backLeg{int(c.DemandBytes), int(c.DemandL2Off), int(c.DemandDRAM)}, t, false)
 	}
 
 	// 4. Background prefetch traffic (does not hold up the CPU).
 	if e.prefBack {
-		b.backing(st, e.back, e.pref, t, true)
+		b.backing(st, e.back, backLeg{int(c.PrefBytes), int(c.PrefL2Off), int(c.PrefDRAM)}, t, true)
 	}
 	return t - now
 }
 
 // streamStall mirrors (*replayer).streamStall for one stream module's
 // state.
-func streamStall(ms *modState, e *access, t int64) int64 {
-	depth := e.meta.Depth
+func streamStall(ms *modState, depth, topup int, hit bool, t int64) int64 {
 	f := ms.fetch
 	q := ms.streamQ
 	if q == nil {
 		q = make([]int64, 0, depth)
 	}
-	if !e.hit {
+	if !hit {
 		q = q[:0]
 		last := t
 		q = append(q, last)
-		for j := 0; j < e.topup && len(q) < depth; j++ {
+		for j := 0; j < topup && len(q) < depth; j++ {
 			last += f
 			q = append(q, last)
 		}
 		ms.streamQ = q
 		return 0
 	}
-	k := e.topup
+	k := topup
 	if k >= len(q) {
 		k = len(q) - 1
 	}
@@ -660,7 +760,7 @@ func streamStall(ms *modState, e *access, t int64) int64 {
 	if len(q) > 0 && q[len(q)-1] > last {
 		last = q[len(q)-1]
 	}
-	for j := 0; j < e.topup && len(q) < depth; j++ {
+	for j := 0; j < topup && len(q) < depth; j++ {
 		last += f
 		q = append(q, last)
 	}
@@ -681,50 +781,41 @@ func dmaStall(ms *modState, t int64, hit bool) int64 {
 	return 0
 }
 
-// backing mirrors (*replayer).backing for one architecture.
+// backing mirrors the timing of (*replayer).backing for one
+// architecture.
 func (b *batchReplayer) backing(st *archState, backCh int32, l backLeg, at int64, pref bool) int64 {
-	r := st.res
 	if !b.bt.HasL2 {
-		done, energy := b.offChip(st, backCh, l.n, l.dram, at, pref)
-		r.EnergyNJ += energy
-		return done
+		return b.offChip(st, backCh, l.n, l.dram, at, pref)
 	}
 	s := &st.slots[backCh]
 	grant := at
 	if s.cl != nil {
 		grant = s.cl.leg(at, s.tab.stages(l.n), pref)
-		r.ChannelWait[backCh] += grant - at
+		st.res.ChannelWait[backCh] += grant - at
 	}
-	r.EnergyNJ += s.tab.en[l.n]
-	t := grant + int64(s.tab.cyc[l.n])
-
-	t += int64(b.bt.L2Latency)
-	r.EnergyNJ += b.bt.L2Energy
-	if l.l2off > 0 && b.l2DRAMChan != -1 {
-		done, energy := b.offChip(st, b.l2DRAMChan, l.l2off, l.dram, t, pref)
-		r.EnergyNJ += energy
-		t = done
+	t := grant + int64(s.tab.cyc[l.n]) + int64(b.bt.L2Latency)
+	if l2 := b.chans.l2DRAMChan; l.l2off > 0 && l2 != -1 {
+		t = b.offChip(st, l2, l.l2off, l.dram, t, pref)
 	}
 	return t
 }
 
-// offChip mirrors (*replayer).offChip for one architecture. On
-// uncontended clusters every grant is the asking cycle (for split
-// components both the address and the data phase).
-func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int64, pref bool) (int64, float64) {
-	r := st.res
+// offChip mirrors the timing of (*replayer).offChip for one
+// architecture and returns the completion cycle. On uncontended
+// clusters every grant is the asking cycle (for split components both
+// the address and the data phase).
+func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int64, pref bool) int64 {
 	s := &st.slots[ch]
 	ct := s.tab
-	energy := ct.en[n] + b.bt.DRAMEnergy
 	if s.split {
 		if s.cl == nil {
-			return at + int64(ct.cyc[4]) + int64(dramLat) + int64(ct.cyc[n]), energy
+			return at + int64(ct.cyc[4]) + int64(dramLat) + int64(ct.cyc[n])
 		}
 		addrGrant := s.cl.leg(at, ct.stages(4), pref)
 		ready := addrGrant + int64(ct.cyc[4]) + int64(dramLat)
 		dataGrant := s.cl.leg(ready, ct.stages(n), pref)
-		r.ChannelWait[ch] += (addrGrant - at) + (dataGrant - ready)
-		return dataGrant + int64(ct.cyc[n]), energy
+		st.res.ChannelWait[ch] += (addrGrant - at) + (dataGrant - ready)
+		return dataGrant + int64(ct.cyc[n])
 	}
 	grant := at
 	if s.cl != nil {
@@ -733,9 +824,9 @@ func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int6
 			held = 62
 		}
 		grant = s.cl.leg(at, deadStages[held], pref)
-		r.ChannelWait[ch] += grant - at
+		st.res.ChannelWait[ch] += grant - at
 	}
-	return grant + int64(ct.cyc[n]) + int64(dramLat), energy
+	return grant + int64(ct.cyc[n]) + int64(dramLat)
 }
 
 // FNV-1a parameters for the per-channel signature hash.

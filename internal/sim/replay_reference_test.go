@@ -7,8 +7,8 @@
 // it against one connectivity architecture. The hot loop performs only
 // the connectivity-dependent work — bus arbitration through the
 // reservation-table schedulers, transfer and DRAM-latency arithmetic,
-// and energy accounting — with all module behavior read from the flat
-// event arrays. Routes, per-channel components and reservation-stage
+// and energy accounting — with all module behavior read event by event
+// through BehaviorTrace.Event. Routes, per-channel components and reservation-stage
 // lists are resolved through dense precomputed tables.
 //
 // Prefetch stalls (stream buffers, self-indirect DMA) are recomputed in
@@ -253,10 +253,11 @@ func (r *replayer) applyResync(resync []int32, gapStart int64) {
 // mirroring Simulator.access.
 func (r *replayer) event(i int) int {
 	bt := r.bt
-	route := bt.Route[i]
-	size := int(bt.Size[i])
+	ev := bt.Event(i)
+	route := ev.Route
+	size := int(ev.Size)
 	if route < 0 {
-		done, energy := r.offChip(r.directChan, size, int(bt.DemandDRAM[i]), r.now)
+		done, energy := r.offChip(r.directChan, size, int(ev.DemandDRAM), r.now)
 		r.res.Misses++
 		r.res.EnergyNJ += energy
 		r.res.OffChipBytes += int64(size)
@@ -277,7 +278,7 @@ func (r *replayer) event(i int) int {
 	// 2. The module: behavior from the event, prefetch stalls recomputed
 	// in this architecture's clock.
 	meta := &bt.Modules[route]
-	hit := bt.Flags[i]&flagHit != 0
+	hit := ev.Flags&flagHit != 0
 	var stall int64
 	switch meta.Kind {
 	case mem.KindStream:
@@ -285,7 +286,7 @@ func (r *replayer) event(i int) int {
 	case mem.KindDMA:
 		stall = r.dmaStall(route, t, hit)
 	default:
-		stall = int64(bt.Stall[i])
+		stall = int64(ev.Stall)
 	}
 	t += int64(meta.Latency) + stall
 	r.res.EnergyNJ += meta.Energy
@@ -296,14 +297,14 @@ func (r *replayer) event(i int) int {
 	}
 
 	// 3. Demand backing traffic.
-	if bt.DemandBytes[i] > 0 {
-		t = r.backing(r.backChan[route], int(bt.DemandBytes[i]), int(bt.DemandL2Off[i]), int(bt.DemandDRAM[i]), t)
+	if ev.DemandBytes > 0 {
+		t = r.backing(r.backChan[route], int(ev.DemandBytes), int(ev.DemandL2Off), int(ev.DemandDRAM), t)
 	}
 
 	// 4. Background prefetch traffic (does not hold up the CPU).
-	if bt.PrefBytes[i] > 0 {
+	if ev.PrefBytes > 0 {
 		if bc := r.backChan[route]; bc != -1 {
-			r.backing(bc, int(bt.PrefBytes[i]), int(bt.PrefL2Off[i]), int(bt.PrefDRAM[i]), t)
+			r.backing(bc, int(ev.PrefBytes), int(ev.PrefL2Off), int(ev.PrefDRAM), t)
 		}
 	}
 	return int(t - r.now)
@@ -321,7 +322,7 @@ func (r *replayer) streamStall(route int16, i int, t int64, hit bool) int64 {
 	}
 	topup := 0
 	if meta.LineBytes > 0 {
-		topup = int(bt.PrefBytes[i]) / meta.LineBytes
+		topup = int(bt.Event(i).PrefBytes) / meta.LineBytes
 	}
 	if !hit {
 		// Restart: the demand line lands at t, the lookahead chains
