@@ -106,12 +106,11 @@ func checkReplayArch(bt *BehaviorTrace, connArch *connect.Arch) error {
 }
 
 // ReplayBatch re-times a captured behavior trace against K connectivity
-// architectures in a single pass over the event arrays and returns one
-// Result per architecture, in input order, each shaped like
-// Simulator.Run's. Every Result is bit-exact equal to the K=1 replay
-// of archs[i] alone — including energy, histogram and scheduler
-// counters. The behavior trace is read-only; distinct batches may run
-// concurrently.
+// architectures and returns one Result per architecture, in input
+// order, each shaped like Simulator.Run's. Every Result is bit-exact
+// equal to the K=1 replay of archs[i] alone — including energy,
+// histogram and scheduler counters. The behavior trace is read-only;
+// distinct batches may run concurrently.
 func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 	for i, a := range archs {
 		if a == nil {
