@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet microbench bench bench-compare cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet microbench microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -17,31 +17,28 @@ vet:
 # microbench runs the layer microbenchmarks six times each — Phase B
 # replay (K=1, a prefetch-free batch and a contended batch), Phase A
 # capture (full and sampled), APEX's sim.MemOnly and profile.Analyze —
-# and prints every metric's median and min–max over the six runs.
+# and prints every metric's median and min–max over the six runs. The
+# raw output stays in microbench.out, an OLD or NEW for
+# microbench-compare.
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze)' -benchmem -count 6 . | tee microbench.out
-	@awk -f scripts/microbench-summary.awk microbench.out
-	@rm -f microbench.out
+	@awk -f scripts/microbench.awk -f scripts/microbench-summary.awk microbench.out
 
-# bench runs the benchmark suite (3 fixed iterations, matching how
-# the baselines were measured) and writes the parsed domain metrics —
-# including the eval-latency histogram quantiles, the batched-replay
-# counters reported by BenchmarkInstrumentedExploration, and the
-# heuristic-search coverage metrics of BenchmarkSearchGA/SA —
-# plus the speedup over the PR 4 report to BENCH_PR10.json.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime 3x -run '^$$' . | tee bench.out
-	$(GO) run ./cmd/benchjson -baseline BENCH_PR4.json -out BENCH_PR10.json < bench.out
-	@rm -f bench.out
+# microbench-compare is the performance regression gate: it compares
+# two microbench outputs, OLD (say, one saved from a run of the parent
+# commit) and NEW, and fails when a benchmark's B/op median rose more
+# than 10%, or its ns/op median rose more than 10% with the two runs'
+# min–max ranges apart. NEW defaults to microbench.out; OLD must be
+# given.
+OLD ?=
+NEW ?= microbench.out
+microbench-compare:
+	@awk -f scripts/microbench.awk -f scripts/microbench-compare.awk $(OLD) $(NEW)
 
-# bench-compare diffs two benchjson reports (override OLD/NEW to pick
-# others) and fails when any benchmark's ns/op or B/op regressed by
-# more than 10% — the perf gate for CI. It also tabulates the
-# heuristic-search metrics.
-OLD ?= BENCH_PR9.json
-NEW ?= BENCH_PR10.json
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
+# microbench-compare-check pins microbench-compare's verdicts on the
+# sample outputs in scripts/testdata.
+microbench-compare-check:
+	sh scripts/microbench-compare-test.sh
 
 # cache-check runs the persistent behavior-trace cache suite under the
 # race detector: the btcache codec/fault-injection/concurrency tests,
@@ -94,8 +91,8 @@ fuzz:
 
 # check is the gate a change must pass before review: formatting is
 # clean, vet finds nothing, the whole suite passes under the race
-# detector, and the trace-cache, daemon and heuristic-search suites
-# hold.
-check: vet cache-check daemon-check search-check
+# detector, the trace-cache, daemon and heuristic-search suites hold,
+# and the microbenchmark gate gives its pinned verdicts.
+check: vet cache-check daemon-check search-check microbench-compare-check
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race ./...

@@ -335,9 +335,8 @@ func BenchmarkAblationPrune(b *testing.B) {
 // benchmarkSearch runs one heuristic driver against the Full-enumeration
 // ground truth of the ablation space at a 25% evaluation budget and
 // reports how much of the true cost/latency pareto front it recovers.
-// benchjson -compare tabulates the "search-*" units and warns when the
-// coverage drops by more than 2 points between reports; the hard ≥90%
-// floor lives in the internal/explore quality-gate test.
+// The hard ≥90% coverage floor lives in the internal/explore
+// quality-gate test.
 func benchmarkSearch(b *testing.B, strategy explore.Strategy) {
 	tr := quickTrace(b)
 	res, err := apex.Explore(tr.Trace, nil, apex.Config{
@@ -786,9 +785,9 @@ func BenchmarkCaptureBehavior(b *testing.B) {
 
 // BenchmarkInstrumentedExploration is BenchmarkFigure4 with the full
 // observability stack attached — event ring, JSONL-equivalent fan-out
-// and metrics registry — so the before/after reports quantify the
+// and metrics registry — so a before/after pair quantifies the
 // enabled-path overhead, and the registry's eval-latency histograms
-// surface in the bench JSON via ReportMetric.
+// surface as extra benchmark units via ReportMetric.
 func BenchmarkInstrumentedExploration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ring := obs.NewRing(1 << 16)

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"memorex/internal/connect"
 	"memorex/internal/mem"
 	"memorex/internal/sampling"
 	"memorex/internal/sim"
@@ -114,7 +115,9 @@ func goldenTrace() *sim.BehaviorTrace {
 	bt := &sim.BehaviorTrace{
 		Channels: []mem.Channel{
 			{Kind: mem.ChanCPUModule, Module: 0},
+			{Kind: mem.ChanCPUModule, Module: 1},
 			{Kind: mem.ChanModuleDRAM, Module: 0, OffChip: true},
+			{Kind: mem.ChanModuleDRAM, Module: 1, OffChip: true},
 			{Kind: mem.ChanCPUDRAM, OffChip: true},
 		},
 		Modules: []sim.ModuleMeta{
@@ -181,6 +184,9 @@ func TestGoldenFixture(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, goldenTrace()) {
 		t.Fatalf("golden fixture decoded to a different trace:\n got %+v\nwant %+v", got, goldenTrace())
+	}
+	if _, err := sim.ReplayBatch(got, []*connect.Arch{channelArch(got)}); err != nil {
+		t.Fatalf("golden fixture does not replay: %v", err)
 	}
 }
 
@@ -317,6 +323,7 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 	arch, events := bounds[1], bounds[2]+4 // section starts; events skip their count
 	n := bt.NumEvents()
 	nCh, nMod := len(bt.Channels), len(bt.Modules)
+	channelModule := func(i int) int { return arch + 4 + i*channelBytes + 4 }
 	module := func(i int) int { return arch + 4 + nCh*channelBytes + 4 + i*moduleBytes }
 	maxBytesOff := bounds[2] - 8
 	put16 := func(off int, v int16) func([]byte) {
@@ -333,7 +340,11 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 	}{
 		{"route 99", put16(events, 99)},
 		{"route -2", put16(events, -2)},
-		{"channel module out of range", put32(arch+4+4, int32(nMod))},
+		{"channel module out of range", put32(channelModule(0), int32(nMod))},
+		// Module 0, the default route, loses its CPU channel, then its
+		// backing channel (channel nMod), to module 1.
+		{"route to a module with no CPU channel", put32(channelModule(0), 1)},
+		{"demand leg with no backing channel", put32(channelModule(nMod), 1)},
 		{"demand bytes above MaxBytes", put32(demBytes, int32(bt.MaxBytes+1))},
 		{"negative demand bytes", put32(demBytes, -8)},
 		{"DRAM latency above MaxDRAMLat", put16(prefDRAM, int16(bt.MaxDRAMLat+1))},
@@ -342,6 +353,11 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 		{"inflated MaxDRAMLat", put32(maxBytesOff+4, int32(bt.MaxDRAMLat+1))},
 		{"stream depth 0", put32(module(1)+20, 0)},
 		{"stream line 0", put32(module(1)+16, 0)},
+		// A negative latency runs the replay clock backwards.
+		{"negative module latency", put32(module(0)+4, -1)},
+		{"negative L2 latency", put32(module(nMod)+1, -1)},
+		{"negative DRAM row hit", put32(maxBytesOff-12, -1)},
+		{"negative stall", put32(events+n*4, -1)},
 	}
 	for _, c := range cases {
 		forged := bytes.Clone(data)

@@ -16,8 +16,8 @@ import (
 // FuzzDecode holds Decode to "reject or round-trip, never panic": any
 // input either fails with a CorruptError, or decodes to a trace that
 // encodes back to the very same bytes and replays through
-// sim.ReplayBatch without a panic (an error is fine). Each input is
-// also tried with its checksum recomputed, so mutations reach the
+// sim.ReplayBatch over its own channels without an error. Each input
+// is also tried with its checksum recomputed, so mutations reach the
 // structural checks behind the CRC instead of stopping at it.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.btc"))
@@ -52,7 +52,9 @@ func FuzzDecode(f *testing.F) {
 		if back := Encode(bt, fp); !bytes.Equal(back, data) {
 			t.Fatalf("decoded entry re-encodes to different bytes (%d vs %d)", len(back), len(data))
 		}
-		sim.ReplayBatch(bt, []*connect.Arch{channelArch(bt)})
+		if _, err := sim.ReplayBatch(bt, []*connect.Arch{channelArch(bt)}); err != nil {
+			t.Fatalf("decoded entry does not replay: %v", err)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check(t, data)

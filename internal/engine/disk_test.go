@@ -163,6 +163,61 @@ func TestDiskCacheCorruptEntryRecaptured(t *testing.T) {
 	}
 }
 
+// TestDiskCacheUnlistedChannelRecaptured: a CRC-valid disk entry whose
+// events use a channel it does not list is quarantined and recaptured
+// like any other corrupt entry; were it served as a disk hit, every
+// request for its fingerprint would fail in replay.
+func TestDiskCacheUnlistedChannelRecaptured(t *testing.T) {
+	dir := t.TempDir()
+	tr := testTrace(t)
+	a := testArch(8192)
+	req := sampled(tr, a, testConn(t, a, "ahb32"))
+
+	cold := New(1, WithBehaviorCache(openTestCache(t, dir)))
+	want, err := cold.EvaluateOne(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Drop the cache's backing channel from the entry: its misses keep
+	// their demand legs.
+	fp := BehaviorFingerprint(tr, a, Sampled, req.Sampling)
+	ents, err := filepath.Glob(filepath.Join(dir, "*.btc"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("cache entries = %v (%v), want one", ents, err)
+	}
+	data, err := os.ReadFile(ents[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := btcache.Decode(data, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt.Channels = bt.Channels[:1]
+	if err := os.WriteFile(ents[0], btcache.Encode(bt, fp), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := openTestCache(t, dir)
+	warm := New(1, WithBehaviorCache(cache))
+	a2 := testArch(8192)
+	got, err := warm.EvaluateOne(context.Background(), sampled(tr, a2, testConn(t, a2, "ahb32")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Stats(); s.BehaviorCaptures != 1 || s.BehaviorDiskHits != 0 {
+		t.Fatalf("stats after forging = %+v, want a recapture and no disk hit", s)
+	}
+	if cs := cache.Stats(); cs.CorruptQuarantined != 1 {
+		t.Fatalf("cache stats = %+v, want 1 corrupt quarantine", cs)
+	}
+	got.Hit, want.Hit = false, false
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recaptured value diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestBehaviorFingerprintMatchesEngineKey: the exported package-level
 // fingerprint must equal the engine's internal behavior key, or the
 // disk entries written by one and read by the other would never meet.

@@ -470,10 +470,11 @@ const (
 // chunk at a time: fill(dst, first) stores events first, first+1, ...
 // into dst. It is the decoder's counterpart of CaptureBehavior's
 // interning and validates everything the replay indexes by: channel
-// module indices and routes in range, stream geometry positive,
-// transfer sizes in [0, MaxBytes], DRAM latencies noDRAM or in
-// [0, MaxDRAMLat], and MaxBytes and MaxDRAMLat exactly the bounds a
-// capture records for these events.
+// module indices and routes in range, stream geometry positive, module,
+// L2 and DRAM latencies and stalls not negative, transfer sizes in
+// [0, MaxBytes], DRAM latencies noDRAM or in [0, MaxDRAMLat], MaxBytes
+// and MaxDRAMLat exactly the bounds a capture records for these events,
+// and every channel an event uses listed.
 func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int)) error {
 	nm := len(bt.Modules)
 	for ci, ch := range bt.Channels {
@@ -485,9 +486,15 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 		}
 	}
 	for mi, m := range bt.Modules {
+		if m.Latency < 0 {
+			return fmt.Errorf("sim: module %d has latency %d", mi, m.Latency)
+		}
 		if m.Kind == mem.KindStream && (m.LineBytes <= 0 || m.Depth <= 0 || m.Depth > maxStreamDepth) {
 			return fmt.Errorf("sim: stream module %d has line %d bytes, depth %d", mi, m.LineBytes, m.Depth)
 		}
+	}
+	if bt.L2Latency < 0 || bt.DRAMRowHit < 0 {
+		return fmt.Errorf("sim: L2 latency %d, DRAM row hit %d cycles", bt.L2Latency, bt.DRAMRowHit)
 	}
 	if bt.MaxBytes > maxTransferBytes {
 		return fmt.Errorf("sim: transfer bound %d exceeds %d bytes", bt.MaxBytes, maxTransferBytes)
@@ -506,8 +513,8 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 		if ev.Route < -1 || int(ev.Route) >= nm {
 			return fmt.Errorf("sim: event class %d routes to module %d of %d", ci, ev.Route, nm)
 		}
-		if min(ev.DemandBytes, ev.DemandL2Off, ev.PrefBytes, ev.PrefL2Off) < 0 || min(ev.DemandDRAM, ev.PrefDRAM) < noDRAM {
-			return fmt.Errorf("sim: event class %d has a negative byte count or DRAM latency", ci)
+		if min(ev.Stall, ev.DemandBytes, ev.DemandL2Off, ev.PrefBytes, ev.PrefL2Off) < 0 || min(ev.DemandDRAM, ev.PrefDRAM) < noDRAM {
+			return fmt.Errorf("sim: event class %d has a negative stall, byte count or DRAM latency", ci)
 		}
 	}
 	// With nothing negative, bounds equal to the events' maxima put every
@@ -518,6 +525,14 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 			bt.MaxBytes, bt.MaxDRAMLat, maxBytes, maxDRAM)
 	}
 	ct.finish()
+	// A capture lists the CPU channel of every module an event uses and
+	// the backing channel of every module with a demand leg; a forged
+	// entry need not.
+	for ci := range bt.Classes {
+		if e := &bt.Classes[ci].view; e.cpu < 0 || (e.hasDem && e.back < 0) {
+			return fmt.Errorf("sim: event class %d uses a channel the behavior trace does not list", ci)
+		}
+	}
 	return nil
 }
 

@@ -123,9 +123,6 @@ func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 	if len(archs) == 0 {
 		return nil, nil
 	}
-	if err := checkClasses(bt); err != nil {
-		return nil, err
-	}
 	b := newBatchReplayer(bt, archs)
 	b.run()
 	out := make([]*Result, len(archs))
@@ -262,18 +259,6 @@ type batchReplayer struct {
 
 	archs []archState
 	res   []Result
-}
-
-// checkClasses rejects a trace whose events use a channel its channel
-// list lacks. A capture always lists them; a decoded cache entry need
-// not.
-func checkClasses(bt *BehaviorTrace) error {
-	for ci := range bt.Classes {
-		if e := &bt.Classes[ci].view; e.cpu < 0 || (e.hasDem && e.back < 0) {
-			return fmt.Errorf("sim: event class %d uses a channel the behavior trace does not list", ci)
-		}
-	}
-	return nil
 }
 
 func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {

@@ -252,8 +252,9 @@ func TestCaptureValidatesWindows(t *testing.T) {
 	}
 }
 
-// TestLatBucket pins the bits.Len32 implementation to the original
-// shift-loop reference.
+// TestLatBucket pins the bits.Len64 implementation to the original
+// shift-loop reference, also at latencies of 2^32 and beyond, where a
+// 32-bit length would read only the low bits.
 func TestLatBucket(t *testing.T) {
 	ref := func(lat int) int {
 		b := 0
@@ -268,7 +269,11 @@ func TestLatBucket(t *testing.T) {
 			t.Fatalf("latBucket(%d) = %d, want %d", lat, got, want)
 		}
 	}
-	for _, lat := range []int{1 << 22, 1<<23 - 1, 1 << 23, 1 << 25} {
+	for _, lat64 := range []int64{1 << 22, 1<<23 - 1, 1 << 23, 1 << 25, 1 << 32, 1<<32 + 1, 1 << 40} {
+		lat := int(lat64)
+		if int64(lat) != lat64 {
+			continue // beyond a 32-bit int
+		}
 		if got, want := latBucket(lat), ref(lat); got != want {
 			t.Fatalf("latBucket(%d) = %d, want %d", lat, got, want)
 		}

@@ -468,7 +468,7 @@ func latBucket(lat int) int {
 	if lat <= 1 {
 		return 0
 	}
-	b := bits.Len32(uint32(lat)) - 1
+	b := bits.Len64(uint64(lat)) - 1
 	if b > 23 {
 		b = 23
 	}
