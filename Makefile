@@ -51,11 +51,13 @@ cache-check:
 
 # daemon-check runs the service-layer suite under the race detector:
 # the memorexd end-to-end tests (dedup, admission control, cancel,
-# drain, per-job event routing), the event-router unit tests, and the
+# drain, per-job event routing), the event-router unit tests, the
+# engine test that no evaluated trace outlives its callers, and the
 # ExploreRequest / Explorer.Do / Close contract tests.
 daemon-check:
 	$(GO) test -race ./cmd/memorexd/
 	$(GO) test -race -run 'TestRouter|TestObserver' ./internal/obs/
+	$(GO) test -race -run 'TestEvaluateRetainsNoTrace' ./internal/engine/
 	$(GO) test -race -run 'TestExploreRequest|TestExplorerDoRequest|TestExplorerCloseIdempotent' .
 
 # search-check runs the heuristic-search suite: the coverage quality

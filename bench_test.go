@@ -806,11 +806,9 @@ func BenchmarkInstrumentedExploration(b *testing.B) {
 		b.ReportMetric(h.P95, "eval-p95-us")
 		b.ReportMetric(h.P99, "eval-p99-us")
 		// Batched-replay shape of the run: how many ReplayBatch
-		// dispatches served the exploration, their median size, and how
-		// many evaluations were deduplicated.
+		// dispatches served the exploration and their median size.
 		bs := snap.Histograms["engine/batch/size"]
 		b.ReportMetric(float64(snap.Counters["engine/batch/dispatches"]), "batches")
 		b.ReportMetric(bs.P50, "batch-size-p50")
-		b.ReportMetric(float64(snap.Counters["engine/batch/dedup_hits"]), "batch-dedup-hits")
 	}
 }

@@ -1,7 +1,9 @@
 // Custom memory architecture: build a memory-modules architecture by
 // hand, wire it with two different connectivity architectures, and
 // simulate both against the vocoder benchmark — the workflow of a
-// designer evaluating a specific platform rather than exploring.
+// designer evaluating a specific platform rather than exploring. The
+// memory behavior is captured once and both connectivity options are
+// re-timed against it, as every MemorEx evaluation does.
 //
 //	go run ./examples/custom_memory
 package main
@@ -93,21 +95,31 @@ func main() {
 	perModule.Clusters = append(perModule.Clusters, offChip)
 	perModule.Assign = append(perModule.Assign, pick("off32"))
 
-	for _, c := range []struct {
+	options := []struct {
 		name string
 		conn *connect.Arch
-	}{{"shared AHB", shared}, {"per-module MUX", perModule}} {
+	}{{"shared AHB", shared}, {"per-module MUX", perModule}}
+	conns := make([]*connect.Arch, len(options))
+	for i, c := range options {
 		if err := c.conn.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		s, err := sim.New(arch, c.conn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := s.Run(tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+		conns[i] = c.conn
+	}
+
+	// Two-phase simulation: capture what the memory modules do once,
+	// then re-time both connectivity options against that capture in
+	// one replay pass.
+	bt, err := sim.CaptureBehavior(tr, arch, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := sim.ReplayBatch(bt, conns)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, c := range options {
+		r := results[i]
 		fmt.Printf("\n%s: %s\n", c.name, c.conn.Describe(arch))
 		fmt.Printf("  total cost      %9.0f gates (memory %0.f + connectivity %0.f)\n",
 			arch.Gates()+c.conn.Gates(), arch.Gates(), c.conn.Gates())

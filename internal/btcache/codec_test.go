@@ -351,6 +351,10 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 		{"DRAM latency below -1", put16(prefDRAM, -2)},
 		{"inflated MaxBytes", put32(maxBytesOff, int32(bt.MaxBytes+1))},
 		{"inflated MaxDRAMLat", put32(maxBytesOff+4, int32(bt.MaxDRAMLat+1))},
+		// Kind 4294963459 is the value FuzzDecode found; 5 is the first
+		// past mem.KindDRAM.
+		{"module kind 4294963459", put32(module(0), -3837)},
+		{"module kind 5", put32(module(0), 5)},
 		{"stream depth 0", put32(module(1)+20, 0)},
 		{"stream line 0", put32(module(1)+16, 0)},
 		// A negative latency runs the replay clock backwards.

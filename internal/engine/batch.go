@@ -1,13 +1,9 @@
 // Batched dispatch: Evaluate groups pending requests by
 // behavior-trace fingerprint and re-times each group's connectivity
 // architectures through sim.ReplayBatch — one pass over the shared
-// event trace per chunk instead of one per candidate. Before anything
-// is dispatched, a timing-signature dedup front-end collapses requests
-// whose connectivity architectures resolve to identical timing
-// parameters: followers share the leader's replay result and only
-// recompute their own (closed-form) gate cost. The remaining leaders
-// of each group are chunked across the worker pool, one ReplayBatch
-// pass per chunk; a group with a single leader is a K=1 chunk.
+// event trace per chunk instead of one per candidate. Each group is
+// chunked across the worker pool, one ReplayBatch pass per chunk; a
+// group with a single request is a K=1 chunk.
 //
 // Cache hits and single-flight duplicates wait without holding a
 // worker slot. All of this preserves the engine's contracts: results
@@ -30,7 +26,7 @@ import (
 // below it, chunks are balanced across the worker pool.
 const maxBatch = 32
 
-// chunkSpan returns the chunk size for n group leaders on w workers:
+// chunkSpan returns the chunk size for a group of n requests on w workers:
 // an even split across the pool, re-balanced under the maxBatch cap.
 func chunkSpan(n, w int) int {
 	size := (n + w - 1) / w
@@ -65,6 +61,8 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	// in this very batch) becomes a waiter; the rest own their entry
 	// and must publish it exactly once, success or failure.
 	keys := make([]uint64, len(reqs))
+	bkeys := make([]uint64, len(reqs))
+	var mems memDigests
 	ents := make([]*entry, len(reqs))
 	owned := make([]bool, len(reqs))
 	invalid := false
@@ -79,7 +77,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 			invalid = true
 			continue
 		}
-		keys[i] = e.key(r)
+		bkeys[i], keys[i] = requestKeys(r, mems.of(r.Mem))
 	}
 	e.mu.Lock()
 	for i, r := range reqs {
@@ -104,42 +102,26 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		cancel() // abort the rest of the batch, like any failing member
 	}
 
-	// Group the owned requests by behavior fingerprint, dedup identical
-	// timing signatures within each group, and chunk the remaining
-	// leaders for batched replay.
+	// Group the owned requests by behavior fingerprint and chunk each
+	// group for batched replay.
 	var groupOrder []uint64
 	groups := map[uint64][]int{}
-	for i, r := range reqs {
+	for i := range reqs {
 		if errs[i] != nil || !owned[i] {
 			continue
 		}
-		bk := e.behaviorKey(r)
+		bk := bkeys[i]
 		if _, ok := groups[bk]; !ok {
 			groupOrder = append(groupOrder, bk)
 		}
 		groups[bk] = append(groups[bk], i)
 	}
-	var chunks [][]int     // request indices, one ReplayBatch pass each
-	var followers [][2]int // {follower index, leader index}
+	var chunks [][]int // request indices, one ReplayBatch pass each
 	for _, bk := range groupOrder {
-		var leaders []int
-		sigSeen := map[uint64]int{}
-		for _, i := range groups[bk] {
-			sig := timingSignature(reqs[i].Conn)
-			if l, ok := sigSeen[sig]; ok {
-				followers = append(followers, [2]int{i, l})
-				continue
-			}
-			sigSeen[sig] = i
-			leaders = append(leaders, i)
-		}
-		span := chunkSpan(len(leaders), e.workers)
-		for lo := 0; lo < len(leaders); lo += span {
-			hi := lo + span
-			if hi > len(leaders) {
-				hi = len(leaders)
-			}
-			chunks = append(chunks, leaders[lo:hi])
+		group := groups[bk]
+		span := chunkSpan(len(group), e.workers)
+		for lo := 0; lo < len(group); lo += span {
+			chunks = append(chunks, group[lo:min(lo+span, len(group))])
 		}
 	}
 
@@ -179,21 +161,6 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		}(i)
 	}
 
-	// Dedup followers share the leader's replay figures with their own
-	// connectivity cost; they own a memo entry of their own, so later
-	// requests for the same design hit the cache directly.
-	for _, fl := range followers {
-		wg.Add(1)
-		go func(i, leader int) {
-			defer wg.Done()
-			v, err := e.awaitShared(bctx, reqs[i], ents[leader])
-			finish(i, v, err)
-			if err != nil {
-				abort(err)
-			}
-		}(fl[0], fl[1])
-	}
-
 	// Batched chunks: each occupies one worker slot and serves all its
 	// members from a single trace pass.
 	for _, chunk := range chunks {
@@ -215,7 +182,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 				}
 				return
 			}
-			e.computeChunk(bctx, reqs, chunk, finish, abort)
+			e.computeChunk(bctx, bkeys[chunk[0]], reqs, chunk, finish, abort)
 		}(chunk)
 	}
 
@@ -234,20 +201,21 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	return out, nil
 }
 
-// computeChunk replays one fingerprint-group chunk through
-// sim.ReplayBatch: the behavior trace is resolved once (single-flight
-// memoized across chunks) and every member's connectivity architecture
-// is re-timed in the same trace pass. A batch fails as a whole when any
-// member's architecture is rejected, so on failure each member is
-// re-timed as its own K=1 replay: the error names its own request and
-// one poisoned member cannot take down its group-mates.
-func (e *Engine) computeChunk(ctx context.Context, reqs []Request, chunk []int, finish func(int, Value, error), abort func(error)) {
+// computeChunk replays one fingerprint-group chunk, whose behavior key
+// is bk, through sim.ReplayBatch: the behavior trace is resolved once
+// (single-flight memoized across chunks) and every member's
+// connectivity architecture is re-timed in the same trace pass. A batch
+// fails as a whole when any member's architecture is rejected, so on
+// failure each member is re-timed as its own K=1 replay: the error
+// names its own request and one poisoned member cannot take down its
+// group-mates.
+func (e *Engine) computeChunk(ctx context.Context, bk uint64, reqs []Request, chunk []int, finish func(int, Value, error), abort func(error)) {
 	instrumented := e.obs.Enabled() || e.metrics != nil
 	var start time.Time
 	if instrumented {
 		start = time.Now()
 	}
-	bt, store, err := e.behaviorTrace(ctx, reqs[chunk[0]])
+	bt, store, err := e.behaviorTrace(ctx, bk, reqs[chunk[0]])
 	if err != nil {
 		for _, i := range chunk {
 			finish(i, Value{}, err)
@@ -330,44 +298,4 @@ func (e *Engine) replayChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int,
 		e.m.batchWall.Observe(float64(wall.Microseconds()))
 	}
 	return nil
-}
-
-// awaitShared waits for a timing-identical leader's result and adapts
-// it to this request: the replayed latency and energy transfer as-is,
-// the gate cost is recomputed from this design's own components, and
-// no simulated work is attributed. The share is counted as a dedup
-// hit, not a cache hit — the design was never simulated before.
-func (e *Engine) awaitShared(ctx context.Context, r Request, leader *entry) (Value, error) {
-	instrumented := e.obs.Enabled() || e.metrics != nil
-	var start time.Time
-	if instrumented {
-		start = time.Now()
-	}
-	select {
-	case <-leader.done:
-	case <-ctx.Done():
-		return Value{}, ctx.Err()
-	}
-	if leader.err != nil {
-		return Value{}, leader.err
-	}
-	// The leader validated only its own architecture; a same-timing
-	// follower can still be structurally infeasible (port bounds are
-	// not part of the timing signature).
-	if err := r.Conn.Validate(); err != nil {
-		return Value{}, err
-	}
-	v := leader.val
-	v.Cost = r.Mem.Gates() + r.Conn.Gates()
-	v.Work = 0
-	v.Hit = false
-	e.mu.Lock()
-	e.stats.BatchDedupHits++
-	e.mu.Unlock()
-	e.m.batchDedup.Inc()
-	if instrumented {
-		e.m.evals.Inc()
-		e.emitEval(r, v, time.Since(start))
-	}
-	return v, nil
 }

@@ -8,63 +8,7 @@ import (
 
 	"memorex/internal/connect"
 	"memorex/internal/mem"
-	"memorex/internal/obs"
 )
-
-// TestTimingSignature: the dedup key must be invariant under cluster
-// and channel reordering and under non-timing parameter changes (name,
-// class, port bound, gates), and must change with any timing or energy
-// parameter.
-func TestTimingSignature(t *testing.T) {
-	a := testArch(4096)
-	base := testConn(t, a, "ahb32")
-
-	// Reorder clusters (and their assignments) — same partition, same
-	// signature.
-	perm := &connect.Arch{Channels: base.Channels}
-	for i := len(base.Clusters) - 1; i >= 0; i-- {
-		perm.Clusters = append(perm.Clusters, base.Clusters[i])
-		perm.Assign = append(perm.Assign, base.Assign[i])
-	}
-	if timingSignature(perm) != timingSignature(base) {
-		t.Error("cluster reordering changed the timing signature")
-	}
-
-	// Non-timing fields are excluded.
-	cosmetic := &connect.Arch{Channels: base.Channels, Clusters: base.Clusters}
-	cosmetic.Assign = append([]connect.Component(nil), base.Assign...)
-	cosmetic.Assign[0].Name = "renamed"
-	cosmetic.Assign[0].MaxPorts += 7
-	cosmetic.Assign[0].BaseGates *= 3
-	cosmetic.Assign[0].GatesPerPort += 100
-	if timingSignature(cosmetic) != timingSignature(base) {
-		t.Error("non-timing component fields changed the timing signature")
-	}
-
-	// Every timing/energy parameter is included.
-	mutations := []func(*connect.Component){
-		func(c *connect.Component) { c.WidthBytes *= 2 },
-		func(c *connect.Component) { c.ArbCycles++ },
-		func(c *connect.Component) { c.BeatCycles++ },
-		func(c *connect.Component) { c.Pipelined = !c.Pipelined },
-		func(c *connect.Component) { c.Split = !c.Split },
-		func(c *connect.Component) { c.EnergyPerByte += 0.001 },
-	}
-	for i, mutate := range mutations {
-		m := &connect.Arch{Channels: base.Channels, Clusters: base.Clusters}
-		m.Assign = append([]connect.Component(nil), base.Assign...)
-		mutate(&m.Assign[0])
-		if timingSignature(m) == timingSignature(base) {
-			t.Errorf("timing mutation %d did not change the signature", i)
-		}
-	}
-
-	// A different partition of the same channels differs even with the
-	// same component everywhere.
-	if timingSignature(testConn(t, a, "ahb32")) != timingSignature(base) {
-		t.Error("independently built identical arch changed the signature")
-	}
-}
 
 // twoCacheArch is a two-module architecture: four channels, so a
 // candidate can change one channel's component and keep the other
@@ -194,72 +138,6 @@ func TestEvaluateBatchPath(t *testing.T) {
 				t.Errorf("CacheHits = %d, want %d", st.CacheHits, len(reqs))
 			}
 		})
-	}
-}
-
-// TestEvaluateBatchDedup: two candidates whose components differ only
-// in gates share one replay — the follower reports the leader's
-// latency and energy under its own gate cost, and is counted as a
-// dedup hit rather than a simulation or cache hit.
-func TestEvaluateBatchDedup(t *testing.T) {
-	tr := testTrace(t)
-	a := testArch(4096)
-	lead := testConn(t, a, "ahb32")
-
-	follow := &connect.Arch{Channels: lead.Channels, Clusters: lead.Clusters}
-	follow.Assign = append([]connect.Component(nil), lead.Assign...)
-	for i := range follow.Assign {
-		follow.Assign[i].Name = follow.Assign[i].Name + "-hardened"
-		follow.Assign[i].BaseGates *= 2
-		follow.Assign[i].GatesPerPort *= 2
-	}
-
-	reg := obs.NewRegistry()
-	e := New(2, WithMetrics(reg))
-	reqs := []Request{
-		sampled(tr, a, lead),
-		sampled(tr, a, testConn(t, a, "mux32")), // second leader so the group batches
-		sampled(tr, a, follow),
-	}
-	got, err := e.Evaluate(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got[2].Latency != got[0].Latency || got[2].Energy != got[0].Energy {
-		t.Errorf("follower figures %+v diverged from leader %+v", got[2], got[0])
-	}
-	if got[2].Cost <= got[0].Cost {
-		t.Errorf("follower cost %.0f not recomputed from its own gates (leader %.0f)",
-			got[2].Cost, got[0].Cost)
-	}
-	if got[2].Hit || got[2].Work != 0 {
-		t.Errorf("follower should report no simulated work and no cache hit, got %+v", got[2])
-	}
-
-	st := e.Stats()
-	if st.BatchDedupHits != 1 {
-		t.Errorf("BatchDedupHits = %d, want 1", st.BatchDedupHits)
-	}
-	if st.Simulations != 2 {
-		t.Errorf("Simulations = %d, want 2 (follower must not simulate)", st.Simulations)
-	}
-	if st.CacheHits != 0 {
-		t.Errorf("CacheHits = %d, want 0 (dedup share is not a cache hit)", st.CacheHits)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["engine/batch/dedup_hits"] != 1 {
-		t.Errorf("engine/batch/dedup_hits = %d, want 1", snap.Counters["engine/batch/dedup_hits"])
-	}
-
-	// The follower owns its memo entry: re-asking for it is a plain
-	// cache hit with the follower's own cost.
-	v, err := e.EvaluateOne(context.Background(), reqs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Hit || v.Cost != got[2].Cost {
-		t.Errorf("follower re-evaluation = %+v, want cache hit with cost %.0f", v, got[2].Cost)
 	}
 }
 

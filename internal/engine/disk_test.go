@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"memorex/internal/btcache"
+	"memorex/internal/mem"
 	"memorex/internal/obs"
 	"memorex/internal/sampling"
+	"memorex/internal/trace"
 )
 
 // mangleEntries flips one payload bit in every cache entry under dir.
@@ -224,15 +226,17 @@ func TestDiskCacheUnlistedChannelRecaptured(t *testing.T) {
 func TestBehaviorFingerprintMatchesEngineKey(t *testing.T) {
 	tr := testTrace(t)
 	a := testArch(8192)
-	e := New(1)
 	cfg := sampling.Config{OnWindow: 500, OffRatio: 9}
-	r := Request{Trace: tr, Mem: a, Mode: Sampled, Sampling: cfg}
-	if got, want := BehaviorFingerprint(tr, a, Sampled, cfg), e.behaviorKey(r); got != want {
-		t.Fatalf("BehaviorFingerprint %x != engine behaviorKey %x (sampled)", got, want)
+	r := Request{Trace: tr, Mem: a, Conn: testConn(t, a, "ahb32"), Mode: Sampled, Sampling: cfg}
+	var mems memDigests
+	bk, _ := requestKeys(r, mems.of(a))
+	if got := BehaviorFingerprint(tr, a, Sampled, cfg); got != bk {
+		t.Fatalf("BehaviorFingerprint %x != engine behavior key %x (sampled)", got, bk)
 	}
 	r.Mode = Full
-	if got, want := BehaviorFingerprint(tr, a, Full, sampling.Config{}), e.behaviorKey(r); got != want {
-		t.Fatalf("BehaviorFingerprint %x != engine behaviorKey %x (full)", got, want)
+	bk, _ = requestKeys(r, mems.of(a))
+	if got := BehaviorFingerprint(tr, a, Full, sampling.Config{}); got != bk {
+		t.Fatalf("BehaviorFingerprint %x != engine behavior key %x (full)", got, bk)
 	}
 }
 
@@ -264,5 +268,45 @@ func TestDiskCacheMetrics(t *testing.T) {
 	}
 	if snap.Counters["engine/behavior_disk_hits"] != 1 {
 		t.Fatalf("engine disk-hit counter = %v, want 1", snap.Counters["engine/behavior_disk_hits"])
+	}
+}
+
+// TestBehaviorFingerprintPinned pins BehaviorFingerprint, the key of
+// every on-disk behavior-trace cache entry, on one fixed trace and
+// architecture. A change to how a trace, an architecture or a sampling
+// plan is digested would silently re-key (and so orphan) every existing
+// cache directory; such a change must re-pin these values on purpose.
+func TestBehaviorFingerprintPinned(t *testing.T) {
+	b := trace.NewBuilder("pinned", 0)
+	buf, _ := b.Region("buf", 4096, 4)
+	tab, _ := b.Region("tab", 1024, 8)
+	for i := uint32(0); i < 2000; i++ {
+		b.Load(buf, (i*4)%4096, 4)
+		if i%3 == 0 {
+			b.Store(tab, (i*24)%1024, 8)
+		}
+		if i%7 == 0 {
+			b.Anon(trace.Store, 0x7fff_0000+i%64, 2)
+		}
+	}
+	tr := b.Build()
+	a := &mem.Architecture{
+		Name:    "pinned",
+		Modules: []mem.Module{mem.MustCache(4096, 32, 2), mem.MustSRAM(1024), mem.MustStreamBuffer(32, 4)},
+		DRAM:    mem.DefaultDRAM(),
+		Route:   map[trace.DSID]int{buf: 2, tab: 1},
+		Default: 0,
+	}
+	for _, c := range []struct {
+		mode Mode
+		s    sampling.Config
+		want uint64
+	}{
+		{Sampled, sampling.Config{OnWindow: 500, OffRatio: 9}, 0x22a9beaae0e04b41},
+		{Full, sampling.Config{}, 0x051228106b04d336},
+	} {
+		if got := BehaviorFingerprint(tr, a, c.mode, c.s); got != c.want {
+			t.Errorf("BehaviorFingerprint(%s) = %#x, want %#x", c.mode, got, c.want)
+		}
 	}
 }

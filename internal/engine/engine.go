@@ -134,12 +134,9 @@ type Stats struct {
 	BehaviorCacheHits int64
 	BehaviorDiskHits  int64
 	// BatchReplays counts ReplayBatch dispatches and BatchedEvals the
-	// evaluations they served; BatchDedupHits counts evaluations that
-	// shared a timing-identical group-mate's replay instead of running
-	// their own.
-	BatchReplays   int64
-	BatchedEvals   int64
-	BatchDedupHits int64
+	// evaluations they served.
+	BatchReplays int64
+	BatchedEvals int64
 	// Phases lists per-phase wall times and counters in first-use
 	// order.
 	Phases []PhaseStat
@@ -158,9 +155,9 @@ func (s Stats) String() string {
 			out += fmt.Sprintf(", %d disk hits", s.BehaviorDiskHits)
 		}
 	}
-	if s.BatchReplays > 0 || s.BatchDedupHits > 0 {
-		out += fmt.Sprintf("; %d batch replays covering %d evals, %d dedup shares",
-			s.BatchReplays, s.BatchedEvals, s.BatchDedupHits)
+	if s.BatchReplays > 0 {
+		out += fmt.Sprintf("; %d batch replays covering %d evals",
+			s.BatchReplays, s.BatchedEvals)
 	}
 	for _, p := range s.Phases {
 		out += fmt.Sprintf("\n  phase %-18s %10v  %6d evals  %6d sims",
@@ -213,8 +210,6 @@ type Engine struct {
 	mu       sync.Mutex
 	cache    map[uint64]*entry
 	behavior map[uint64]*behaviorEntry
-	traceFP  map[*trace.Trace]uint64
-	memFP    map[*mem.Architecture]uint64
 	stats    Stats
 	phase    map[string]int // phase name -> index into stats.Phases
 }
@@ -234,7 +229,6 @@ type instruments struct {
 	evalWallSampled     *obs.Histogram
 	evalWallFull        *obs.Histogram
 	batches             *obs.Counter
-	batchDedup          *obs.Counter
 	batchSize           *obs.Histogram
 	batchWall           *obs.Histogram
 }
@@ -277,8 +271,6 @@ func New(workers int, opts ...Option) *Engine {
 		workers:  workers,
 		cache:    map[uint64]*entry{},
 		behavior: map[uint64]*behaviorEntry{},
-		traceFP:  map[*trace.Trace]uint64{},
-		memFP:    map[*mem.Architecture]uint64{},
 		phase:    map[string]int{},
 	}
 	for _, opt := range opts {
@@ -301,7 +293,6 @@ func New(workers int, opts ...Option) *Engine {
 			evalWallSampled: e.metrics.Histogram("engine/eval_wall_us/sampled"),
 			evalWallFull:    e.metrics.Histogram("engine/eval_wall_us/full"),
 			batches:         e.metrics.Counter("engine/batch/dispatches"),
-			batchDedup:      e.metrics.Counter("engine/batch/dedup_hits"),
 			batchSize:       e.metrics.Histogram("engine/batch/size"),
 			batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
 		}
@@ -446,13 +437,13 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 	return v, nil
 }
 
-// behaviorTrace returns the Phase A event trace of a request, capturing
-// it on first use and serving concurrent duplicates single-flight. A
-// fresh capture is published to waiting chunks at once; the returned
-// store, non-nil only then, writes it through to the persistent cache
-// and is left to the caller to run once its own replay is done.
-func (e *Engine) behaviorTrace(ctx context.Context, r Request) (bt *sim.BehaviorTrace, store func(), err error) {
-	key := e.behaviorKey(r)
+// behaviorTrace returns the Phase A event trace of a request whose
+// behavior key is key, capturing it on first use and serving concurrent
+// duplicates single-flight. A fresh capture is published to waiting
+// chunks at once; the returned store, non-nil only then, writes it
+// through to the persistent cache and is left to the caller to run once
+// its own replay is done.
+func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *sim.BehaviorTrace, store func(), err error) {
 	e.mu.Lock()
 	if ent, ok := e.behavior[key]; ok {
 		e.mu.Unlock()

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"memorex/internal/connect"
 	"memorex/internal/mem"
@@ -62,6 +64,12 @@ func sampled(tr *trace.Trace, a *mem.Architecture, c *connect.Arch) Request {
 	}
 }
 
+// memoKey is the design key Evaluate memoizes r's value under.
+func memoKey(r Request) uint64 {
+	_, k := requestKeys(r, hashMem(r.Mem))
+	return k
+}
+
 // Equivalent architectures built independently must fingerprint
 // identically — that is what makes the cache work across sibling
 // strategies and experiments that re-create the same designs — while any
@@ -69,12 +77,11 @@ func sampled(tr *trace.Trace, a *mem.Architecture, c *connect.Arch) Request {
 // mode) must change the key.
 func TestFingerprintStability(t *testing.T) {
 	tr := testTrace(t)
-	e := New(1)
 
 	a1, a2 := testArch(4096), testArch(4096)
 	c1, c2 := testConn(t, a1, "ahb32"), testConn(t, a2, "ahb32")
 	base := sampled(tr, a1, c1)
-	if got := e.key(sampled(tr, a2, c2)); got != e.key(base) {
+	if got := memoKey(sampled(tr, a2, c2)); got != memoKey(base) {
 		t.Fatal("equivalent architectures produced different memo keys")
 	}
 
@@ -89,7 +96,7 @@ func TestFingerprintStability(t *testing.T) {
 			Sampling: sampling.Config{OnWindow: 1000, OffRatio: 9}}},
 	}
 	for _, d := range diff {
-		if e.key(d.req) == e.key(base) {
+		if memoKey(d.req) == memoKey(base) {
 			t.Errorf("%s change did not change the memo key", d.name)
 		}
 	}
@@ -97,7 +104,7 @@ func TestFingerprintStability(t *testing.T) {
 	// The trace content matters, not its object identity: a different
 	// slice of the same benchmark must miss.
 	tr2 := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 10_000)
-	if e.key(sampled(tr2, a1, c1)) == e.key(base) {
+	if memoKey(sampled(tr2, a1, c1)) == memoKey(base) {
 		t.Fatal("different traces produced the same memo key")
 	}
 }
@@ -238,6 +245,35 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if _, err := e.EvaluateOne(context.Background(), good); err != nil {
 		t.Fatalf("engine unusable after a failed batch: %v", err)
 	}
+}
+
+// TestEvaluateRetainsNoTrace: once its callers drop a trace, the engine
+// must not keep it alive. A long-running daemon evaluates a fresh trace
+// per job, so every trace the engine held on to would stay in its heap
+// for good.
+func TestEvaluateRetainsNoTrace(t *testing.T) {
+	e := New(2)
+	collected := make(chan struct{})
+	func() {
+		tr := testTrace(t)
+		runtime.SetFinalizer(tr, func(*trace.Trace) { close(collected) })
+		a := testArch(4096)
+		c := testConn(t, a, "ahb32")
+		reqs := []Request{sampled(tr, a, c), {Trace: tr, Mem: a, Conn: c, Mode: Full}}
+		if _, err := e.Evaluate(context.Background(), reqs); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	defer runtime.KeepAlive(e)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the trace is still reachable after Evaluate returned: the engine retains it")
 }
 
 // Phase attribution: requests tagged with a phase show up under it, and

@@ -9,39 +9,30 @@ import (
 	"memorex/internal/connect"
 	"memorex/internal/mem"
 	"memorex/internal/sampling"
-	"memorex/internal/sim"
 	"memorex/internal/trace"
 )
 
-// Fingerprinting: the memoization key of a request is a stable 64-bit
-// FNV-1a digest over the structural content of the trace, the memory
-// architecture, the connectivity architecture and the evaluation mode.
-// Two architectures built independently but describing the same design
-// (same modules, routes, DRAM timing, clustering and component
-// assignment) hash identically, so equivalent designs re-created by
-// sibling strategies or experiments hit the cache. Pointer identity is
-// used only as a secondary cache to avoid re-hashing the same trace or
-// architecture object.
+// Fingerprinting: every key the engine memoizes by is a stable 64-bit
+// FNV-1a digest of content, never of object identity, so a long-running
+// engine holds no reference to the traces and architectures it has
+// evaluated. A request's behavior key digests the trace (trace.Digest,
+// kept with the trace itself), the structural memory architecture, the
+// evaluation mode and the sampling plan; it keys the Phase A capture in
+// memory and on disk. Its design key folds the connectivity architecture
+// into the behavior key and keys the memoized value. Two architectures
+// built independently but describing the same design (same modules,
+// routes, DRAM timing, clustering and component assignment) hash
+// identically, so equivalent designs re-created by sibling strategies or
+// experiments hit the cache.
 
-// key computes the memoization key of a request.
-func (e *Engine) key(r Request) uint64 {
+// requestKeys computes a request's behavior key and design key; memFP
+// is hashMem(r.Mem).
+func requestKeys(r Request, memFP uint64) (behavior, design uint64) {
+	behavior = combineBehavior(r.Trace.Digest(), memFP, r.Mode, r.Sampling)
 	h := fnv.New64a()
-	writeU64(h, e.traceFingerprint(r.Trace))
-	writeU64(h, e.memFingerprint(r.Mem))
+	writeU64(h, behavior)
 	writeU64(h, connFingerprint(r.Conn))
-	writeU64(h, uint64(r.Mode))
-	if r.Mode == Sampled {
-		writeU64(h, uint64(r.Sampling.OnWindow))
-		writeU64(h, uint64(r.Sampling.OffRatio))
-	}
-	return h.Sum64()
-}
-
-// behaviorKey computes the memoization key of a Phase A behavior
-// capture: like key, but without the connectivity architecture — that
-// independence is the whole point of the two-phase split.
-func (e *Engine) behaviorKey(r Request) uint64 {
-	return combineBehavior(e.traceFingerprint(r.Trace), e.memFingerprint(r.Mem), r.Mode, r.Sampling)
+	return behavior, h.Sum64()
 }
 
 // BehaviorFingerprint computes the content-based digest of a Phase A
@@ -53,7 +44,7 @@ func (e *Engine) behaviorKey(r Request) uint64 {
 // (e.g. cmd/simulate) that address the btcache directly without an
 // Engine.
 func BehaviorFingerprint(t *trace.Trace, a *mem.Architecture, mode Mode, s sampling.Config) uint64 {
-	return combineBehavior(hashTrace(t), hashMem(a), mode, s)
+	return combineBehavior(t.Digest(), hashMem(a), mode, s)
 }
 
 // combineBehavior folds the component digests into the behavior key.
@@ -69,71 +60,25 @@ func combineBehavior(traceFP, memFP uint64, mode Mode, s sampling.Config) uint64
 	return h.Sum64()
 }
 
-// traceFingerprint hashes a trace via hashTrace, memoized per trace
-// object (traces are immutable once built).
-func (e *Engine) traceFingerprint(t *trace.Trace) uint64 {
-	e.mu.Lock()
-	if fp, ok := e.traceFP[t]; ok {
-		e.mu.Unlock()
-		return fp
-	}
-	e.mu.Unlock()
+// memDigests memoizes hashMem over the requests of one Evaluate call.
+// A call names few architectures, mostly in runs of one, so a scan from
+// the latest entry finds them at once.
+type memDigests []memDigest
 
-	fp := hashTrace(t)
-
-	e.mu.Lock()
-	e.traceFP[t] = fp
-	e.mu.Unlock()
-	return fp
+type memDigest struct {
+	a  *mem.Architecture
+	fp uint64
 }
 
-// hashTrace digests the full access stream and data-structure registry
-// of a trace.
-func hashTrace(t *trace.Trace) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, t.Name)
-	writeU64(h, uint64(len(t.Accesses)))
-	writeU64(h, uint64(len(t.DS)))
-	for _, d := range t.DS {
-		io.WriteString(h, d.Name)
-		writeU64(h, uint64(d.Base))
-		writeU64(h, uint64(d.Size))
-		writeU64(h, uint64(d.Elem))
-	}
-	// Hash accesses in 8-byte records through a chunk buffer: the hot
-	// loop avoids one Write call per access.
-	var buf [8 << 10]byte
-	n := 0
-	for _, a := range t.Accesses {
-		if n == len(buf) {
-			h.Write(buf[:])
-			n = 0
+// of returns hashMem(a), computing it on a's first appearance.
+func (d *memDigests) of(a *mem.Architecture) uint64 {
+	for i := len(*d) - 1; i >= 0; i-- {
+		if (*d)[i].a == a {
+			return (*d)[i].fp
 		}
-		binary.LittleEndian.PutUint32(buf[n:], a.Addr)
-		binary.LittleEndian.PutUint16(buf[n+4:], uint16(a.DS))
-		buf[n+6] = byte(a.Kind)
-		buf[n+7] = a.Size
-		n += 8
 	}
-	h.Write(buf[:n])
-	return h.Sum64()
-}
-
-// memFingerprint hashes an architecture via hashMem, memoized per
-// architecture object.
-func (e *Engine) memFingerprint(a *mem.Architecture) uint64 {
-	e.mu.Lock()
-	if fp, ok := e.memFP[a]; ok {
-		e.mu.Unlock()
-		return fp
-	}
-	e.mu.Unlock()
-
 	fp := hashMem(a)
-
-	e.mu.Lock()
-	e.memFP[a] = fp
-	e.mu.Unlock()
+	*d = append(*d, memDigest{a, fp})
 	return fp
 }
 
@@ -204,25 +149,6 @@ func connFingerprint(c *connect.Arch) uint64 {
 		writeF64(h, comp.BaseGates)
 		writeF64(h, comp.GatesPerPort)
 		writeF64(h, comp.WireGatesPerPort)
-	}
-	return h.Sum64()
-}
-
-// timingSignature hashes only what the connectivity replay can see of
-// an architecture: per channel, the owning cluster's component timing
-// and energy parameters plus the cluster's sorted membership —
-// sim.ChannelSignatures, folded in channel-index order. Names, classes,
-// port bounds and gate counts are excluded — two architectures with
-// equal signatures replay to bit-identical latency and energy figures
-// and differ at most in gate cost, which is closed-form, so the batch
-// dispatcher replays only one of them. Folding per-channel signatures
-// is itself the canonicalization: cluster order and in-cluster channel
-// order never reach the hash.
-func timingSignature(c *connect.Arch) uint64 {
-	h := fnv.New64a()
-	writeU64(h, uint64(len(c.Channels)))
-	for _, sig := range sim.ChannelSignatures(c) {
-		writeU64(h, sig)
 	}
 	return h.Sum64()
 }

@@ -30,11 +30,12 @@ import (
 //     designs, so Table 2's coverage metric applies unchanged.
 //
 // All evaluations flow through engine.Evaluate in deterministic
-// submission order, so the engine's memoization, timing-signature dedup
-// and batch replay make revisits free. Every random decision draws from
-// a PRNG split deterministically from SearchConfig.Seed (per
-// generation/step, per individual/chain), never from shared state, so
-// the same seed yields byte-identical fronts at any worker count.
+// submission order, so the engine's memoization makes revisits free
+// and its batch replay re-times each batch in shared trace passes.
+// Every random decision draws from a PRNG split deterministically from
+// SearchConfig.Seed (per generation/step, per individual/chain), never
+// from shared state, so the same seed yields byte-identical fronts at
+// any worker count.
 
 // SearchProvenance records how a heuristic front was produced; it is
 // embedded in reports so every front is reproducible from its report.

@@ -470,11 +470,12 @@ const (
 // chunk at a time: fill(dst, first) stores events first, first+1, ...
 // into dst. It is the decoder's counterpart of CaptureBehavior's
 // interning and validates everything the replay indexes by: channel
-// module indices and routes in range, stream geometry positive, module,
-// L2 and DRAM latencies and stalls not negative, transfer sizes in
-// [0, MaxBytes], DRAM latencies noDRAM or in [0, MaxDRAMLat], MaxBytes
-// and MaxDRAMLat exactly the bounds a capture records for these events,
-// and every channel an event uses listed.
+// module indices and routes in range, module kinds among mem.Kind's
+// five, stream geometry positive, module, L2 and DRAM latencies and
+// stalls not negative, transfer sizes in [0, MaxBytes], DRAM latencies
+// noDRAM or in [0, MaxDRAMLat], MaxBytes and MaxDRAMLat exactly the
+// bounds a capture records for these events, and every channel an
+// event uses listed.
 func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int)) error {
 	nm := len(bt.Modules)
 	for ci, ch := range bt.Channels {
@@ -486,6 +487,9 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 		}
 	}
 	for mi, m := range bt.Modules {
+		if m.Kind < mem.KindCache || m.Kind > mem.KindDRAM {
+			return fmt.Errorf("sim: module %d has unknown kind %d", mi, int(m.Kind))
+		}
 		if m.Latency < 0 {
 			return fmt.Errorf("sim: module %d has latency %d", mi, m.Latency)
 		}

@@ -79,8 +79,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"memorex/internal/connect"
 	"memorex/internal/mem"
@@ -811,60 +809,4 @@ func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int6
 		st.res.ChannelWait[ch] += grant - at
 	}
 	return grant + int64(ct.cyc[n]) + int64(dramLat)
-}
-
-// FNV-1a parameters for the per-channel signature hash.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// ChannelSignatures returns one 64-bit timing signature per channel of
-// the architecture: a digest of the owning cluster's component timing
-// parameters (width, arbitration, beat, pipelining, split transactions,
-// energy per byte) and the cluster's sorted channel-member list. Two
-// channels with equal signatures on two architectures are served by
-// timing-identical components with identical scheduler sharing, so
-// their per-event timing and energy contributions are interchangeable.
-// Names, classes, port bounds and gate counts are deliberately
-// excluded.
-func ChannelSignatures(arch *connect.Arch) []uint64 {
-	sigs := make([]uint64, len(arch.Channels))
-	var members []int
-	for cl := range arch.Clusters {
-		comp := &arch.Assign[cl]
-		members = append(members[:0], arch.Clusters[cl]...)
-		sort.Ints(members)
-		h := uint64(fnvOffset64)
-		h = fnvMix(h, uint64(comp.WidthBytes))
-		h = fnvMix(h, uint64(comp.ArbCycles))
-		h = fnvMix(h, uint64(comp.BeatCycles))
-		h = fnvMix(h, boolBit(comp.Pipelined))
-		h = fnvMix(h, boolBit(comp.Split))
-		h = fnvMix(h, math.Float64bits(comp.EnergyPerByte))
-		h = fnvMix(h, uint64(len(members)))
-		for _, m := range members {
-			h = fnvMix(h, uint64(m))
-		}
-		for _, ch := range arch.Clusters[cl] {
-			sigs[ch] = h
-		}
-	}
-	return sigs
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

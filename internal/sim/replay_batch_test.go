@@ -223,106 +223,6 @@ func TestReplayBatchProperty(t *testing.T) {
 	}
 }
 
-// TestChannelSignatures pins the per-channel signature contract: a
-// signature changes exactly when the channel's timing (component
-// parameters or cluster sharing) changes, and never with labels or
-// area/port metadata.
-func TestChannelSignatures(t *testing.T) {
-	m := richArch(false)
-	a := buildConnT(t, m, "ahb32", "off32")
-	b := buildConnT(t, m, "ahb32", "off32")
-	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(b)) {
-		t.Fatal("independently built identical archs have different signatures")
-	}
-
-	// Reordering clusters must not move any channel's signature: the
-	// signature is indexed by channel, not by cluster position.
-	r := buildConnT(t, m, "ahb32", "off32")
-	for i, j := 0, len(r.Clusters)-1; i < j; i, j = i+1, j-1 {
-		r.Clusters[i], r.Clusters[j] = r.Clusters[j], r.Clusters[i]
-		r.Assign[i], r.Assign[j] = r.Assign[j], r.Assign[i]
-	}
-	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(r)) {
-		t.Fatal("cluster reordering changed per-channel signatures")
-	}
-
-	// Non-timing metadata is excluded.
-	meta := buildConnT(t, m, "ahb32", "off32")
-	meta.Assign[0].Name = "renamed"
-	meta.Assign[0].MaxPorts += 3
-	meta.Assign[0].BaseGates += 100
-	meta.Assign[0].GatesPerPort += 10
-	if !reflect.DeepEqual(ChannelSignatures(a), ChannelSignatures(meta)) {
-		t.Fatal("non-timing component fields leaked into the signature")
-	}
-
-	// Every timing parameter must flip the owning cluster's channels —
-	// and only those.
-	mutations := []struct {
-		name string
-		mut  func(*connect.Component)
-	}{
-		{"width", func(c *connect.Component) { c.WidthBytes *= 2 }},
-		{"arb", func(c *connect.Component) { c.ArbCycles++ }},
-		{"beat", func(c *connect.Component) { c.BeatCycles++ }},
-		{"pipelined", func(c *connect.Component) { c.Pipelined = !c.Pipelined }},
-		{"split", func(c *connect.Component) { c.Split = !c.Split }},
-		{"epb", func(c *connect.Component) { c.EnergyPerByte += 0.001 }},
-	}
-	base := ChannelSignatures(a)
-	for _, mu := range mutations {
-		mod := buildConnT(t, m, "ahb32", "off32")
-		mu.mut(&mod.Assign[0])
-		got := ChannelSignatures(mod)
-		for ch := range got {
-			inCluster := false
-			for _, c := range mod.Clusters[0] {
-				if c == ch {
-					inCluster = true
-				}
-			}
-			if inCluster && got[ch] == base[ch] {
-				t.Errorf("%s: mutated cluster channel %d kept its signature", mu.name, ch)
-			}
-			if !inCluster && got[ch] != base[ch] {
-				t.Errorf("%s: untouched channel %d changed signature", mu.name, ch)
-			}
-		}
-	}
-
-	// Cluster membership is part of the signature: merging two channels
-	// onto one component changes their sharing, hence their timing.
-	shared := &connect.Arch{Channels: m.Channels()}
-	var on, off []int
-	for i, ch := range shared.Channels {
-		if ch.OffChip {
-			off = append(off, i)
-		} else {
-			on = append(on, i)
-		}
-	}
-	lib := connect.Library()
-	ahb, err := connect.ByName(lib, "ahb32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	off32, err := connect.ByName(lib, "off32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared.Clusters = [][]int{on, off}
-	shared.Assign = []connect.Component{ahb, off32}
-	if err := shared.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := ChannelSignatures(shared)
-	for _, ch := range on {
-		if got[ch] == base[ch] {
-			t.Errorf("channel %d: merging clusters did not change the signature", ch)
-		}
-	}
-}
-
 // TestReplayBatchErrors: an empty batch is a no-op, a nil member and a
 // channel-mismatched member fail loudly with the member's index.
 func TestReplayBatchErrors(t *testing.T) {

@@ -85,11 +85,11 @@ func (b *Builder) Anon(kind Kind, addr uint32, size uint8) {
 // failure, which always indicates a bug in the instrumented workload
 // rather than bad user input.
 func (b *Builder) Build() *Trace {
-	t := b.t
+	t := &Trace{Name: b.t.Name, Accesses: b.t.Accesses, DS: b.t.DS}
 	if err := t.Validate(); err != nil {
 		panic(fmt.Sprintf("trace builder produced invalid trace: %v", err))
 	}
-	return &t
+	return t
 }
 
 // Len returns the number of accesses recorded so far.

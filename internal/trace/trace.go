@@ -10,9 +10,13 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"sort"
+	"sync/atomic"
 )
 
 // Kind distinguishes loads from stores.
@@ -70,14 +74,68 @@ func (d DSInfo) Contains(addr uint32) bool {
 // Trace is a complete memory-access trace: the access stream plus the
 // data-structure registry. Index i of DS describes DSID(i); index 0 is
 // the anonymous pseudo-structure.
+//
+// A trace must not change once its Digest has been taken, and it is
+// passed by pointer, never copied.
 type Trace struct {
 	Name     string
 	Accesses []Access
 	DS       []DSInfo
+
+	digest atomic.Uint64 // Digest, 0 until first computed
 }
 
 // NumAccesses returns the length of the access stream.
 func (t *Trace) NumAccesses() int { return len(t.Accesses) }
+
+// Digest returns a 64-bit FNV-1a digest of the trace's content: its
+// name, its data-structure registry and its full access stream. The
+// digest is computed on first use and kept with the trace, so callers
+// that key caches by trace content pay for hashing once per trace.
+func (t *Trace) Digest() uint64 {
+	if d := t.digest.Load(); d != 0 {
+		return d
+	}
+	d := t.hash()
+	t.digest.Store(d)
+	return d
+}
+
+// hash computes Digest from scratch.
+func (t *Trace) hash() uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	io.WriteString(h, t.Name)
+	u64(uint64(len(t.Accesses)))
+	u64(uint64(len(t.DS)))
+	for _, d := range t.DS {
+		io.WriteString(h, d.Name)
+		u64(uint64(d.Base))
+		u64(uint64(d.Size))
+		u64(uint64(d.Elem))
+	}
+	// Hash accesses in 8-byte records through a chunk buffer: the hot
+	// loop avoids one Write call per access.
+	var buf [8 << 10]byte
+	n := 0
+	for _, a := range t.Accesses {
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint32(buf[n:], a.Addr)
+		binary.LittleEndian.PutUint16(buf[n+4:], uint16(a.DS))
+		buf[n+6] = byte(a.Kind)
+		buf[n+7] = a.Size
+		n += 8
+	}
+	h.Write(buf[:n])
+	return h.Sum64()
+}
 
 // Info returns the registry entry for id. The anonymous entry is returned
 // for out-of-range ids so that callers can always print something.

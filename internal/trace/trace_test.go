@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -76,8 +77,7 @@ func TestBuilderAccessRecording(t *testing.T) {
 
 func TestValidateCatchesOutOfRegion(t *testing.T) {
 	tr := buildSample(t)
-	bad := *tr
-	bad.Accesses = append([]Access(nil), tr.Accesses...)
+	bad := &Trace{Name: tr.Name, Accesses: append([]Access(nil), tr.Accesses...), DS: tr.DS}
 	bad.Accesses[0].Addr = 0 // outside region of DS 1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted out-of-region access")
@@ -86,8 +86,7 @@ func TestValidateCatchesOutOfRegion(t *testing.T) {
 
 func TestValidateCatchesBadSize(t *testing.T) {
 	tr := buildSample(t)
-	bad := *tr
-	bad.Accesses = append([]Access(nil), tr.Accesses...)
+	bad := &Trace{Name: tr.Name, Accesses: append([]Access(nil), tr.Accesses...), DS: tr.DS}
 	bad.Accesses[0].Size = 3
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted size-3 access")
@@ -110,11 +109,51 @@ func TestValidateCatchesOverlap(t *testing.T) {
 
 func TestValidateCatchesUnknownDS(t *testing.T) {
 	tr := buildSample(t)
-	bad := *tr
-	bad.Accesses = append([]Access(nil), tr.Accesses...)
+	bad := &Trace{Name: tr.Name, Accesses: append([]Access(nil), tr.Accesses...), DS: tr.DS}
 	bad.Accesses[0].DS = 99
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted unknown DSID")
+	}
+}
+
+// TestDigest: the digest follows content, not identity. An equal trace
+// built apart digests the same; a change to an access or to the
+// registry changes it; a slice digests its own accesses.
+func TestDigest(t *testing.T) {
+	tr := buildSample(t)
+	d := tr.Digest()
+	if d == 0 || tr.Digest() != d {
+		t.Fatalf("Digest = %#x, then %#x", d, tr.Digest())
+	}
+	if buildSample(t).Digest() != d {
+		t.Error("an equal trace built apart digests differently")
+	}
+	acc := &Trace{Name: tr.Name, Accesses: append([]Access(nil), tr.Accesses...), DS: tr.DS}
+	acc.Accesses[3].Addr += 4
+	reg := &Trace{Name: tr.Name, Accesses: tr.Accesses, DS: append([]DSInfo(nil), tr.DS...)}
+	reg.DS[1].Elem = 2
+	for name, o := range map[string]*Trace{"access": acc, "registry": reg, "slice": tr.Slice(0, 4)} {
+		if o.Digest() == d {
+			t.Errorf("%s change kept the digest", name)
+		}
+	}
+
+	// Concurrent first uses all see the one digest.
+	fresh := buildSample(t)
+	got := make([]uint64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = fresh.Digest()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != d {
+			t.Errorf("goroutine %d: Digest = %#x, want %#x", i, g, d)
+		}
 	}
 }
 
