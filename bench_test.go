@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"memorex/internal/apex"
+	"memorex/internal/btcache"
 	"memorex/internal/connect"
 	"memorex/internal/core"
 	"memorex/internal/engine"
@@ -397,14 +398,11 @@ func BenchmarkAblationVictim(b *testing.B) {
 			DRAM:    mem.DefaultDRAM(),
 			Default: 0,
 		}
-		rp, err := sim.RunMemOnly(tr.Trace, plain)
+		rs, err := sim.MemOnly(context.Background(), tr.Trace, []*mem.Architecture{plain, victim}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rv, err := sim.RunMemOnly(tr.Trace, victim)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rp, rv := rs[0], rs[1]
 		b.ReportMetric(rp.MissRatio()/rv.MissRatio(), "miss-reduction-x")
 		b.ReportMetric(victim.Gates()/plain.Gates(), "cost-increase-x")
 	}
@@ -782,6 +780,45 @@ func BenchmarkCaptureBehavior(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBTCacheRoundTrip measures the trace cache's codec, the CPU
+// half of btcache store and load: btcache.Encode then btcache.Decode
+// (which validates the entry in full) of a full-length compress
+// capture over BenchmarkCaptureBehavior's architecture. entry-MB is the
+// size of the encoded entry.
+func BenchmarkBTCacheRoundTrip(b *testing.B) {
+	tr := workload.Compress{}.Generate(workload.DefaultConfig())
+	arch := &mem.Architecture{
+		Name: "capture",
+		Modules: []mem.Module{
+			mem.MustCache(8192, 32, 2),
+			mem.MustStreamBuffer(32, 8),
+			mem.MustSelfIndirectDMA(512, 16, 0.8),
+		},
+		DRAM:    mem.DefaultDRAM(),
+		Route:   map[trace.DSID]int{1: 1, 2: 2, 3: mem.DirectDRAM},
+		Default: 0,
+	}
+	bt, err := sim.CaptureBehavior(tr, arch, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const fp = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var entry int
+	for i := 0; i < b.N; i++ {
+		data := btcache.Encode(bt, fp)
+		if decodeSink, err = btcache.Decode(data, fp); err != nil {
+			b.Fatal(err)
+		}
+		entry = len(data)
+	}
+	b.ReportMetric(float64(entry)/1e6, "entry-MB")
+}
+
+// decodeSink keeps BenchmarkBTCacheRoundTrip's decoded trace live.
+var decodeSink *sim.BehaviorTrace
 
 // BenchmarkInstrumentedExploration is BenchmarkFigure4 with the full
 // observability stack attached — event ring, JSONL-equivalent fan-out

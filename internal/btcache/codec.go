@@ -45,23 +45,25 @@ import (
 //
 //	section 0  architecture: channels, module metadata, L2/DRAM
 //	           constants, transfer-size and DRAM-latency bounds
-//	section 1  events: the ten parallel per-access columns (the class
-//	           table expanded back into one row per event)
+//	section 1  events: u32 class count, one row per class holding the
+//	           ten sim.Event fields in declaration order, then u32
+//	           event count and one u32 class id per event
 //	section 2  windows: per-window lengths, gap cycles, resync records
 //
 // Every count is cross-checked against its section's exact byte length
 // before anything is allocated, and each section must be consumed to
-// its last byte. Decode compiles the event columns into the trace's
-// class table and checks every event against the architecture section
-// (sim.BehaviorTrace.CompileEvents), so a CRC-valid but structurally
-// inconsistent entry is still rejected rather than replayed.
+// its last byte. This is the trace's in-memory form, so Decode reads
+// the class table and the ids as they are and checks them against the
+// architecture section (sim.BehaviorTrace.Compile) with a fixed amount
+// of work per byte: a CRC-valid but structurally inconsistent entry is
+// still rejected rather than replayed.
 const (
 	// Magic identifies a behavior-trace cache entry.
 	Magic = "MXBT"
 	// FormatVersion is bumped whenever the serialization layout *or*
 	// the capture semantics change (a stale capture replayed under new
 	// semantics would be silently wrong, so version skew is a miss).
-	FormatVersion = 1
+	FormatVersion = 2
 	// headerSize is the fixed entry header before the payload.
 	headerSize = 28
 	// sectionCount is the number of payload sections.
@@ -98,7 +100,7 @@ func corruptf(format string, args ...interface{}) error {
 const (
 	channelBytes = 4 + 4 + 1             // kind, module, offchip
 	moduleBytes  = 4 + 4 + 8 + 4 + 4 + 1 // kind, latency, energy, line, depth, backed
-	eventBytes   = 2 + 1 + 1 + 4 + 4 + 4 + 2 + 4 + 4 + 2
+	classBytes   = 2 + 1 + 1 + 4 + 4 + 4 + 4 + 4 + 2 + 2
 )
 
 // Encode serializes a behavior trace into a cache entry carrying the
@@ -109,8 +111,7 @@ func Encode(bt *sim.BehaviorTrace, fp uint64) []byte {
 		1 + 4 + 8 + // HasL2, L2Latency, L2Energy
 		4 + 8 + // DRAMRowHit, DRAMEnergy
 		4 + 4 // MaxBytes, MaxDRAMLat
-	n := bt.NumEvents()
-	eventsLen := 4 + n*eventBytes
+	eventsLen := 4 + len(bt.Classes)*classBytes + 4 + len(bt.IDs)*4
 	windowsLen := 4 + len(bt.WindowLen)*4 + len(bt.GapCycles)*8 + 4 + len(bt.Resync)*4
 	tableLen := 4 + sectionCount*8
 	payloadLen := tableLen + archLen + eventsLen + windowsLen
@@ -148,13 +149,25 @@ func Encode(bt *sim.BehaviorTrace, fp uint64) []byte {
 	w.i32(int32(bt.MaxBytes))
 	w.i32(int32(bt.MaxDRAMLat))
 
-	// Section 1: event columns, expanded from the class table.
-	w.u32(uint32(n))
-	cols := splitColumns(buf[w.off:], n)
-	for i, id := range bt.IDs {
-		cols.put(i, &bt.Classes[id].Event)
+	// Section 1: the class table, then the class ids.
+	w.u32(uint32(len(bt.Classes)))
+	for i := range bt.Classes {
+		ev := &bt.Classes[i].Event
+		w.u16(uint16(ev.Route))
+		w.u8(ev.Size)
+		w.u8(ev.Flags)
+		w.i32(ev.Stall)
+		w.i32(ev.DemandBytes)
+		w.i32(ev.DemandL2Off)
+		w.i32(ev.PrefBytes)
+		w.i32(ev.PrefL2Off)
+		w.u16(uint16(ev.DemandDRAM))
+		w.u16(uint16(ev.PrefDRAM))
 	}
-	w.off += n * eventBytes
+	w.u32(uint32(len(bt.IDs)))
+	for _, id := range bt.IDs {
+		w.u32(id)
+	}
 
 	// Section 2: window bookkeeping.
 	w.u32(uint32(len(bt.WindowLen)))
@@ -218,7 +231,7 @@ func Decode(data []byte, fp uint64) (*sim.BehaviorTrace, error) {
 		events += int64(wl)
 	}
 	if events != int64(bt.NumEvents()) {
-		return nil, corruptf("window lengths sum to %d events, columns hold %d", events, bt.NumEvents())
+		return nil, corruptf("window lengths sum to %d events, the events section holds %d", events, bt.NumEvents())
 	}
 	return bt, nil
 }
@@ -342,78 +355,48 @@ func decodeArch(sec []byte, bt *sim.BehaviorTrace) error {
 	return r.finish()
 }
 
-// decodeEvents parses section 1 and compiles its columns into the
-// trace's class table, validating every event against section 0.
+// decodeEvents parses section 1 into the trace's class table and class
+// ids and validates them against section 0 (decodeArch must have run).
 func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 	r := &reader{b: sec, section: "events"}
-	// A full-trace capture holds one event per access, millions of
-	// them, so the count is bounded by the section's exact byte length
-	// alone, not by maxCount.
-	n := int(r.u32())
+	// A full-trace capture holds one id per access, millions of them,
+	// and a forged one as many classes, so both counts are bounded by
+	// the section's exact byte length alone, not by maxCount.
+	nc := int(r.u32())
 	if r.err != nil {
 		return r.err
 	}
-	if want := 4 + int64(n)*eventBytes; int64(len(sec)) != want {
-		return corruptf("events section is %d bytes, %d events need %d", len(sec), n, want)
+	if int64(len(sec)-r.off) < int64(nc)*classBytes+4 {
+		return corruptf("events section too short for %d classes", nc)
 	}
-	cols := splitColumns(sec[4:], n)
-	if err := bt.CompileEvents(n, cols.events); err != nil {
+	if nc > 0 { // a capture without events leaves Classes nil
+		bt.Classes = make([]sim.EventClass, nc)
+	}
+	for i := range bt.Classes {
+		ev := &bt.Classes[i].Event
+		ev.Route = int16(r.u16())
+		ev.Size = r.u8()
+		ev.Flags = r.u8()
+		ev.Stall = r.i32()
+		ev.DemandBytes = r.i32()
+		ev.DemandL2Off = r.i32()
+		ev.PrefBytes = r.i32()
+		ev.PrefL2Off = r.i32()
+		ev.DemandDRAM = int16(r.u16())
+		ev.PrefDRAM = int16(r.u16())
+	}
+	n := int(r.u32())
+	if want := 4 + int64(nc)*classBytes + 4 + int64(n)*4; int64(len(sec)) != want {
+		return corruptf("events section is %d bytes, %d classes + %d events need %d", len(sec), nc, n, want)
+	}
+	bt.IDs = u32s[uint32](r, n)
+	if err := r.finish(); err != nil {
+		return err
+	}
+	if err := bt.Compile(); err != nil {
 		return corruptf("events section: %v", err)
 	}
 	return nil
-}
-
-// columns are the ten per-event columns of an events section, in file
-// order; element i of a column of width w is at [w*i, w*(i+1)).
-type columns struct {
-	route, size, flags, stall, demBytes, demL2, demDRAM, pref, prefL2, prefDRAM []byte
-}
-
-// splitColumns slices the columns of n events out of b.
-func splitColumns(b []byte, n int) *columns {
-	next := func(width int) []byte {
-		col := b[:width*n]
-		b = b[width*n:]
-		return col
-	}
-	return &columns{
-		route: next(2), size: next(1), flags: next(1), stall: next(4),
-		demBytes: next(4), demL2: next(4), demDRAM: next(2),
-		pref: next(4), prefL2: next(4), prefDRAM: next(2),
-	}
-}
-
-// put writes event i.
-func (c *columns) put(i int, ev *sim.Event) {
-	le := binary.LittleEndian
-	le.PutUint16(c.route[2*i:], uint16(ev.Route))
-	c.size[i] = ev.Size
-	c.flags[i] = ev.Flags
-	le.PutUint32(c.stall[4*i:], uint32(ev.Stall))
-	le.PutUint32(c.demBytes[4*i:], uint32(ev.DemandBytes))
-	le.PutUint32(c.demL2[4*i:], uint32(ev.DemandL2Off))
-	le.PutUint16(c.demDRAM[2*i:], uint16(ev.DemandDRAM))
-	le.PutUint32(c.pref[4*i:], uint32(ev.PrefBytes))
-	le.PutUint32(c.prefL2[4*i:], uint32(ev.PrefL2Off))
-	le.PutUint16(c.prefDRAM[2*i:], uint16(ev.PrefDRAM))
-}
-
-// events reads events first, first+1, ... into dst.
-func (c *columns) events(dst []sim.Event, first int) {
-	le := binary.LittleEndian
-	for j := range dst {
-		i, ev := first+j, &dst[j]
-		ev.Route = int16(le.Uint16(c.route[2*i:]))
-		ev.Size = c.size[i]
-		ev.Flags = c.flags[i]
-		ev.Stall = int32(le.Uint32(c.stall[4*i:]))
-		ev.DemandBytes = int32(le.Uint32(c.demBytes[4*i:]))
-		ev.DemandL2Off = int32(le.Uint32(c.demL2[4*i:]))
-		ev.DemandDRAM = int16(le.Uint16(c.demDRAM[2*i:]))
-		ev.PrefBytes = int32(le.Uint32(c.pref[4*i:]))
-		ev.PrefL2Off = int32(le.Uint32(c.prefL2[4*i:]))
-		ev.PrefDRAM = int16(le.Uint16(c.prefDRAM[2*i:]))
-	}
 }
 
 // decodeWindows parses section 2 into the sampling-window bookkeeping.
@@ -429,7 +412,7 @@ func decodeWindows(sec []byte, bt *sim.BehaviorTrace) error {
 	if int64(len(sec)-r.off) < int64(nw)*(4+8) {
 		return corruptf("windows section too short for %d windows", nw)
 	}
-	bt.WindowLen = r.i32s(nw)
+	bt.WindowLen = u32s[int32](r, nw)
 	bt.GapCycles = r.i64s(nw)
 	nr := int(r.u32())
 	if r.err != nil {
@@ -439,7 +422,7 @@ func decodeWindows(sec []byte, bt *sim.BehaviorTrace) error {
 		return corruptf("windows section is %d bytes, %d windows + %d resyncs need %d",
 			len(sec), nw, nr, want)
 	}
-	bt.Resync = r.i32s(nr)
+	bt.Resync = u32s[int32](r, nr)
 	return r.finish()
 }
 
@@ -452,6 +435,7 @@ type writer struct {
 }
 
 func (w *writer) u8(v uint8)   { w.b[w.off] = v; w.off++ }
+func (w *writer) u16(v uint16) { binary.LittleEndian.PutUint16(w.b[w.off:], v); w.off += 2 }
 func (w *writer) u32(v uint32) { binary.LittleEndian.PutUint32(w.b[w.off:], v); w.off += 4 }
 func (w *writer) u64(v uint64) { binary.LittleEndian.PutUint64(w.b[w.off:], v); w.off += 8 }
 func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
@@ -525,6 +509,14 @@ func (r *reader) u8() uint8 {
 	return s[0]
 }
 
+func (r *reader) u16() uint16 {
+	s := r.take(2)
+	if s == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(s)
+}
+
 func (r *reader) u32() uint32 {
 	s := r.take(4)
 	if s == nil {
@@ -555,14 +547,15 @@ func (r *reader) bool() bool {
 	}
 }
 
-func (r *reader) i32s(n int) []int32 {
+// u32s reads n 4-byte values.
+func u32s[T int32 | uint32](r *reader, n int) []T {
 	s := r.take(4 * n)
 	if s == nil {
 		return nil
 	}
-	out := make([]int32, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(s[4*i:]))
+		out[i] = T(binary.LittleEndian.Uint32(s[4*i:]))
 	}
 	return out
 }

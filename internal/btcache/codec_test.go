@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"memorex/internal/connect"
@@ -46,10 +47,18 @@ func testBehaviorArch(withL2 bool) *mem.Architecture {
 	return a
 }
 
-// capture runs Phase A over a workload slice, full or sampled.
+// captureWorkload runs Phase A over a 20,000-access workload slice,
+// full or sampled.
 func captureWorkload(t *testing.T, w workload.Workload, sampledMode, withL2 bool) *sim.BehaviorTrace {
 	t.Helper()
-	tr := w.Generate(workload.DefaultConfig()).Slice(0, 20_000)
+	return captureSlice(t, w, 20_000, sampledMode, withL2)
+}
+
+// captureSlice runs Phase A over the workload's first n accesses, full
+// or sampled.
+func captureSlice(t *testing.T, w workload.Workload, n int, sampledMode, withL2 bool) *sim.BehaviorTrace {
+	t.Helper()
+	tr := w.Generate(workload.DefaultConfig()).Slice(0, n)
 	var windows []sim.Window
 	if sampledMode {
 		windows = sampling.Plan(tr.NumAccesses(), sampling.Config{OnWindow: 500, OffRatio: 9})
@@ -109,8 +118,8 @@ func TestDecodeWrongFingerprint(t *testing.T) {
 
 // goldenTrace is a small hand-built behavior trace covering every
 // field of the format, including negative sentinels, empty prefetch
-// legs and multi-window resync records. It must stay stable: the
-// golden fixture pins its encoding.
+// legs, a repeated class and multi-window resync records. It must stay
+// stable: the golden fixture pins its encoding.
 func goldenTrace() *sim.BehaviorTrace {
 	bt := &sim.BehaviorTrace{
 		Channels: []mem.Channel{
@@ -129,23 +138,26 @@ func goldenTrace() *sim.BehaviorTrace {
 		L2Energy:   0.5,
 		DRAMRowHit: 8,
 		DRAMEnergy: 3.75,
-		WindowLen:  []int32{3, 1},
+		WindowLen:  []int32{3, 2},
 		GapCycles:  []int64{0, 1 << 33},
 		Resync:     []int32{0, -1, 5, 12, 7, -1, 0, 0},
 		MaxBytes:   64,
 		MaxDRAMLat: 20,
 	}
-	return withEvents(bt, []sim.Event{
-		{Route: 0, Size: 4, Flags: 1, DemandDRAM: -1, PrefDRAM: -1},
-		{Route: 1, Size: 2, Stall: 3, DemandBytes: 32, DemandL2Off: 32, DemandDRAM: 20, PrefBytes: 64, PrefDRAM: 8},
-		{Route: -1, Size: 8, DemandBytes: 8, DemandDRAM: 8, PrefDRAM: -1},
-		{Route: 0, Size: 1, Flags: 1, Stall: 1, DemandDRAM: -1, PrefDRAM: -1},
-	})
+	bt.Classes = []sim.EventClass{
+		{Event: sim.Event{Route: 0, Size: 4, Flags: 1, DemandDRAM: -1, PrefDRAM: -1}},
+		{Event: sim.Event{Route: 1, Size: 2, Stall: 3, DemandBytes: 32, DemandL2Off: 32, DemandDRAM: 20, PrefBytes: 64, PrefDRAM: 8}},
+		{Event: sim.Event{Route: -1, Size: 8, DemandBytes: 8, DemandDRAM: 8, PrefDRAM: -1}},
+		{Event: sim.Event{Route: 0, Size: 1, Flags: 1, Stall: 1, DemandDRAM: -1, PrefDRAM: -1}},
+	}
+	bt.IDs = []uint32{0, 1, 2, 0, 3}
+	return compiled(bt)
 }
 
-// withEvents compiles evs into bt's class table.
-func withEvents(bt *sim.BehaviorTrace, evs []sim.Event) *sim.BehaviorTrace {
-	if err := bt.CompileEvents(len(evs), func(dst []sim.Event, first int) { copy(dst, evs[first:]) }); err != nil {
+// compiled derives bt's class counts and replay views from its class
+// table and ids, as Decode does.
+func compiled(bt *sim.BehaviorTrace) *sim.BehaviorTrace {
+	if err := bt.Compile(); err != nil {
 		panic(err)
 	}
 	return bt
@@ -160,7 +172,7 @@ const goldenFingerprint = 0x0123456789abcdef
 // order, widths, header layout — fails here instead of silently
 // invalidating (or worse, misreading) every deployed cache.
 func TestGoldenFixture(t *testing.T) {
-	path := filepath.Join("testdata", "golden_v1.btc")
+	path := filepath.Join("testdata", "golden_v2.btc")
 	data := Encode(goldenTrace(), goldenFingerprint)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -185,8 +197,43 @@ func TestGoldenFixture(t *testing.T) {
 	if !reflect.DeepEqual(got, goldenTrace()) {
 		t.Fatalf("golden fixture decoded to a different trace:\n got %+v\nwant %+v", got, goldenTrace())
 	}
-	if _, err := sim.ReplayBatch(got, []*connect.Arch{channelArch(got)}); err != nil {
+	if _, err := sim.ReplayBatch(got, []*connect.Arch{testConn(t, got)}); err != nil {
 		t.Fatalf("golden fixture does not replay: %v", err)
+	}
+}
+
+// TestGoldenV1IsAMiss: an entry of format version 1, which stored one
+// 28-byte row per event, is not read: Decode rejects it at the version
+// check, and the cache counts it a miss and quarantines the file, so
+// the engine recaptures.
+func TestGoldenV1IsAMiss(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.btc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v1, goldenFingerprint); !IsCorrupt(err) {
+		t.Fatalf("Decode of a v1 entry returned %v, want a CorruptError", err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, entryName(goldenFingerprint))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(goldenFingerprint); ok {
+		t.Fatal("a v1 entry was served as a hit")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("v1 entry still live after the miss (stat err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, entryName(goldenFingerprint))); err != nil {
+		t.Fatalf("v1 entry not quarantined: %v", err)
+	}
+	if st := c.Stats(); st.CorruptQuarantined != 1 || st.Misses != 1 {
+		t.Fatalf("stats after a v1 entry = %+v, want 1 corrupt quarantine and 1 miss", st)
 	}
 }
 
@@ -215,14 +262,17 @@ func TestSectionBoundaries(t *testing.T) {
 }
 
 // largeTrace is a full-trace-shaped capture of n events in one window,
-// with every field varying so a misplaced column would show; its
-// transfer and DRAM-latency bounds are the ones a capture would record.
+// each its own class, with every field varying so a misplaced field
+// would show; its transfer and DRAM-latency bounds are the ones a
+// capture would record.
 func largeTrace(n int) *sim.BehaviorTrace {
 	bt := goldenTrace()
-	evs := make([]sim.Event, n)
+	bt.Classes = make([]sim.EventClass, n)
+	bt.IDs = make([]uint32, n)
 	bt.MaxBytes, bt.MaxDRAMLat = 4, 0
 	for i := range n {
-		evs[i] = sim.Event{
+		bt.IDs[i] = uint32(i)
+		bt.Classes[i].Event = sim.Event{
 			Route:       int16(i%3 - 1),
 			Size:        uint8(1 << (i % 4)),
 			Flags:       uint8(i % 2),
@@ -234,14 +284,14 @@ func largeTrace(n int) *sim.BehaviorTrace {
 			PrefL2Off:   int32(i % 19),
 			PrefDRAM:    int16(i%23 - 1),
 		}
-		ev := &evs[i]
+		ev := &bt.Classes[i].Event
 		bt.MaxBytes = max(bt.MaxBytes, int(ev.Size), int(ev.DemandBytes), int(ev.DemandL2Off), int(ev.PrefBytes), int(ev.PrefL2Off))
 		bt.MaxDRAMLat = max(bt.MaxDRAMLat, int(ev.DemandDRAM), int(ev.PrefDRAM))
 	}
 	bt.WindowLen = []int32{int32(n)}
 	bt.GapCycles = []int64{0}
 	bt.Resync = make([]int32, len(bt.Modules)*2)
-	return withEvents(bt, evs)
+	return compiled(bt)
 }
 
 // TestLargeCaptureRoundTrip: a capture of more than 2^20 events — a
@@ -281,7 +331,7 @@ func assertLargeRoundTrip(t *testing.T, bt *sim.BehaviorTrace) {
 	if err != nil {
 		t.Fatalf("decode failed: %v", err)
 	}
-	if !reflect.DeepEqual(got, bt) {
+	if !sameTrace(got, bt) {
 		t.Fatal("large capture round trip diverged")
 	}
 
@@ -296,9 +346,27 @@ func assertLargeRoundTrip(t *testing.T, bt *sim.BehaviorTrace) {
 	if !ok {
 		t.Fatal("cache missed a large capture it just stored")
 	}
-	if !reflect.DeepEqual(got, bt) {
+	if !sameTrace(got, bt) {
 		t.Fatal("large capture diverged through the cache")
 	}
+}
+
+// sameTrace is reflect.DeepEqual for behavior traces, except that the
+// long slices are compared with == element by element (so a nil and
+// an empty slice compare equal): under the race detector, reflecting
+// over a million classes took longer than the round trip it checks.
+func sameTrace(a, b *sim.BehaviorTrace) bool {
+	if !slices.Equal(a.Classes, b.Classes) || !slices.Equal(a.IDs, b.IDs) ||
+		!slices.Equal(a.WindowLen, b.WindowLen) || !slices.Equal(a.GapCycles, b.GapCycles) ||
+		!slices.Equal(a.Resync, b.Resync) {
+		return false
+	}
+	short := func(bt *sim.BehaviorTrace) sim.BehaviorTrace {
+		c := *bt
+		c.Classes, c.IDs, c.WindowLen, c.GapCycles, c.Resync = nil, nil, nil, nil, nil
+		return c
+	}
+	return reflect.DeepEqual(short(a), short(b))
 }
 
 // reseal recomputes an entry's payload checksum after a deliberate edit.
@@ -308,10 +376,10 @@ func reseal(data []byte) []byte {
 }
 
 // TestDecodeRejectsForgedEvents: an entry whose checksum is valid but
-// whose events do not fit its architecture section must be corrupt,
-// never a trace. Rewriting event 0's route to 99 in a three-module
-// capture used to decode fine and then crash ReplayBatch with an index
-// out of range.
+// whose events do not fit its architecture section, or whose class ids
+// do not fit its class table, must be corrupt, never a trace. Rewriting
+// an event's route to 99 in a three-module capture used to decode fine
+// and then crash ReplayBatch with an index out of range.
 func TestDecodeRejectsForgedEvents(t *testing.T) {
 	bt := captureWorkload(t, workload.Compress{}, false, true)
 	const fp = 7
@@ -320,8 +388,10 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, events := bounds[1], bounds[2]+4 // section starts; events skip their count
-	n := bt.NumEvents()
+	// Section starts; class 0's row follows the class count, and the
+	// ids follow the class rows and the event count.
+	arch, class0 := bounds[1], bounds[2]+4
+	ids := class0 + len(bt.Classes)*classBytes + 4
 	nCh, nMod := len(bt.Channels), len(bt.Modules)
 	channelModule := func(i int) int { return arch + 4 + i*channelBytes + 4 }
 	module := func(i int) int { return arch + 4 + nCh*channelBytes + 4 + i*moduleBytes }
@@ -332,14 +402,14 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 	put32 := func(off int, v int32) func([]byte) {
 		return func(b []byte) { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }
 	}
-	demBytes := events + n*(2+1+1+4)
-	prefDRAM := events + n*(eventBytes-2)
+	// Field offsets within class 0's row.
+	stall, demBytes, prefDRAM := class0+4, class0+8, class0+classBytes-2
 	cases := []struct {
 		name string
 		edit func([]byte)
 	}{
-		{"route 99", put16(events, 99)},
-		{"route -2", put16(events, -2)},
+		{"route 99", put16(class0, 99)},
+		{"route -2", put16(class0, -2)},
 		{"channel module out of range", put32(channelModule(0), int32(nMod))},
 		// Module 0, the default route, loses its CPU channel, then its
 		// backing channel (channel nMod), to module 1.
@@ -361,7 +431,10 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 		{"negative module latency", put32(module(0)+4, -1)},
 		{"negative L2 latency", put32(module(nMod)+1, -1)},
 		{"negative DRAM row hit", put32(maxBytesOff-12, -1)},
-		{"negative stall", put32(events+n*4, -1)},
+		{"negative stall", put32(stall, -1)},
+		{"class id past the class table", put32(ids, int32(len(bt.Classes)))},
+		{"class id skipping class 0", put32(ids, 1)},
+		{"class count overrunning the section", put32(bounds[2], 1<<30)},
 	}
 	for _, c := range cases {
 		forged := bytes.Clone(data)

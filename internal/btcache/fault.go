@@ -122,7 +122,7 @@ func Mutations(data []byte) ([]Mutation, error) {
 	}
 	// Every header bit position matters; flip each header byte, then
 	// sample the payload with a stride coprime to the record sizes so
-	// the flips land in every column over a long entry.
+	// the flips land in every field of a record over a long entry.
 	for off := 0; off < headerSize && off < len(data); off++ {
 		muts = append(muts, FlipBit(off, uint(off)%8))
 	}

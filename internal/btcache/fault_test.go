@@ -30,9 +30,11 @@ func replayFigures(t *testing.T, bt *sim.BehaviorTrace) (lat, nrg float64) {
 // garbage, bit flips across header and payload — must yield a clean
 // miss with the damaged file quarantined, after which a recapture
 // stores a fresh entry whose replay matches the original bit-for-bit.
-// Zero mutations may produce a trace that replays differently.
+// Zero mutations may produce a trace that replays differently. The
+// sampled capture covers 150,000 accesses, so its entry (~63 kB) gets
+// about 480 payload bit flips.
 func TestFaultInjectionSuite(t *testing.T) {
-	bt := captureWorkload(t, workload.Compress{}, true, true)
+	bt := captureSlice(t, workload.Compress{}, 150_000, true, true)
 	const fp = 0xdeadbeefcafef00d
 	data := Encode(bt, fp)
 	wantLat, wantNrg := replayFigures(t, bt)
@@ -97,7 +99,8 @@ func TestFaultInjectionSuite(t *testing.T) {
 			}
 
 			// Recovery: recapture (here: re-Put) and the next Get serves
-			// a trace replaying identically to the original.
+			// the original trace, so it replays identically (replay is a
+			// function of the trace).
 			if err := c.Put(fp, bt); err != nil {
 				t.Fatal(err)
 			}
@@ -105,9 +108,8 @@ func TestFaultInjectionSuite(t *testing.T) {
 			if !ok {
 				t.Fatal("recaptured entry missed")
 			}
-			if lat, nrg := replayFigures(t, fresh); lat != wantLat || nrg != wantNrg {
-				t.Fatalf("recaptured entry replays differently: lat %v vs %v, nrg %v vs %v",
-					lat, wantLat, nrg, wantNrg)
+			if !sameTrace(fresh, bt) {
+				t.Fatal("recaptured entry differs from the original trace")
 			}
 		})
 	}

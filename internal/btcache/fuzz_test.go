@@ -18,9 +18,10 @@ import (
 // encodes back to the very same bytes and replays through
 // sim.ReplayBatch over its own channels without an error. Each input
 // is also tried with its checksum recomputed, so mutations reach the
-// structural checks behind the CRC instead of stopping at it.
+// structural checks behind the CRC instead of stopping at it. The
+// version-1 fixture seeds the version check.
 func FuzzDecode(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.btc"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v2.btc"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,6 +37,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(bt, 3))
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.btc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 
 	check := func(t *testing.T, data []byte) {
 		var fp uint64
@@ -52,7 +58,7 @@ func FuzzDecode(f *testing.F) {
 		if back := Encode(bt, fp); !bytes.Equal(back, data) {
 			t.Fatalf("decoded entry re-encodes to different bytes (%d vs %d)", len(back), len(data))
 		}
-		if _, err := sim.ReplayBatch(bt, []*connect.Arch{channelArch(bt)}); err != nil {
+		if _, err := sim.ReplayBatch(bt, []*connect.Arch{testConn(t, bt)}); err != nil {
 			t.Fatalf("decoded entry does not replay: %v", err)
 		}
 	}
@@ -64,22 +70,4 @@ func FuzzDecode(f *testing.F) {
 			check(t, sealed)
 		}
 	})
-}
-
-// channelArch is a one-cluster-per-channel connectivity architecture
-// over bt's own channels: ahb32 on chip, off32 off chip.
-func channelArch(bt *sim.BehaviorTrace) *connect.Arch {
-	lib := connect.Library()
-	on, _ := connect.ByName(lib, "ahb32")
-	off, _ := connect.ByName(lib, "off32")
-	a := &connect.Arch{Channels: bt.Channels}
-	for i, ch := range bt.Channels {
-		a.Clusters = append(a.Clusters, []int{i})
-		if ch.OffChip {
-			a.Assign = append(a.Assign, off)
-		} else {
-			a.Assign = append(a.Assign, on)
-		}
-	}
-	return a
 }

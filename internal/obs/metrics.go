@@ -174,7 +174,7 @@ func (h *Histogram) Observe(v float64) {
 
 // Quantile returns the interpolated q-quantile (q in [0,1]); 0 on a nil
 // or empty histogram. Within a bucket the distribution is assumed
-// uniform; the result is clamped to the observed [min, max].
+// uniform over the bucket's range clipped to the observed [min, max].
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -201,16 +201,11 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 			continue
 		}
 		if cum+float64(n) >= rank {
+			// No observation lies outside [min, max], so the bucket's
+			// values spread over its range clipped to them.
 			lo, hi := bucketBounds(k)
-			frac := (rank - cum) / float64(n)
-			v := lo + (hi-lo)*frac
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			lo, hi = max(lo, h.min), min(hi, h.max)
+			return lo + (hi-lo)*(rank-cum)/float64(n)
 		}
 		cum += float64(n)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +178,29 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if st.P50 > st.P95 || st.P95 > st.P99 {
 		t.Fatalf("quantiles not monotone: %+v", st)
+	}
+
+	// 1000 observations uniform on the integers 900..1099 straddle the
+	// 1024 bucket boundary, and the upper bucket is mostly empty above
+	// the maximum: interpolating over [1024, 2048) and clamping to the
+	// maximum afterwards reported p95 == p99 == 1099.
+	h = reg.Histogram("straddle")
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(900 + i/5))
+	}
+	st = reg.Snapshot().Histograms["straddle"]
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p50", st.P50, 999.5}, {"p95", st.P95, 1089}, {"p99", st.P99, 1097},
+	} {
+		if math.Abs(c.got-c.want) > 0.02*c.want {
+			t.Errorf("%s = %.1f, want within 2%% of %.1f", c.name, c.got, c.want)
+		}
+	}
+	if st.P95 >= st.P99 {
+		t.Errorf("p95 %.1f not below p99 %.1f", st.P95, st.P99)
 	}
 }
 

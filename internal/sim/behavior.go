@@ -217,8 +217,8 @@ func (cm *chanMap) view(bt *BehaviorTrace, ev *Event) access {
 	return e
 }
 
-// classTable interns events into a trace's class table while the trace
-// is built, through an open-addressing hash table of class ids over
+// classTable interns events into a trace's class table while capture
+// records it, through an open-addressing hash table of class ids over
 // packed event keys; a key comparison is one branch. Checking the
 // previous event's class first was measured slower: in real traces
 // consecutive events alternate between classes often enough that the
@@ -236,9 +236,9 @@ func newClassTable(bt *BehaviorTrace, events int) *classTable {
 	return &classTable{bt: bt, slots: make([]uint32, 64)}
 }
 
-// finish decodes every class's replay view once the trace is complete.
-func (ct *classTable) finish() {
-	bt := ct.bt
+// setViews decodes every class's replay view once the class table is
+// complete.
+func (bt *BehaviorTrace) setViews() {
 	cm := newChanMap(bt)
 	for i := range bt.Classes {
 		bt.Classes[i].view = cm.view(bt, &bt.Classes[i].Event)
@@ -439,7 +439,7 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 		bt.WindowLen[wi] = int32(w.Hi - w.Lo)
 		pos = w.Hi
 	}
-	c.classes.finish()
+	bt.setViews()
 	bt.MaxBytes, bt.MaxDRAMLat = bt.eventBounds()
 	return bt, nil
 }
@@ -465,18 +465,21 @@ const (
 	maxStreamDepth   = 1 << 16
 )
 
-// CompileEvents builds the class table of a trace whose other fields
-// are set from its n events, which fill hands over in trace order a
-// chunk at a time: fill(dst, first) stores events first, first+1, ...
-// into dst. It is the decoder's counterpart of CaptureBehavior's
-// interning and validates everything the replay indexes by: channel
-// module indices and routes in range, module kinds among mem.Kind's
-// five, stream geometry positive, module, L2 and DRAM latencies and
-// stalls not negative, transfer sizes in [0, MaxBytes], DRAM latencies
-// noDRAM or in [0, MaxDRAMLat], MaxBytes and MaxDRAMLat exactly the
-// bounds a capture records for these events, and every channel an
-// event uses listed.
-func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int)) error {
+// Compile validates a trace whose fields, class table and ids included,
+// are set, and derives each class's Count and replay view: the
+// decoder's counterpart of CaptureBehavior, with a fixed amount of work
+// per class and per id. It validates everything the replay indexes by:
+// channel module
+// indices and routes in range, module kinds among mem.Kind's five,
+// stream geometry positive, module, L2 and DRAM latencies and stalls
+// not negative, transfer sizes in [0, MaxBytes], DRAM latencies noDRAM
+// or in [0, MaxDRAMLat], MaxBytes and MaxDRAMLat exactly the bounds a
+// capture records for these events, every channel an event uses
+// listed, and every id in range, with the ids introducing the classes
+// in first-occurrence order, the order capture assigns (so every class
+// is used). It does not check that the classes are distinct: a repeated
+// class replays like the one it repeats.
+func (bt *BehaviorTrace) Compile() error {
 	nm := len(bt.Modules)
 	for ci, ch := range bt.Channels {
 		switch ch.Kind {
@@ -503,16 +506,8 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 	if bt.MaxBytes > maxTransferBytes {
 		return fmt.Errorf("sim: transfer bound %d exceeds %d bytes", bt.MaxBytes, maxTransferBytes)
 	}
-	ct := newClassTable(bt, n)
-	buf := make([]Event, min(n, 512))
-	for first := 0; first < n; first += len(buf) {
-		chunk := buf[:min(len(buf), n-first)]
-		fill(chunk, first)
-		for i := range chunk {
-			ct.add(&chunk[i])
-		}
-	}
 	for ci := range bt.Classes {
+		bt.Classes[ci].Count = 0
 		ev := &bt.Classes[ci].Event
 		if ev.Route < -1 || int(ev.Route) >= nm {
 			return fmt.Errorf("sim: event class %d routes to module %d of %d", ci, ev.Route, nm)
@@ -521,6 +516,19 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 			return fmt.Errorf("sim: event class %d has a negative stall, byte count or DRAM latency", ci)
 		}
 	}
+	var next uint32 // the id of the first class no event has used yet
+	for i, id := range bt.IDs {
+		if id > next || id >= uint32(len(bt.Classes)) {
+			return fmt.Errorf("sim: event %d has class %d, but the next new class is %d of %d", i, id, next, len(bt.Classes))
+		}
+		if id == next {
+			next++
+		}
+		bt.Classes[id].Count++
+	}
+	if int(next) != len(bt.Classes) {
+		return fmt.Errorf("sim: class %d of %d is never used", next, len(bt.Classes))
+	}
 	// With nothing negative, bounds equal to the events' maxima put every
 	// byte count in [0, MaxBytes] and every DRAM latency in
 	// [noDRAM, MaxDRAMLat].
@@ -528,7 +536,7 @@ func (bt *BehaviorTrace) CompileEvents(n int, fill func(dst []Event, first int))
 		return fmt.Errorf("sim: declared bounds %d bytes, %d DRAM cycles; the events need %d, %d",
 			bt.MaxBytes, bt.MaxDRAMLat, maxBytes, maxDRAM)
 	}
-	ct.finish()
+	bt.setViews()
 	// A capture lists the CPU channel of every module an event uses and
 	// the backing channel of every module with a demand leg; a forged
 	// entry need not.

@@ -57,8 +57,9 @@ func randomEvents(rng *rand.Rand, bt *BehaviorTrace, n int, prefetch bool) []Eve
 
 // TestManyClassTrace drives the class table far past real captures
 // (which have at most a few dozen classes) and past any 16-bit class
-// id: random in-bounds events with over 70,000 distinct classes must
-// survive column -> class -> column unchanged, and ReplayBatch must
+// id: random in-bounds events with over 70,000 distinct classes,
+// interned by capture's class table, must pass Compile and come back
+// from the trace unchanged, and ReplayBatch must
 // equal replayReference bit for bit on contended and uncontended
 // architectures, on full and windowed traces, with and without an L2.
 func TestManyClassTrace(t *testing.T) {
@@ -112,7 +113,11 @@ func TestManyClassTrace(t *testing.T) {
 					}
 				}
 			}
-			if err := bt.CompileEvents(n, func(dst []Event, first int) { copy(dst, evs[first:]) }); err != nil {
+			ct := newClassTable(bt, n)
+			for i := range evs {
+				ct.add(&evs[i])
+			}
+			if err := bt.Compile(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if len(bt.Classes) <= minClasses {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"memorex/internal/connect"
@@ -125,10 +126,11 @@ func TestL2ShieldsDRAM(t *testing.T) {
 func TestL2MemOnlyAgrees(t *testing.T) {
 	tr := workload.Compress{}.Generate(workload.Config{Scale: 1, Seed: 42}).Slice(0, 100_000)
 	hier := l2Arch(1024, 65536)
-	rm, err := RunMemOnly(tr, hier)
+	rms, err := MemOnly(context.Background(), tr, []*mem.Architecture{hier}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rm := rms[0]
 	s, err := New(hier, buildL2Conn(t, hier))
 	if err != nil {
 		t.Fatal(err)

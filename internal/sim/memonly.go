@@ -37,17 +37,6 @@ func (r *MemOnlyResult) MissRatio() float64 {
 	return float64(r.Misses) / float64(r.Accesses)
 }
 
-// RunMemOnly evaluates one architecture under an ideal interconnect: the
-// single-architecture call of MemOnly. The caller's module state is
-// untouched.
-func RunMemOnly(t *trace.Trace, arch *mem.Architecture) (*MemOnlyResult, error) {
-	rs, err := MemOnly(context.Background(), t, []*mem.Architecture{arch}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // MemOnly evaluates every architecture under an ideal interconnect and
 // returns one result per architecture, in order. The counts equal what
 // the one-phase simulator (Simulator.Run) reports for Hits, Misses,

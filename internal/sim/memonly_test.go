@@ -163,11 +163,11 @@ func TestMemOnlyMatchesRun(t *testing.T) {
 	for _, c := range cases {
 		byTrace[c.tr] = append(byTrace[c.tr], c.arch)
 		want[c.arch] = runOnePhase(t, c.tr, c.arch)
-		r, err := sim.RunMemOnly(c.tr, c.arch)
+		rs, err := sim.MemOnly(context.Background(), c.tr, []*mem.Architecture{c.arch}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstRun(t, c.arch, r, want[c.arch])
+		checkAgainstRun(t, c.arch, rs[0], want[c.arch])
 	}
 	for tr, archs := range byTrace {
 		rs, err := sim.MemOnly(context.Background(), tr, archs, 3)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -304,10 +305,11 @@ func TestResultAdd(t *testing.T) {
 func TestMemOnlyMatchesModuleBehaviour(t *testing.T) {
 	tr := workload.Compress{}.Generate(workload.Config{Scale: 1, Seed: 42})
 	m := cacheArch(8192)
-	r, err := RunMemOnly(tr, m)
+	rs, err := MemOnly(context.Background(), tr, []*mem.Architecture{m}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Accesses != int64(tr.NumAccesses()) {
 		t.Fatal("access count wrong")
 	}
@@ -347,8 +349,11 @@ func TestMemOnlySRAMMapping(t *testing.T) {
 		Route:   map[trace.DSID]int{htab: 1},
 		Default: 0,
 	}
-	r0, _ := RunMemOnly(tr, base)
-	r1, _ := RunMemOnly(tr, mapped)
+	rs, err := MemOnly(context.Background(), tr, []*mem.Architecture{base, mapped}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := rs[0], rs[1]
 	if r1.Misses >= r0.Misses {
 		t.Fatalf("mapping htab to SRAM should cut misses: %d -> %d", r0.Misses, r1.Misses)
 	}
@@ -357,7 +362,7 @@ func TestMemOnlySRAMMapping(t *testing.T) {
 func TestMemOnlyValidates(t *testing.T) {
 	tr := streamTrace(10)
 	bad := &mem.Architecture{Name: "bad", Default: 5, DRAM: mem.DefaultDRAM()}
-	if _, err := RunMemOnly(tr, bad); err == nil {
+	if _, err := MemOnly(context.Background(), tr, []*mem.Architecture{bad}, 1); err == nil {
 		t.Fatal("invalid architecture accepted")
 	}
 }
