@@ -16,12 +16,15 @@ vet:
 
 # microbench runs the layer microbenchmarks six times each — Phase B
 # replay (K=1, a prefetch-free batch and a contended batch), Phase A
-# capture (full and sampled), APEX's sim.MemOnly, profile.Analyze and
-# the trace cache's encode + decode — and prints every metric's median
-# and min–max over the six runs. The raw output stays in
-# microbench.out, an OLD or NEW for microbench-compare.
+# capture (full and sampled), APEX's sim.MemOnly, profile.Analyze, the
+# trace cache's encode + decode, and the engine's dispatch path on a
+# memo hit (claim, wait and account; with and without an observer) —
+# and prints every metric's median and min–max over the six runs. The
+# raw output stays in microbench.out, an OLD or NEW for
+# microbench-compare.
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze|BTCacheRoundTrip)' -benchmem -count 6 . | tee microbench.out
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateObserver$$' -benchmem -count 6 ./internal/engine/ | tee -a microbench.out
 	@awk -f scripts/microbench.awk -f scripts/microbench-summary.awk microbench.out
 
 # microbench-compare is the performance regression gate: it compares

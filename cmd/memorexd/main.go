@@ -10,7 +10,7 @@
 //
 //	memorexd [-addr localhost:8344] [-workers N]
 //	         [-queue N] [-max-running N] [-tenant-quota N]
-//	         [-job-retention D] [-drain-timeout D] [-shared-events]
+//	         [-job-retention D] [-drain-timeout D]
 //	         [-lib FILE] [-trace-cache DIR] [-trace-cache-limit SIZE]
 //	         [-events FILE] [-progress] [-debug-addr ADDR]
 //
@@ -20,6 +20,11 @@
 // bounded: -queue caps waiting jobs and -tenant-quota caps each
 // tenant's active jobs (both rejecting with 429 + Retry-After), and
 // -max-running bounds concurrently executing jobs.
+//
+// A job's event stream carries only the events stamped with its id.
+// Engine-level events (phase brackets and evaluations of the shared
+// engine, which may serve several jobs at once) belong to no job; they
+// reach -events FILE and -progress but no job's stream.
 //
 // Finished jobs (done, failed or cancelled) stay queryable for
 // -job-retention after completing, then a janitor evicts them; the
@@ -64,7 +69,6 @@ func run() int {
 	tenantQuota := flag.Int("tenant-quota", 0, "max active (queued+running) jobs per tenant (0 = unlimited)")
 	jobRetention := flag.Duration("job-retention", time.Hour, "how long finished jobs stay queryable before eviction (0 = forever)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max time to wait for running jobs on shutdown")
-	sharedEvents := flag.Bool("shared-events", false, "include unscoped shared-engine events in every job's event feed")
 	libPath := flag.String("lib", "", "JSON connectivity IP library to explore with (default: built-in)")
 	flag.Parse()
 
@@ -114,7 +118,6 @@ func run() int {
 		QueueCap:     *queueCap,
 		MaxRunning:   *maxRunning,
 		TenantQuota:  *tenantQuota,
-		SharedEvents: *sharedEvents,
 		JobRetention: *jobRetention,
 	})
 

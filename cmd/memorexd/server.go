@@ -36,9 +36,6 @@ type serverConfig struct {
 	// TenantQuota bounds each tenant's active (queued + running) jobs;
 	// 0 disables per-tenant quotas.
 	TenantQuota int
-	// SharedEvents subscribes every job's event feed to unscoped
-	// shared-engine events as well (see obs.Router).
-	SharedEvents bool
 	// EventBuffer bounds the per-job event log retained for streaming
 	// (0 = a default).
 	EventBuffer int
@@ -285,7 +282,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectBusy(w, "job queue full (%d queued)", s.cfg.QueueCap)
 		return
 	}
-	jb.sub = s.cfg.Router.Subscribe(jb.id, s.cfg.EventBuffer, s.cfg.SharedEvents)
+	jb.sub = s.cfg.Router.Subscribe(jb.id, s.cfg.EventBuffer)
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
 	s.active[tenant]++

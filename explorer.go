@@ -62,10 +62,10 @@ const (
 func NewObserver(sinks ...EventSink) *Observer { return obs.NewObserver(sinks...) }
 
 // NewEngineWithObservability returns an evaluation engine with the
-// given observer and a fresh metrics registry attached, for sharing an
+// given observer and its own metrics registry, for sharing an
 // instrumented engine across Explorers (see WithEngine).
 func NewEngineWithObservability(workers int, o *Observer) *Engine {
-	return engine.New(workers, engine.WithObserver(o), engine.WithMetrics(obs.NewRegistry()))
+	return engine.New(workers, engine.WithObserver(o))
 }
 
 // NewJSONLSink streams events to w as JSON Lines, one event per line;
@@ -98,7 +98,6 @@ type Explorer struct {
 	conex   core.Config // Engine field set to eng
 	eng     *engine.Engine
 	obs     *obs.Observer
-	reg     *obs.Registry
 	cache   *btcache.Cache // nil without WithTraceCache
 
 	closeOnce sync.Once
@@ -247,10 +246,9 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 	if eng == nil {
 		eng = conexCfg.Engine
 	}
-	var reg *obs.Registry
 	var cache *btcache.Cache
 	if eng == nil {
-		reg = obs.NewRegistry()
+		reg := obs.NewRegistry()
 		workers := c.workers
 		if workers == 0 {
 			workers = conexCfg.Workers
@@ -281,7 +279,6 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 			return nil, fmt.Errorf("memorex: WithEngine and WithObserver/WithEventSinks are mutually exclusive; attach the observer when building the engine")
 		}
 		observer = eng.Observer()
-		reg = eng.Metrics()
 	}
 	conexCfg.Engine = eng
 
@@ -291,7 +288,6 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 		conex:   conexCfg,
 		eng:     eng,
 		obs:     observer,
-		reg:     reg,
 		cache:   cache,
 	}, nil
 }
@@ -325,7 +321,7 @@ func (x *Explorer) TraceCacheStats() (TraceCacheStats, bool) {
 
 // MetricsSnapshot returns a point-in-time copy of the metrics
 // registry, cumulative over every run of this Explorer.
-func (x *Explorer) MetricsSnapshot() MetricsSnapshot { return x.reg.Snapshot() }
+func (x *Explorer) MetricsSnapshot() MetricsSnapshot { return x.eng.Metrics().Snapshot() }
 
 // Close flushes and closes the observer's sinks. Runs after Close lose
 // their events but are otherwise unaffected. Close is idempotent and
@@ -405,7 +401,7 @@ func (x *Explorer) Do(ctx context.Context, req ExploreRequest) (*Report, error) 
 	for _, c := range req.Constraints {
 		rep.Selections = append(rep.Selections, c.apply(rep))
 	}
-	rep.Metrics = x.reg.Snapshot()
+	rep.Metrics = x.eng.Metrics().Snapshot()
 	return rep, nil
 }
 

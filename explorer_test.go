@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -233,6 +234,69 @@ func TestExplorerReuse(t *testing.T) {
 	}
 	if newSims != 0 {
 		t.Fatalf("second run re-simulated %d designs", newSims)
+	}
+}
+
+// cancelOnEval is an event sink that cancels a run's context on its
+// first evaluation event.
+type cancelOnEval struct{ cancel context.CancelFunc }
+
+func (s *cancelOnEval) Emit(ev *Event) {
+	if ev.Kind == KindEval {
+		s.cancel()
+	}
+}
+
+func (s *cancelOnEval) Close() error { return nil }
+
+// TestExplorerReportBooksAgree: after a run cancelled mid-way, a good
+// run's report must state the same engine counters in its engine block
+// and in its metrics block. The cancelled run leaves requests that were
+// claimed but never evaluated, which is where two separate sets of
+// counters used to part ways.
+func TestExplorerReportBooksAgree(t *testing.T) {
+	sink := &cancelOnEval{}
+	ex, err := NewExplorer(append(fastExplorerOpts(), WithWorkers(1), WithEventSinks(sink))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sink.cancel = cancel
+	if _, err := ex.Explore(ctx, "vocoder"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if st := ex.Stats(); st.Requests <= st.Simulations+st.CacheHits {
+		t.Fatalf("cancelled run left no claimed-but-unevaluated request: %+v", st)
+	}
+	rep, err := ex.Explore(context.Background(), "vocoder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out ReportJSON
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Engine == nil || out.Metrics == nil {
+		t.Fatalf("report lacks its engine or metrics block:\n%s", buf.Bytes())
+	}
+	c := out.Metrics.Counters
+	for _, f := range []struct {
+		name         string
+		engine, regd int64
+	}{
+		{"evaluations", out.Engine.Evaluations, c["engine/evaluations"]},
+		{"simulations", out.Engine.Simulations, c["engine/simulations"]},
+		{"cache hits", out.Engine.CacheHits, c["engine/cache_hits"]},
+		{"sampled accesses", out.Engine.SampledAccesses, c["engine/sampled_accesses"]},
+		{"full accesses", out.Engine.FullAccesses, c["engine/full_accesses"]},
+	} {
+		if f.engine != f.regd {
+			t.Errorf("%s: engine block %d, metrics block %d", f.name, f.engine, f.regd)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memorex/internal/obs"
@@ -42,14 +41,15 @@ type Cache struct {
 	mu    sync.Mutex // guards eviction scans and the bytes gauge
 	bytes int64      // last known live-entry total
 
-	hits, misses, puts, putErrors, evictions, corrupt atomic.Int64
-
-	// Registry instruments (nil-safe when detached).
-	mHits, mMisses, mPuts, mPutErrors, mEvict, mCorrupt *obs.Counter
-	mBytes                                              *obs.Gauge
+	// reg holds every cache counter, never nil after Open; the handles
+	// below are its instruments.
+	reg                                           *obs.Registry
+	hits, misses, puts, putErrors, evict, corrupt *obs.Counter
+	bytesGauge                                    *obs.Gauge
 }
 
-// Stats is a snapshot of the cache counters.
+// Stats is a snapshot of the cache counters, read from the cache's
+// metrics registry (see WithMetrics).
 type Stats struct {
 	// Hits and Misses count Get outcomes; CorruptQuarantined is the
 	// subset of misses caused by an entry failing validation.
@@ -74,21 +74,13 @@ func WithLimit(bytes int64) Option {
 	return func(c *Cache) { c.limit = bytes }
 }
 
-// WithMetrics attaches a metrics registry: the cache feeds
+// WithMetrics sets the metrics registry the cache counts in:
 // btcache/hits, btcache/misses, btcache/puts, btcache/put_errors,
 // btcache/evictions, btcache/corrupt_quarantined and the
-// btcache/bytes_on_disk gauge. A nil registry is the explicit "off"
-// value.
+// btcache/bytes_on_disk gauge. Without it (or with a nil registry) the
+// cache counts in a private registry of its own.
 func WithMetrics(r *obs.Registry) Option {
-	return func(c *Cache) {
-		c.mHits = r.Counter("btcache/hits")
-		c.mMisses = r.Counter("btcache/misses")
-		c.mPuts = r.Counter("btcache/puts")
-		c.mPutErrors = r.Counter("btcache/put_errors")
-		c.mEvict = r.Counter("btcache/evictions")
-		c.mCorrupt = r.Counter("btcache/corrupt_quarantined")
-		c.mBytes = r.Gauge("btcache/bytes_on_disk")
-	}
+	return func(c *Cache) { c.reg = r }
 }
 
 // Open creates (if needed) and opens a cache directory.
@@ -103,6 +95,16 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
+	if c.reg == nil {
+		c.reg = obs.NewRegistry()
+	}
+	c.hits = c.reg.Counter("btcache/hits")
+	c.misses = c.reg.Counter("btcache/misses")
+	c.puts = c.reg.Counter("btcache/puts")
+	c.putErrors = c.reg.Counter("btcache/put_errors")
+	c.evict = c.reg.Counter("btcache/evictions")
+	c.corrupt = c.reg.Counter("btcache/corrupt_quarantined")
+	c.bytesGauge = c.reg.Gauge("btcache/bytes_on_disk")
 	c.mu.Lock()
 	c.rescanLocked()
 	c.evictLocked()
@@ -119,12 +121,12 @@ func (c *Cache) Stats() Stats {
 	bytes := c.bytes
 	c.mu.Unlock()
 	return Stats{
-		Hits:               c.hits.Load(),
-		Misses:             c.misses.Load(),
-		Puts:               c.puts.Load(),
-		PutErrors:          c.putErrors.Load(),
-		Evictions:          c.evictions.Load(),
-		CorruptQuarantined: c.corrupt.Load(),
+		Hits:               c.hits.Value(),
+		Misses:             c.misses.Value(),
+		Puts:               c.puts.Value(),
+		PutErrors:          c.putErrors.Value(),
+		Evictions:          c.evict.Value(),
+		CorruptQuarantined: c.corrupt.Value(),
 		BytesOnDisk:        bytes,
 	}
 }
@@ -150,23 +152,20 @@ func (c *Cache) Get(fp uint64) (*sim.BehaviorTrace, bool) {
 	path := filepath.Join(c.dir, entryName(fp))
 	data, err := os.ReadFile(path)
 	if err != nil {
-		c.misses.Add(1)
-		c.mMisses.Inc()
+		c.misses.Inc()
 		return nil, false
 	}
 	bt, err := Decode(data, fp)
 	if err != nil {
 		c.quarantine(entryName(fp), int64(len(data)))
-		c.misses.Add(1)
-		c.mMisses.Inc()
+		c.misses.Inc()
 		return nil, false
 	}
 	// Refresh the mtime so eviction is least-recently-*used*; a failure
 	// (e.g. the entry was just evicted) degrades to FIFO, nothing more.
 	now := time.Now()
 	os.Chtimes(path, now, now)
-	c.hits.Add(1)
-	c.mHits.Inc()
+	c.hits.Inc()
 	return bt, true
 }
 
@@ -181,12 +180,10 @@ func (c *Cache) Put(fp uint64, bt *sim.BehaviorTrace) error {
 	}
 	err := c.put(fp, bt)
 	if err != nil {
-		c.putErrors.Add(1)
-		c.mPutErrors.Inc()
+		c.putErrors.Inc()
 		return err
 	}
-	c.puts.Add(1)
-	c.mPuts.Inc()
+	c.puts.Inc()
 	return nil
 }
 
@@ -243,8 +240,7 @@ func (c *Cache) quarantine(name string, size int64) {
 		os.Remove(src)
 	}
 	c.setBytesLocked(c.bytes - size)
-	c.corrupt.Add(1)
-	c.mCorrupt.Inc()
+	c.corrupt.Inc()
 }
 
 // pruneQuarantineLocked drops the oldest quarantined files beyond the
@@ -318,8 +314,7 @@ func (c *Cache) evictLocked() {
 			continue
 		}
 		total -= f.size
-		c.evictions.Add(1)
-		c.mEvict.Inc()
+		c.evict.Inc()
 	}
 	c.setBytesLocked(total)
 }
@@ -330,5 +325,5 @@ func (c *Cache) setBytesLocked(n int64) {
 		n = 0
 	}
 	c.bytes = n
-	c.mBytes.Set(float64(n))
+	c.bytesGauge.Set(float64(n))
 }

@@ -171,9 +171,10 @@ func (c *CacheFlags) LimitBytes() (int64, error) {
 	return n, nil
 }
 
-// Open opens the cache the flags select, feeding its counters into reg
-// (which may be nil). Without -trace-cache it returns (nil, nil) — the
-// nil *btcache.Cache is the disabled cache everywhere it is accepted.
+// Open opens the cache the flags select, counting in reg (nil: the
+// cache's own registry). Without -trace-cache it returns (nil, nil) —
+// the nil *btcache.Cache is the disabled cache everywhere it is
+// accepted.
 func (c *CacheFlags) Open(reg *obs.Registry) (*btcache.Cache, error) {
 	if c.Dir == "" {
 		return nil, nil
@@ -182,12 +183,9 @@ func (c *CacheFlags) Open(reg *obs.Registry) (*btcache.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []btcache.Option
+	opts := []btcache.Option{btcache.WithMetrics(reg)}
 	if limit > 0 {
 		opts = append(opts, btcache.WithLimit(limit))
-	}
-	if reg != nil {
-		opts = append(opts, btcache.WithMetrics(reg))
 	}
 	return btcache.Open(c.Dir, opts...)
 }

@@ -294,17 +294,6 @@ func (a *Arch) Ports(i int) int {
 	return len(a.Clusters[i]) + 1
 }
 
-// OffChipCluster reports whether cluster i contains chip-boundary
-// channels.
-func (a *Arch) OffChipCluster(i int) bool {
-	for _, ch := range a.Clusters[i] {
-		if a.Channels[ch].OffChip {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks that the clustering is a partition of the channels and
 // every assignment is feasible (port count, chip placement, no mixing of
 // on- and off-chip channels in one cluster).

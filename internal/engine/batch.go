@@ -84,7 +84,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		if errs[i] != nil {
 			continue
 		}
-		e.stats.Requests++
+		e.m.evals.Inc()
 		if r.Phase != "" {
 			e.phaseLocked(r.Phase).Requests++
 		}
@@ -210,11 +210,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 // names its own request and one poisoned member cannot take down its
 // group-mates.
 func (e *Engine) computeChunk(ctx context.Context, bk uint64, reqs []Request, chunk []int, finish func(int, Value, error), abort func(error)) {
-	instrumented := e.obs.Enabled() || e.metrics != nil
-	var start time.Time
-	if instrumented {
-		start = time.Now()
-	}
+	start := time.Now()
 	bt, store, err := e.behaviorTrace(ctx, bk, reqs[chunk[0]])
 	if err != nil {
 		for _, i := range chunk {
@@ -232,9 +228,7 @@ func (e *Engine) computeChunk(ctx context.Context, bk uint64, reqs []Request, ch
 		return
 	}
 	for j, i := range chunk {
-		if instrumented {
-			start = time.Now()
-		}
+		start = time.Now()
 		if err := e.replayChunk(bt, reqs, chunk[j:j+1], start, finish); err != nil {
 			finish(i, Value{}, err)
 			abort(err)
@@ -244,8 +238,8 @@ func (e *Engine) computeChunk(ctx context.Context, bk uint64, reqs []Request, ch
 
 // replayChunk re-times the chunk's members on a resolved behavior trace
 // in one ReplayBatch pass and publishes their values with full stats
-// and observability accounting; start is when the chunk's work began
-// (zero when uninstrumented). On error nothing is published.
+// and observability accounting; start is when the chunk's work began.
+// On error nothing is published.
 func (e *Engine) replayChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int, start time.Time, finish func(int, Value, error)) error {
 	archs := make([]*connect.Arch, len(chunk))
 	for j, i := range chunk {
@@ -255,12 +249,8 @@ func (e *Engine) replayChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int,
 	if err != nil {
 		return err
 	}
-	instrumented := e.obs.Enabled() || e.metrics != nil
-	var wall, amort time.Duration
-	if instrumented {
-		wall = time.Since(start)
-		amort = wall / time.Duration(len(chunk))
-	}
+	wall := time.Since(start)
+	amort := wall / time.Duration(len(chunk))
 	for j, i := range chunk {
 		r := reqs[i]
 		res := results[j]
@@ -273,29 +263,24 @@ func (e *Engine) replayChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int,
 		}
 		e.m.schedIssues.Add(res.SchedIssues)
 		e.m.schedConflicts.Add(res.SchedConflicts)
-		e.recordSim(r, v)
-		if instrumented {
-			e.m.evals.Inc()
-			e.m.sims.Inc()
-			if r.Mode == Full {
-				e.m.fullAcc.Add(v.Work)
-				e.m.evalWallFull.Observe(float64(amort.Microseconds()))
-			} else {
-				e.m.sampledAcc.Add(v.Work)
-				e.m.evalWallSampled.Observe(float64(amort.Microseconds()))
-			}
-			e.emitEval(r, v, amort)
+		e.m.sims.Inc()
+		if r.Mode == Full {
+			e.m.fullAcc.Add(v.Work)
+			e.m.evalWallFull.Observe(float64(amort.Microseconds()))
+		} else {
+			e.m.sampledAcc.Add(v.Work)
+			e.m.evalWallSampled.Observe(float64(amort.Microseconds()))
 		}
+		if r.Phase != "" {
+			e.mu.Lock()
+			e.phaseLocked(r.Phase).Simulations++
+			e.mu.Unlock()
+		}
+		e.emitEval(r, v, amort)
 		finish(i, v, nil)
 	}
-	e.mu.Lock()
-	e.stats.BatchReplays++
-	e.stats.BatchedEvals += int64(len(chunk))
-	e.mu.Unlock()
 	e.m.batches.Inc()
 	e.m.batchSize.Observe(float64(len(chunk)))
-	if instrumented {
-		e.m.batchWall.Observe(float64(wall.Microseconds()))
-	}
+	e.m.batchWall.Observe(float64(wall.Microseconds()))
 	return nil
 }

@@ -13,8 +13,9 @@
 //     sampled-vs-full), so a design estimated in ConEx Phase I or seen
 //     by a sibling strategy or experiment is never simulated twice;
 //   - evaluation statistics (simulations run, cache hits, sampled and
-//     full access counts, wall time per named phase) surfaced through
-//     the report writer and the memorex/paperbench CLIs.
+//     full access counts, wall time per named phase), counted once in
+//     the engine's metrics registry and surfaced through the report
+//     writer and the memorex/paperbench CLIs.
 //
 // Results of a batch are always returned in submission order, so pareto
 // fronts derived from them are byte-identical regardless of the worker
@@ -108,17 +109,25 @@ type PhaseStat struct {
 	Simulations int64
 }
 
-// Stats is a snapshot of the engine counters.
+// Stats is a snapshot of the engine counters. Every counter is a read
+// of the engine's metrics registry (see WithMetrics), the one place the
+// engine counts anything, so Stats and a registry snapshot taken at the
+// same quiet moment agree field for field. Engines given one shared
+// registry therefore share these counters too; no production caller
+// shares a registry between engines. Phases alone is kept by the
+// engine, since the registry has no per-phase counters.
 type Stats struct {
-	// Requests counts every evaluation asked of the engine.
+	// Requests counts the valid requests asked of the engine, each
+	// once, when Evaluate claims it (engine/evaluations): a request
+	// later cancelled or failed still counts.
 	Requests int64
 	// Simulations counts the evaluations that actually ran a simulator
-	// (sampled or full); Requests - Simulations were served by the
-	// memoization cache or failed.
+	// (sampled or full); of the rest, CacheHits were answered from the
+	// memo cache and the remainder failed or were cancelled.
 	Simulations int64
-	// CacheHits counts requests answered from the memo cache.
-	CacheHits int64
-	// SampledSimulations / FullSimulations split Simulations by mode.
+	CacheHits   int64
+	// SampledSimulations / FullSimulations split Simulations by mode:
+	// the counts of engine/eval_wall_us/{sampled,full}.
 	SampledSimulations int64
 	FullSimulations    int64
 	// SampledAccesses / FullAccesses count the trace accesses actually
@@ -133,8 +142,9 @@ type Stats struct {
 	BehaviorCaptures  int64
 	BehaviorCacheHits int64
 	BehaviorDiskHits  int64
-	// BatchReplays counts ReplayBatch dispatches and BatchedEvals the
-	// evaluations they served.
+	// BatchReplays counts ReplayBatch dispatches
+	// (engine/batch/dispatches) and BatchedEvals the evaluations they
+	// served (the sum of engine/batch/size).
 	BatchReplays int64
 	BatchedEvals int64
 	// Phases lists per-phase wall times and counters in first-use
@@ -194,10 +204,10 @@ type behaviorEntry struct {
 type Engine struct {
 	workers int
 
-	// obs and metrics are the optional observability hooks. Both are
-	// nil-safe throughout (a nil observer/registry costs one nil check
-	// per use and never allocates), so the hot path below updates them
-	// unconditionally through pre-resolved instrument handles.
+	// obs is the optional event observer (nil-safe: a nil observer
+	// costs one nil check per use and never allocates). metrics is the
+	// registry that holds every engine counter, never nil; m caches its
+	// instrument handles.
 	obs     *obs.Observer
 	metrics *obs.Registry
 	m       instruments
@@ -210,13 +220,12 @@ type Engine struct {
 	mu       sync.Mutex
 	cache    map[uint64]*entry
 	behavior map[uint64]*behaviorEntry
-	stats    Stats
-	phase    map[string]int // phase name -> index into stats.Phases
+	phases   []PhaseStat
+	phase    map[string]int // phase name -> index into phases
 }
 
 // instruments caches the engine's metrics-registry handles so the per-
-// evaluation path never pays a name lookup. All handles are nil (and
-// their methods no-ops) when the engine has no registry.
+// evaluation path never pays a name lookup.
 type instruments struct {
 	evals, sims, hits   *obs.Counter
 	sampledAcc, fullAcc *obs.Counter
@@ -244,9 +253,10 @@ func WithObserver(o *obs.Observer) Option {
 	return func(e *Engine) { e.obs = o }
 }
 
-// WithMetrics attaches a metrics registry the engine feeds: evaluation
-// counters, per-mode wall-time histograms, scheduler contention and
-// sampling-plan counters. A nil registry is the explicit "off" value.
+// WithMetrics sets the metrics registry the engine counts in:
+// evaluation counters, per-mode wall-time histograms, scheduler
+// contention and sampling-plan counters. Without it (or with a nil
+// registry) the engine counts in a private registry of its own.
 func WithMetrics(r *obs.Registry) Option {
 	return func(e *Engine) { e.metrics = r }
 }
@@ -276,28 +286,29 @@ func New(workers int, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.metrics != nil {
-		e.m = instruments{
-			evals:           e.metrics.Counter("engine/evaluations"),
-			sims:            e.metrics.Counter("engine/simulations"),
-			hits:            e.metrics.Counter("engine/cache_hits"),
-			sampledAcc:      e.metrics.Counter("engine/sampled_accesses"),
-			fullAcc:         e.metrics.Counter("engine/full_accesses"),
-			captures:        e.metrics.Counter("engine/behavior_captures"),
-			capReuse:        e.metrics.Counter("engine/behavior_reuses"),
-			diskHits:        e.metrics.Counter("engine/behavior_disk_hits"),
-			schedIssues:     e.metrics.Counter("rtable/issues"),
-			schedConflicts:  e.metrics.Counter("rtable/conflicts"),
-			samplingWindows: e.metrics.Counter("sampling/windows"),
-			samplingOnAcc:   e.metrics.Counter("sampling/on_accesses"),
-			evalWallSampled: e.metrics.Histogram("engine/eval_wall_us/sampled"),
-			evalWallFull:    e.metrics.Histogram("engine/eval_wall_us/full"),
-			batches:         e.metrics.Counter("engine/batch/dispatches"),
-			batchSize:       e.metrics.Histogram("engine/batch/size"),
-			batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
-		}
-		e.metrics.Gauge("engine/workers").Set(float64(workers))
+	if e.metrics == nil {
+		e.metrics = obs.NewRegistry()
 	}
+	e.m = instruments{
+		evals:           e.metrics.Counter("engine/evaluations"),
+		sims:            e.metrics.Counter("engine/simulations"),
+		hits:            e.metrics.Counter("engine/cache_hits"),
+		sampledAcc:      e.metrics.Counter("engine/sampled_accesses"),
+		fullAcc:         e.metrics.Counter("engine/full_accesses"),
+		captures:        e.metrics.Counter("engine/behavior_captures"),
+		capReuse:        e.metrics.Counter("engine/behavior_reuses"),
+		diskHits:        e.metrics.Counter("engine/behavior_disk_hits"),
+		schedIssues:     e.metrics.Counter("rtable/issues"),
+		schedConflicts:  e.metrics.Counter("rtable/conflicts"),
+		samplingWindows: e.metrics.Counter("sampling/windows"),
+		samplingOnAcc:   e.metrics.Counter("sampling/on_accesses"),
+		evalWallSampled: e.metrics.Histogram("engine/eval_wall_us/sampled"),
+		evalWallFull:    e.metrics.Histogram("engine/eval_wall_us/full"),
+		batches:         e.metrics.Counter("engine/batch/dispatches"),
+		batchSize:       e.metrics.Histogram("engine/batch/size"),
+		batchWall:       e.metrics.Histogram("engine/batch/wall_us"),
+	}
+	e.metrics.Gauge("engine/workers").Set(float64(workers))
 	return e
 }
 
@@ -307,15 +318,31 @@ func (e *Engine) Workers() int { return e.workers }
 // Observer returns the engine's event observer (nil when detached).
 func (e *Engine) Observer() *obs.Observer { return e.obs }
 
-// Metrics returns the engine's metrics registry (nil when detached).
+// Metrics returns the engine's metrics registry: the one given to
+// WithMetrics, or the engine's private registry.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
-// Stats returns a snapshot of the engine counters.
+// Stats returns a snapshot of the engine counters, read from the
+// metrics registry.
 func (e *Engine) Stats() Stats {
+	m := &e.m
+	s := Stats{
+		Requests:           m.evals.Value(),
+		Simulations:        m.sims.Value(),
+		CacheHits:          m.hits.Value(),
+		SampledSimulations: m.evalWallSampled.Count(),
+		FullSimulations:    m.evalWallFull.Count(),
+		SampledAccesses:    m.sampledAcc.Value(),
+		FullAccesses:       m.fullAcc.Value(),
+		BehaviorCaptures:   m.captures.Value(),
+		BehaviorCacheHits:  m.capReuse.Value(),
+		BehaviorDiskHits:   m.diskHits.Value(),
+		BatchReplays:       m.batches.Value(),
+		BatchedEvals:       int64(m.batchSize.Sum()),
+	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.stats
-	s.Phases = append([]PhaseStat(nil), e.stats.Phases...)
+	s.Phases = append([]PhaseStat(nil), e.phases...)
+	e.mu.Unlock()
 	return s
 }
 
@@ -341,11 +368,11 @@ func (e *Engine) StartPhase(name string) (stop func()) {
 // Callers must hold e.mu.
 func (e *Engine) phaseLocked(name string) *PhaseStat {
 	if i, ok := e.phase[name]; ok {
-		return &e.stats.Phases[i]
+		return &e.phases[i]
 	}
-	e.phase[name] = len(e.stats.Phases)
-	e.stats.Phases = append(e.stats.Phases, PhaseStat{Name: name})
-	return &e.stats.Phases[len(e.stats.Phases)-1]
+	e.phase[name] = len(e.phases)
+	e.phases = append(e.phases, PhaseStat{Name: name})
+	return &e.phases[len(e.phases)-1]
 }
 
 // EvaluateOne evaluates a single request through the pool and cache.
@@ -371,23 +398,6 @@ func (e *Engine) finishOwned(key uint64, ent *entry, v Value, err error) {
 	close(ent.done)
 }
 
-// recordSim accounts one completed simulation in the engine stats.
-func (e *Engine) recordSim(r Request, v Value) {
-	e.mu.Lock()
-	e.stats.Simulations++
-	if r.Mode == Full {
-		e.stats.FullSimulations++
-		e.stats.FullAccesses += v.Work
-	} else {
-		e.stats.SampledSimulations++
-		e.stats.SampledAccesses += v.Work
-	}
-	if r.Phase != "" {
-		e.phaseLocked(r.Phase).Simulations++
-	}
-	e.mu.Unlock()
-}
-
 // emitEval publishes the per-evaluation observer event.
 func (e *Engine) emitEval(r Request, v Value, wall time.Duration) {
 	if !e.obs.Enabled() {
@@ -410,11 +420,7 @@ func (e *Engine) emitEval(r Request, v Value, wall time.Duration) {
 // awaitHit waits for the owning computation of an already-claimed memo
 // entry and returns its value as a cache hit.
 func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, error) {
-	instrumented := e.obs.Enabled() || e.metrics != nil
-	var start time.Time
-	if instrumented {
-		start = time.Now()
-	}
+	start := time.Now()
 	select {
 	case <-ent.done:
 	case <-ctx.Done():
@@ -423,17 +429,11 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 	if ent.err != nil {
 		return Value{}, ent.err
 	}
-	e.mu.Lock()
-	e.stats.CacheHits++
-	e.mu.Unlock()
 	v := ent.val
 	v.Work = 0
 	v.Hit = true
-	if instrumented {
-		e.m.evals.Inc()
-		e.m.hits.Inc()
-		e.emitEval(r, v, time.Since(start))
-	}
+	e.m.hits.Inc()
+	e.emitEval(r, v, time.Since(start))
 	return v, nil
 }
 
@@ -455,9 +455,6 @@ func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *
 		if ent.err != nil {
 			return nil, nil, ent.err
 		}
-		e.mu.Lock()
-		e.stats.BehaviorCacheHits++
-		e.mu.Unlock()
 		e.m.capReuse.Inc()
 		return ent.bt, nil, nil
 	}
@@ -471,9 +468,6 @@ func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *
 	// through to capturing.
 	if bt, ok := e.disk.Get(key); ok {
 		ent.bt = bt
-		e.mu.Lock()
-		e.stats.BehaviorDiskHits++
-		e.mu.Unlock()
 		e.m.diskHits.Inc()
 		close(ent.done)
 		return ent.bt, nil, nil
@@ -487,9 +481,6 @@ func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *
 		close(ent.done)
 		return nil, nil, ent.err
 	}
-	e.mu.Lock()
-	e.stats.BehaviorCaptures++
-	e.mu.Unlock()
 	e.m.captures.Inc()
 	close(ent.done)
 	// Best-effort persist: a failed write only costs a future

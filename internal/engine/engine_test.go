@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -387,12 +388,78 @@ func TestObserverAndMetricsWiring(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateObserver measures the per-evaluation overhead of
-// the observability layer on the cheapest possible request — a memo
-// cache hit, where the wrapper is a measurable fraction of the work.
-// Compare allocs/op of the disabled and instrumented variants: the
-// disabled engine must not allocate anything the instrumented one
-// avoids.
+// TestStatsMatchRegistry: every Stats counter is its registry source,
+// after batches that were cancelled or held an invalid request as much
+// as after good ones. A request is counted when Evaluate claims it, so
+// the claimed requests of failed batches count once, in both.
+func TestStatsMatchRegistry(t *testing.T) {
+	tr := testTrace(t)
+	reg := obs.NewRegistry()
+	e := New(2, WithMetrics(reg))
+	a := testArch(4096)
+	var reqs []Request
+	for _, comp := range []string{"ahb32", "apb32"} {
+		c := testConn(t, a, comp)
+		reqs = append(reqs, sampled(tr, a, c), Request{Trace: tr, Mem: a, Conn: c, Mode: Full})
+	}
+	check := func(when string) Stats {
+		t.Helper()
+		snap := reg.Snapshot()
+		c, h := snap.Counters, snap.Histograms
+		want := Stats{
+			Requests:           c["engine/evaluations"],
+			Simulations:        c["engine/simulations"],
+			CacheHits:          c["engine/cache_hits"],
+			SampledSimulations: h["engine/eval_wall_us/sampled"].Count,
+			FullSimulations:    h["engine/eval_wall_us/full"].Count,
+			SampledAccesses:    c["engine/sampled_accesses"],
+			FullAccesses:       c["engine/full_accesses"],
+			BehaviorCaptures:   c["engine/behavior_captures"],
+			BehaviorCacheHits:  c["engine/behavior_reuses"],
+			BehaviorDiskHits:   c["engine/behavior_disk_hits"],
+			BatchReplays:       c["engine/batch/dispatches"],
+			BatchedEvals:       int64(h["engine/batch/size"].Sum),
+		}
+		got := e.Stats()
+		got.Phases = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Stats() and the registry disagree:\nStats    %+v\nregistry %+v", when, got, want)
+		}
+		return got
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Evaluate(cancelled, reqs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	invalid := append(append([]Request(nil), reqs...), Request{Trace: tr, Mem: a, Conn: reqs[0].Conn, Mode: Mode(7)})
+	if _, err := e.Evaluate(context.Background(), invalid); err == nil {
+		t.Fatal("batch with an invalid mode succeeded")
+	}
+	if _, err := e.Evaluate(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	st := check("after a cancelled, an invalid and a good batch")
+	if st.Requests != 12 || st.Simulations != 4 || st.SampledSimulations != 2 || st.FullSimulations != 2 {
+		t.Fatalf("stats %+v, want 12 requests (3 batches × 4 valid) and 4 simulations (2 sampled, 2 full)", st)
+	}
+
+	if _, err := e.Evaluate(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if st := check("after a batch of memo hits"); st.CacheHits != 4 || st.Simulations != 4 {
+		t.Fatalf("stats %+v, want 4 cache hits and no new simulation", st)
+	}
+}
+
+// BenchmarkEvaluateObserver times the engine's dispatch path on the
+// cheapest possible request — a memo cache hit: claim, wait and
+// account, where the wrapper is most of the work. Both variants count
+// in a metrics registry; "disabled" has no observer (and its own
+// registry), "instrumented" emits every evaluation to a ring sink.
+// The disabled engine must not allocate anything the instrumented one
+// avoids. It is part of make microbench.
 func BenchmarkEvaluateObserver(b *testing.B) {
 	bench := func(b *testing.B, e *Engine) {
 		tr := testTrace(b)

@@ -168,9 +168,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Job, 
 }
 
 // Events streams the job's events, invoking fn for each until the
-// stream ends (job terminal) or ctx is cancelled. Whether the feed
-// also carries unscoped shared-engine events is the daemon's
-// -shared-events setting.
+// stream ends (job terminal) or ctx is cancelled.
 func (c *Client) Events(ctx context.Context, id string, fn func(obs.Event) error) error {
 	path := PathJobs + "/" + id + "/events"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(c.Base, "/")+path, nil)

@@ -17,10 +17,11 @@
 // p50/p95/p99 snapshots. Registry snapshots land in the exploration
 // Report, the -json output, and the expvar endpoint of -debug-addr.
 //
-// Both halves are built to cost nothing when unused: every Observer
-// and Registry method is safe on a nil receiver and returns
-// immediately, so instrumented hot paths pay one nil check and zero
-// allocations when observability is off.
+// The event stream is built to cost nothing when unused: a nil
+// *Observer is the disabled observer, every Observer method is safe on
+// it and returns immediately, so instrumented hot paths pay one nil
+// check and zero allocations with no observer attached. The registry
+// is always present where it is used; its instruments never allocate.
 package obs
 
 import "time"

@@ -8,18 +8,13 @@ import (
 )
 
 // Registry is a lightweight metrics registry: named counters, gauges
-// and histograms. Like the Observer, a nil *Registry is the disabled
-// registry — every method is safe on it and hands back nil instruments
-// whose methods are in turn no-ops — so instrumented code acquires its
-// handles once and updates them unconditionally:
+// and histograms. Instruments are cheap to update and never allocate
+// (one atomic op for counters and gauges, a short mutexed section for
+// histograms); name lookup is the expensive part, so hot paths acquire
+// their handles once and hold them:
 //
-//	var reg *obs.Registry            // nil: metrics off
-//	evals := reg.Counter("engine/evaluations") // nil handle
-//	evals.Inc()                      // no-op, no allocation
-//
-// Instruments are cheap to update (one atomic op for counters and
-// gauges, a short mutexed section for histograms); name lookup is the
-// expensive part, so hot paths hold handles rather than re-looking-up.
+//	evals := reg.Counter("engine/evaluations")
+//	evals.Inc()
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -38,9 +33,6 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
@@ -53,9 +45,6 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -68,9 +57,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
@@ -84,43 +70,23 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Counter is a monotonically increasing int64.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n; no-op on a nil counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one; no-op on a nil counter.
-func (c *Counter) Inc() { c.Add(1) }
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a settable float64.
 type Gauge struct{ v atomic.Uint64 }
 
-// Set stores the gauge value; no-op on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(math.Float64bits(v))
-}
+// Set stores the gauge value.
+func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
 
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.v.Load())
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
 // histBuckets is the bucket count of Histogram: bucket 0 holds values
 // < 1, bucket k holds [2^(k-1), 2^k), the last bucket holds the rest.
@@ -151,11 +117,8 @@ func bucketOf(v float64) int {
 	return b
 }
 
-// Observe records one value; no-op on a nil histogram.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
@@ -172,13 +135,24 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Quantile returns the interpolated q-quantile (q in [0,1]); 0 on a nil
-// or empty histogram. Within a bucket the distribution is assumed
-// uniform over the bucket's range clipped to the observed [min, max].
+// Count returns the number of values observed.
+func (h *Histogram) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
+// Sum returns the sum of the values observed.
+func (h *Histogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
+
+// Quantile returns the interpolated q-quantile (q in [0,1]); 0 on an
+// empty histogram. Within a bucket the distribution is assumed uniform
+// over the bucket's range clipped to the observed [min, max].
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.quantileLocked(q)
@@ -255,13 +229,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
-// Snapshot copies the registry's current state (zero Snapshot on a nil
-// registry).
+// Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	if r == nil {
-		return s
-	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {

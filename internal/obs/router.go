@@ -11,8 +11,9 @@ import "sync"
 //
 // Unscoped events (empty Job) describe shared-engine work — under
 // single-flight deduplication one evaluation may be serving any number
-// of jobs, so such events are attributable to no single job. They are
-// delivered only to subscriptions that opted in with shared=true.
+// of jobs, so such events are attributable to no single job. They
+// reach no subscription; the observer's other sinks (an -events file,
+// say) still record them.
 //
 // Delivery never blocks the emitter: each subscription has a bounded
 // buffer, and an event that finds a subscriber's buffer full is
@@ -21,7 +22,6 @@ import "sync"
 type Router struct {
 	mu     sync.Mutex
 	subs   map[string][]*Subscription // job -> subscribers
-	shared []*Subscription            // subscribers to unscoped events
 	closed bool
 }
 
@@ -29,7 +29,6 @@ type Router struct {
 type Subscription struct {
 	r       *Router
 	job     string
-	sharing bool
 	ch      chan Event
 	dropped int64
 	done    bool
@@ -42,16 +41,14 @@ func NewRouter() *Router {
 }
 
 // Subscribe registers a feed for the given job's events with a buffer
-// of buf events (minimum 1). When shared is true the feed additionally
-// receives unscoped events — shared-engine work not attributable to
-// any single job. The caller must Cancel the subscription when done;
-// the returned channel is closed by Cancel (and by Router.Close) after
-// the last buffered event.
-func (r *Router) Subscribe(job string, buf int, shared bool) *Subscription {
+// of buf events (minimum 1). The caller must Cancel the subscription
+// when done; the returned channel is closed by Cancel (and by
+// Router.Close) after the last buffered event.
+func (r *Router) Subscribe(job string, buf int) *Subscription {
 	if buf < 1 {
 		buf = 1
 	}
-	sub := &Subscription{r: r, job: job, sharing: shared, ch: make(chan Event, buf)}
+	sub := &Subscription{r: r, job: job, ch: make(chan Event, buf)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -60,9 +57,6 @@ func (r *Router) Subscribe(job string, buf int, shared bool) *Subscription {
 		return sub
 	}
 	r.subs[job] = append(r.subs[job], sub)
-	if shared {
-		r.shared = append(r.shared, sub)
-	}
 	return sub
 }
 
@@ -103,9 +97,6 @@ func (s *Subscription) closeLocked() {
 	if len(r.subs[s.job]) == 0 {
 		delete(r.subs, s.job)
 	}
-	if s.sharing {
-		r.shared = removeSub(r.shared, s)
-	}
 	close(s.ch)
 }
 
@@ -119,19 +110,12 @@ func removeSub(subs []*Subscription, s *Subscription) []*Subscription {
 }
 
 // Emit implements Sink: the event is delivered (by value) to every
-// subscriber of its job, and — when unscoped — to every shared
-// subscriber. Delivery is non-blocking; a full subscriber drops the
-// event and counts it.
+// subscriber of its job; an unscoped event has none. Delivery is
+// non-blocking; a full subscriber drops the event and counts it.
 func (r *Router) Emit(ev *Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return
-	}
-	if ev.Job == "" {
-		for _, sub := range r.shared {
-			sub.deliverLocked(ev)
-		}
 		return
 	}
 	for _, sub := range r.subs[ev.Job] {

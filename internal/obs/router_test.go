@@ -7,14 +7,15 @@ import (
 )
 
 // TestRouterPerJobRouting: job-stamped events reach only their job's
-// subscribers; unscoped events reach only shared subscribers.
+// subscribers; unscoped events reach no job feed, while the observer's
+// other sinks still record them.
 func TestRouterPerJobRouting(t *testing.T) {
 	r := NewRouter()
-	o := NewObserver(r)
+	ring := NewRing(16)
+	o := NewObserver(r, ring)
 
-	subA := r.Subscribe("job-a", 16, false)
-	subB := r.Subscribe("job-b", 16, false)
-	subShared := r.Subscribe("job-a", 16, true)
+	subA := r.Subscribe("job-a", 16)
+	subB := r.Subscribe("job-b", 16)
 
 	o.ForJob("job-a").RunStart("compress", 100)
 	o.ForJob("job-b").RunStart("li", 200)
@@ -23,7 +24,6 @@ func TestRouterPerJobRouting(t *testing.T) {
 	o.ForJob("job-a").RunEnd("compress", time.Millisecond, nil)
 	subA.Cancel()
 	subB.Cancel()
-	subShared.Cancel()
 
 	collect := func(s *Subscription) []Event {
 		var evs []Event
@@ -48,12 +48,9 @@ func TestRouterPerJobRouting(t *testing.T) {
 		t.Fatalf("job-b subscriber saw %+v, want only its own run-start", evsB)
 	}
 
-	evsShared := collect(subShared)
-	if len(evsShared) != 3 {
-		t.Fatalf("shared subscriber saw %d events, want 3 (2 scoped + 1 unscoped)", len(evsShared))
-	}
-	if evsShared[1].Kind != KindPhaseStart || evsShared[1].Job != "" {
-		t.Fatalf("shared subscriber missing the unscoped phase event: %+v", evsShared)
+	all := ring.Events()
+	if len(all) != 4 || all[2].Kind != KindPhaseStart || all[2].Job != "" {
+		t.Fatalf("ring sink saw %+v, want all 4 events with the unscoped phase start third", all)
 	}
 }
 
@@ -62,7 +59,7 @@ func TestRouterPerJobRouting(t *testing.T) {
 func TestRouterOverflowDrops(t *testing.T) {
 	r := NewRouter()
 	o := NewObserver(r)
-	sub := r.Subscribe("j", 2, false)
+	sub := r.Subscribe("j", 2)
 
 	scoped := o.ForJob("j")
 	for i := 0; i < 5; i++ {
@@ -85,14 +82,14 @@ func TestRouterOverflowDrops(t *testing.T) {
 // later subscriptions are born closed.
 func TestRouterClose(t *testing.T) {
 	r := NewRouter()
-	sub := r.Subscribe("j", 4, false)
+	sub := r.Subscribe("j", 4)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := <-sub.Events(); ok {
 		t.Fatal("subscription channel still open after router close")
 	}
-	late := r.Subscribe("k", 4, false)
+	late := r.Subscribe("k", 4)
 	if _, ok := <-late.Events(); ok {
 		t.Fatal("post-close subscription not born closed")
 	}

@@ -407,35 +407,3 @@ func (s *Scheduler) mark(t int64, stages []Stage) {
 
 // Stats returns the scheduler's activity counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Release frees the cycles of stages reserved at issue time t. It is
-// used by split-transaction busses that give the bus back during the
-// slave's dead time.
-func (s *Scheduler) Release(t int64, stages []Stage) {
-	for _, st := range stages {
-		abs := t + int64(st.Start)
-		n := st.Len
-		if abs < s.base {
-			skip := s.base - abs
-			if skip >= int64(n) {
-				continue
-			}
-			abs = s.base
-			n -= int(skip)
-		}
-		off := abs - s.base
-		w := int(off >> 6)
-		bit := uint(off & 63)
-		row := s.window[st.Res]
-		for n > 0 && w < s.words {
-			take := 64 - int(bit)
-			if take > n {
-				take = n
-			}
-			row[w] &^= maskFrom(bit, take)
-			n -= take
-			w++
-			bit = 0
-		}
-	}
-}

@@ -159,16 +159,6 @@ func TestSchedulerRespectsRequestTime(t *testing.T) {
 	}
 }
 
-func TestSchedulerRelease(t *testing.T) {
-	s := NewScheduler(1)
-	stages := []Stage{{Res: 0, Start: 0, Len: 8}}
-	t0 := s.EarliestIssue(0, stages)
-	s.Release(t0, stages)
-	if got := s.EarliestIssue(0, stages); got != 0 {
-		t.Fatalf("released slot should be reusable at 0, got %d", got)
-	}
-}
-
 func TestSchedulerWindowAdvance(t *testing.T) {
 	s := NewScheduler(1)
 	stages := []Stage{{Res: 0, Start: 0, Len: 2}}

@@ -66,16 +66,6 @@ func (b *Builder) Store(id DSID, off uint32, size uint8) {
 	})
 }
 
-// LoadAddr records a load at an absolute address belonging to id.
-func (b *Builder) LoadAddr(id DSID, addr uint32, size uint8) {
-	b.t.Accesses = append(b.t.Accesses, Access{Addr: addr, DS: id, Kind: Load, Size: size})
-}
-
-// StoreAddr records a store at an absolute address belonging to id.
-func (b *Builder) StoreAddr(id DSID, addr uint32, size uint8) {
-	b.t.Accesses = append(b.t.Accesses, Access{Addr: addr, DS: id, Kind: Store, Size: size})
-}
-
 // Anon records an anonymous access (stack slot, scalar temporary).
 func (b *Builder) Anon(kind Kind, addr uint32, size uint8) {
 	b.t.Accesses = append(b.t.Accesses, Access{Addr: addr, DS: Anonymous, Kind: kind, Size: size})

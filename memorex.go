@@ -130,7 +130,7 @@ type Report struct {
 	Search *SearchInfo
 	// Metrics is the exploration metrics snapshot taken when the run
 	// finished (cumulative over the Explorer's lifetime when runs share
-	// an Explorer). Empty for runs without a metrics registry.
+	// an Explorer). Empty in a Report no Explorer produced.
 	Metrics MetricsSnapshot
 }
 
