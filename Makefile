@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet microbench microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,25 @@ vet:
 # and prints every metric's median and min–max over the six runs. The
 # raw output stays in microbench.out, an OLD or NEW for
 # microbench-compare.
+MICROBENCH_ROOT = ^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze|BTCacheRoundTrip)
+MICROBENCH_ENGINE = ^BenchmarkEvaluateObserver$$
 microbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze|BTCacheRoundTrip)' -benchmem -count 6 . | tee microbench.out
-	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateObserver$$' -benchmem -count 6 ./internal/engine/ | tee -a microbench.out
+	$(GO) test -run '^$$' -bench '$(MICROBENCH_ROOT)' -benchmem -count 6 . | tee microbench.out
+	$(GO) test -run '^$$' -bench '$(MICROBENCH_ENGINE)' -benchmem -count 6 ./internal/engine/ | tee -a microbench.out
 	@awk -f scripts/microbench.awk -f scripts/microbench-summary.awk microbench.out
+
+# microbench-ab is the A/B form of microbench: given BASE, another
+# checkout (say, a git archive copy of the parent commit), it builds
+# the test binaries of BASE and of this tree once each and runs the
+# same benchmarks in 6 rounds of one pass per side, alternating which
+# side goes first, so that machine drift falls on both sides alike. It
+# writes microbench-base.out and microbench.out and runs
+# microbench-compare on them.
+BASE ?=
+microbench-ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make microbench-ab BASE=<checkout>"; exit 2; }
+	GO=$(GO) sh scripts/microbench-ab.sh '$(BASE)' '$(MICROBENCH_ROOT)' '$(MICROBENCH_ENGINE)'
+	@$(MAKE) --no-print-directory microbench-compare OLD=microbench-base.out NEW=microbench.out
 
 # microbench-compare is the performance regression gate: it compares
 # two microbench outputs, OLD (say, one saved from a run of the parent

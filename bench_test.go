@@ -485,19 +485,19 @@ func BenchmarkEngineMemoization(b *testing.B) {
 
 // BenchmarkMemOnly measures the APEX layer: the batched memory-only
 // evaluation (sim.MemOnly) of the Quick preset's 24-architecture sweep
-// on 60k-access slices of compress, li and vocoder, at one worker and
-// at one per CPU. ns/access divides the wall time by the accesses a
-// per-architecture walk would simulate (architectures × trace length).
+// on 60k-access slices of compress, li and vocoder (workers=N), and of
+// apex.DefaultConfig's sweep on full-length compress (default/workers=N),
+// whose 12 cache geometries fall into 7 set counts, so 1-way and 2-way
+// caches share LRU stacks, at one worker and at one per CPU. ns/access
+// divides the wall time by the accesses a per-architecture walk would
+// simulate (architectures × trace length).
 func BenchmarkMemOnly(b *testing.B) {
 	type input struct {
 		t     *Trace
 		archs []*mem.Architecture
 	}
-	var ins []input
-	var accesses int64
-	for _, w := range []workload.Workload{workload.Compress{}, workload.Li{}, workload.Vocoder{}} {
-		t := w.Generate(workload.DefaultConfig()).Slice(0, 60_000)
-		res, err := apex.Explore(t, nil, experiments.Quick().APEX)
+	sweep := func(t *Trace, cfg apex.Config) input {
+		res, err := apex.Explore(t, nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -505,24 +505,37 @@ func BenchmarkMemOnly(b *testing.B) {
 		for _, dp := range res.All {
 			in.archs = append(in.archs, dp.Arch)
 		}
-		ins = append(ins, in)
-		accesses += int64(len(in.archs)) * int64(t.NumAccesses())
+		return in
 	}
+	var quick []input
+	for _, w := range []workload.Workload{workload.Compress{}, workload.Li{}, workload.Vocoder{}} {
+		quick = append(quick, sweep(w.Generate(workload.DefaultConfig()).Slice(0, 60_000), experiments.Quick().APEX))
+	}
+	def := []input{sweep(workload.Compress{}.Generate(workload.DefaultConfig()), apex.DefaultConfig())}
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
 		counts = append(counts, n)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, in := range ins {
-					if _, err := sim.MemOnly(context.Background(), in.t, in.archs, workers); err != nil {
-						b.Fatal(err)
+	for _, set := range []struct {
+		prefix string
+		ins    []input
+	}{{"", quick}, {"default/", def}} {
+		var accesses int64
+		for _, in := range set.ins {
+			accesses += int64(len(in.archs)) * int64(in.t.NumAccesses())
+		}
+		for _, workers := range counts {
+			b.Run(fmt.Sprintf("%sworkers=%d", set.prefix, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, in := range set.ins {
+						if _, err := sim.MemOnly(context.Background(), in.t, in.archs, workers); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*accesses), "ns/access")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*accesses), "ns/access")
+			})
+		}
 	}
 }
 

@@ -50,7 +50,8 @@ func (r *MemOnlyResult) MissRatio() float64 {
 // once, each over only its own accesses, and the per-module counts are
 // summed back into every architecture that contains them. Jobs over the
 // same set of data structures share one walk of the trace, which hands
-// each access of that sub-stream to all of them. Architectures
+// each access of that sub-stream to all of them; their plain caches of
+// up to 2 ways share LRU stacks (lrustack.go). Architectures
 // with a shared L2 get a second stage: the L2 sees the demand and
 // prefetch backing events of its modules merged in trace order, exactly
 // as the one-phase simulator presents them.
@@ -237,31 +238,54 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []*moGrou
 // its context.
 const ctxCheckEvery = 1 << 14
 
-// run walks the trace once and simulates a cold copy of every job's
-// module over the group's sub-stream. The walk goes in chunks of
-// ctxCheckEvery accesses: it collects a chunk's sub-stream indices, then
-// runs each job over them in turn, so that one module's state at a time
-// occupies the CPU caches.
+// run walks the trace once and simulates the group's jobs over its
+// sub-stream, in chunks of ctxCheckEvery accesses. Plain write-back
+// caches of at most 2 ways run in the LRU stack kernel (lrustack.go):
+// per chunk and line size, the sub-stream collapses into line-run
+// records, which update every family of that line size in turn. Every
+// other job runs a cold copy of its module over the chunk's sub-stream
+// indices, one job at a time, so one module's state at a time occupies
+// the CPU caches.
 func (g *moGroup) run(ctx context.Context, t *trace.Trace) error {
-	ms := make([]mem.Module, len(g.jobs))
-	for k, j := range g.jobs {
+	lines, walk := newLRULines(g.jobs)
+	ms := make([]mem.Module, len(walk))
+	for k, j := range walk {
 		ms[k] = j.module.Clone()
 	}
+	var idx, recs []uint32
+	if len(walk) > 0 {
+		idx = make([]uint32, 0, min(ctxCheckEvery, g.n))
+	}
+	if len(lines) > 0 {
+		recs = make([]uint32, min(ctxCheckEvery, g.n))
+	}
 	acc := t.Accesses
-	idx := make([]uint32, 0, min(ctxCheckEvery, g.n))
 	for lo := 0; lo < len(acc); lo += ctxCheckEvery {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		idx = idx[:0]
-		for i := lo; i < min(lo+ctxCheckEvery, len(acc)); i++ {
-			if g.in[acc[i].DS] {
-				idx = append(idx, uint32(i))
+		chunk := acc[lo:min(lo+ctxCheckEvery, len(acc))]
+		for _, l := range lines {
+			rs := l.records(chunk, g.in, recs)
+			for _, f := range l.fams {
+				f.run(rs)
 			}
 		}
-		for k, j := range g.jobs {
+		if len(walk) == 0 {
+			continue
+		}
+		idx = idx[:0]
+		for i := range chunk {
+			if g.in[chunk[i].DS] {
+				idx = append(idx, uint32(lo+i))
+			}
+		}
+		for k, j := range walk {
 			j.run(ms[k], acc, idx)
 		}
+	}
+	for _, l := range lines {
+		l.finish()
 	}
 	return nil
 }

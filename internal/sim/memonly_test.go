@@ -65,35 +65,46 @@ func dsByName(tr *trace.Trace, name string) trace.DSID {
 
 // TestMemOnlyMatchesRun is the differential test of the memory-only
 // evaluator: over APEX sweeps with victim, write-through and L2 variants
-// and up to four custom modules on every workload, and over hand-built
-// architectures with direct-DRAM routes and several data structures per
-// module, every architecture's Hits, Misses, OffChipBytes and
-// ChannelBytes equal the one-phase simulator's, bit for bit, whether it
-// is evaluated alone or deduplicated within a batch.
+// and up to four custom modules on every workload, over one sweep of
+// 16–64-byte lines and 1–4 ways, and over hand-built architectures
+// with direct-DRAM routes and several data structures per module, every
+// architecture's Hits, Misses, OffChipBytes and ChannelBytes equal the
+// one-phase simulator's, bit for bit, whether it is evaluated alone or
+// deduplicated within a batch.
 func TestMemOnlyMatchesRun(t *testing.T) {
 	wcfg := workload.Config{Scale: 1, Seed: 7}
-	benches := []struct {
+	sweep := apex.Config{
+		CacheSizes:        []int{1 << 10, 8 << 10},
+		CacheAssocs:       []int{1, 2},
+		CacheLines:        []int{32},
+		MaxCustom:         4,
+		SRAMLimit:         80 << 10,
+		MaxSelected:       5,
+		VictimLines:       8,
+		SweepWriteThrough: true,
+		L2Sizes:           []int{16 << 10},
+	}
+	// wide puts several line sizes and stack families in one group,
+	// with 4-way, victim, write-through and L2-recording caches beside
+	// them on the module walk.
+	wide := sweep
+	wide.CacheSizes = []int{1 << 10, 4 << 10}
+	wide.CacheAssocs = []int{1, 2, 4}
+	wide.CacheLines = []int{16, 32, 64}
+	wide.MaxCustom = 2
+	batches := []struct {
 		name string
 		gen  workload.Workload
+		cfg  apex.Config
 	}{
-		{"compress", workload.Compress{}},
-		{"li", workload.Li{}},
-		{"vocoder", workload.Vocoder{}},
+		{"compress", workload.Compress{}, sweep},
+		{"li", workload.Li{}, sweep},
+		{"vocoder", workload.Vocoder{}, sweep},
+		{"vocoder/wide", workload.Vocoder{}, wide},
 	}
-	for _, b := range benches {
+	for _, b := range batches {
 		tr := b.gen.Generate(wcfg).Slice(0, 6000)
-		cfg := apex.Config{
-			CacheSizes:        []int{1 << 10, 8 << 10},
-			CacheAssocs:       []int{1, 2},
-			CacheLines:        []int{32},
-			MaxCustom:         4,
-			SRAMLimit:         80 << 10,
-			MaxSelected:       5,
-			VictimLines:       8,
-			SweepWriteThrough: true,
-			L2Sizes:           []int{16 << 10},
-		}
-		res, err := apex.ExploreContext(context.Background(), tr, nil, cfg, 2)
+		res, err := apex.ExploreContext(context.Background(), tr, nil, b.cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
