@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet bench-vet microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# bench-vet compiles and vets the benchmark module (bench/ has its own
+# go.mod, so ./... at the root skips it). It uses vet, not build, so no
+# binary lands in the tree.
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 # microbench runs the layer microbenchmarks six times each — Phase B
 # replay (K=1, a prefetch-free batch and a contended batch), Phase A
@@ -110,9 +116,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/adl/
 
 # check is the gate a change must pass before review: formatting is
-# clean, vet finds nothing, the whole suite passes under the race
+# clean, vet finds nothing in either module, the whole suite passes under the race
 # detector, the trace-cache, daemon and heuristic-search suites hold,
 # and the microbenchmark gate gives its pinned verdicts.
-check: vet cache-check daemon-check search-check microbench-compare-check
+check: vet bench-vet cache-check daemon-check search-check microbench-compare-check
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race ./...

@@ -1,4 +1,4 @@
-package memorex
+package memorex_test
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation section, plus ablation benches for the design
@@ -149,9 +149,9 @@ func quickTrace(b *testing.B) *workloadTrace {
 	return &workloadTrace{t}
 }
 
-type workloadTrace struct{ *Trace }
+type workloadTrace struct{ *trace.Trace }
 
-func quickArchs(b *testing.B, t *Trace) []*mem.Architecture {
+func quickArchs(b *testing.B, t *trace.Trace) []*mem.Architecture {
 	b.Helper()
 	res, err := apex.Explore(t, nil, apex.Config{
 		CacheSizes:  []int{2 << 10, 16 << 10},
@@ -493,10 +493,10 @@ func BenchmarkEngineMemoization(b *testing.B) {
 // simulate (architectures × trace length).
 func BenchmarkMemOnly(b *testing.B) {
 	type input struct {
-		t     *Trace
+		t     *trace.Trace
 		archs []*mem.Architecture
 	}
-	sweep := func(t *Trace, cfg apex.Config) input {
+	sweep := func(t *trace.Trace, cfg apex.Config) input {
 		res, err := apex.Explore(t, nil, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -546,7 +546,7 @@ func BenchmarkMemOnly(b *testing.B) {
 func BenchmarkProfileAnalyze(b *testing.B) {
 	type input struct {
 		name string
-		t    *Trace
+		t    *trace.Trace
 	}
 	var ins []input
 	for _, w := range []workload.Workload{workload.Compress{}, workload.Li{}, workload.Vocoder{}} {

@@ -107,10 +107,12 @@ func main() {
 
 	if sf.Strategy != "" && strategy != explore.Pruned {
 		// Run the requested exploration driver over just this memory
-		// architecture and report its front.
+		// architecture, on APEX's space so its BRG is the one APEX
+		// scored, and report its front.
 		opt.ConEx.Search = sf.Config(wl.Seed)
 		archs := []*mem.Architecture{arch}
-		sp := &explore.Space{AllMem: archs, SelectedMem: archs, NeighborMem: archs}
+		sp := explore.BuildSpace(apexRes)
+		sp.AllMem, sp.SelectedMem, sp.NeighborMem = archs, archs, archs
 		out, err := explore.Run(ctx, tr, sp, strategy, opt.ConEx)
 		if err != nil {
 			log.Fatal(err)

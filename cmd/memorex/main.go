@@ -98,11 +98,7 @@ func main() {
 	}()
 
 	exOpts := []memorex.ExplorerOption{
-		memorex.WithWorkloadConfig(wl.Config()),
 		memorex.WithWorkers(ev.Workers),
-		memorex.WithLibrary(lib),
-		memorex.WithKeepPerArch(*keep),
-		memorex.WithAssignCap(*assignCap),
 		memorex.WithObserver(observer),
 	}
 	if cf.Dir != "" {
@@ -121,15 +117,20 @@ func main() {
 	if _, err := sf.ParseStrategy(); err != nil {
 		log.Fatal(err)
 	}
+	wlCfg := wl.Config()
 	search := sf.Config(wl.Seed)
 
 	ctx, cancel := cliutil.SignalContext()
 	defer cancel()
 	start := time.Now()
 	rep, err := ex.Do(ctx, memorex.ExploreRequest{
-		Benchmark: wl.Bench,
-		Strategy:  sf.Strategy,
-		Search:    &search,
+		Benchmark:         wl.Bench,
+		Workload:          &wlCfg,
+		Library:           lib,
+		KeepPerArch:       *keep,
+		MaxAssignPerLevel: assignCap,
+		Strategy:          sf.Strategy,
+		Search:            &search,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -69,7 +69,7 @@ func run() int {
 	tenantQuota := flag.Int("tenant-quota", 0, "max active (queued+running) jobs per tenant (0 = unlimited)")
 	jobRetention := flag.Duration("job-retention", time.Hour, "how long finished jobs stay queryable before eviction (0 = forever)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max time to wait for running jobs on shutdown")
-	libPath := flag.String("lib", "", "JSON connectivity IP library to explore with (default: built-in)")
+	libPath := flag.String("lib", "", "JSON connectivity IP library of jobs that name none (default: built-in)")
 	flag.Parse()
 
 	lib, err := cliutil.LoadLibrary(*libPath)
@@ -94,7 +94,6 @@ func run() int {
 
 	exOpts := []memorex.ExplorerOption{
 		memorex.WithWorkers(ev.Workers),
-		memorex.WithLibrary(lib),
 		memorex.WithObserver(observer),
 	}
 	if cf.Dir != "" {
@@ -115,6 +114,7 @@ func run() int {
 	srv := newServer(serverConfig{
 		Explorer:     ex,
 		Router:       router,
+		Library:      lib,
 		QueueCap:     *queueCap,
 		MaxRunning:   *maxRunning,
 		TenantQuota:  *tenantQuota,

@@ -28,6 +28,9 @@ type serverConfig struct {
 	// Router is the per-job event fan-out; it must be one of the sinks
 	// of the Explorer's observer.
 	Router *obs.Router
+	// Library is the connectivity IP library of jobs whose request
+	// names none (nil = the built-in library).
+	Library []memorex.ConnComponent
 	// QueueCap bounds the number of admitted-but-not-finished jobs
 	// waiting to run; submissions beyond it are rejected with 429.
 	QueueCap int
@@ -274,6 +277,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The daemon assigns the job identity; a client-set JobID would
 	// collide across tenants.
 	jb.req.JobID = jb.id
+	if jb.req.Library == nil {
+		jb.req.Library = s.cfg.Library
+	}
 
 	select {
 	case s.queue <- jb:

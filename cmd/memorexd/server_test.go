@@ -16,32 +16,33 @@ import (
 	"memorex/internal/obs"
 )
 
-// fastExplorerOpts shrinks the design spaces so daemon tests stay
-// quick, mirroring the root package's test configuration.
-func fastExplorerOpts() []memorex.ExplorerOption {
-	return []memorex.ExplorerOption{
-		memorex.WithAPEXConfig(memorex.APEXConfig{
+// fastRequest is a vocoder job over design spaces shrunk so daemon
+// tests stay quick, mirroring the root package's test request.
+func fastRequest() memorex.ExploreRequest {
+	assignCap := 12
+	return memorex.ExploreRequest{
+		Benchmark: "vocoder",
+		APEX: &memorex.APEXConfig{
 			CacheSizes:  []int{2 << 10, 16 << 10},
 			CacheAssocs: []int{2},
 			CacheLines:  []int{32},
 			MaxCustom:   1,
 			SRAMLimit:   80 << 10,
 			MaxSelected: 2,
-		}),
-		memorex.WithAssignCap(12),
-		memorex.WithKeepPerArch(3),
-		memorex.WithSampling(memorex.SamplingConfig{OnWindow: 500, OffRatio: 9}),
+		},
+		Sampling:          &memorex.SamplingConfig{OnWindow: 500, OffRatio: 9},
+		KeepPerArch:       3,
+		MaxAssignPerLevel: &assignCap,
 	}
 }
 
-// newTestDaemon boots a job server over a fast Explorer and an HTTP
+// newTestDaemon boots a job server over an Explorer and an HTTP
 // test listener, returning the server (for its internals), the client,
 // and a cleanup-registered httptest server.
 func newTestDaemon(t *testing.T, cfg serverConfig) (*server, *jobapi.Client) {
 	t.Helper()
 	router := obs.NewRouter()
-	ex, err := memorex.NewExplorer(append(fastExplorerOpts(),
-		memorex.WithObserver(memorex.NewObserver(router)))...)
+	ex, err := memorex.NewExplorer(memorex.WithObserver(memorex.NewObserver(router)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func designsJSON(t *testing.T, rep *memorex.ReportJSON) string {
 // byte-identical designs section.
 func TestDaemonSequentialDedup(t *testing.T) {
 	_, c := newTestDaemon(t, serverConfig{MaxRunning: 1})
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	rep1 := reportOf(t, submitWait(t, c, req))
 	rep2 := reportOf(t, submitWait(t, c, req))
@@ -131,7 +132,7 @@ func TestDaemonSequentialDedup(t *testing.T) {
 // an identically configured fresh daemon).
 func TestDaemonConcurrentDedup(t *testing.T) {
 	_, base := newTestDaemon(t, serverConfig{MaxRunning: 1})
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 	baseline := reportOf(t, submitWait(t, base, req)).Metrics.Counters["engine/behavior_captures"]
 	if baseline == 0 {
 		t.Fatal("baseline run captured no behavior traces")
@@ -190,7 +191,7 @@ func TestDaemonQueueOverflow(t *testing.T) {
 	_, c := newTestDaemon(t, serverConfig{MaxRunning: 1, QueueCap: 1, TestGate: gate(release)})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	jb1, err := c.Submit(ctx, req) // occupies the one runner
 	if err != nil {
@@ -232,7 +233,7 @@ func TestDaemonTenantQuota(t *testing.T) {
 	_, c := newTestDaemon(t, serverConfig{MaxRunning: 1, QueueCap: 8, TenantQuota: 1, TestGate: gate(release)})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	alice := &jobapi.Client{Base: c.Base, Tenant: "alice", HTTPClient: c.HTTPClient}
 	bob := &jobapi.Client{Base: c.Base, Tenant: "bob", HTTPClient: c.HTTPClient}
@@ -280,7 +281,7 @@ func TestDaemonCancel(t *testing.T) {
 	_, c := newTestDaemon(t, serverConfig{MaxRunning: 1, QueueCap: 2, TestGate: gate(release)})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	running, err := c.Submit(ctx, req)
 	if err != nil {
@@ -334,7 +335,7 @@ func TestDaemonDrain(t *testing.T) {
 	s, c := newTestDaemon(t, serverConfig{MaxRunning: 1, QueueCap: 2, TestGate: gate(release)})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	running, err := c.Submit(ctx, req)
 	if err != nil {
@@ -405,8 +406,8 @@ func TestDaemonEvents(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	jb1 := submitWait(t, c, memorex.ExploreRequest{Benchmark: "vocoder"})
-	jb2 := submitWait(t, c, memorex.ExploreRequest{Benchmark: "vocoder"})
+	jb1 := submitWait(t, c, fastRequest())
+	jb2 := submitWait(t, c, fastRequest())
 	reportOf(t, jb1)
 	reportOf(t, jb2)
 
@@ -484,12 +485,10 @@ func TestDaemonValidation(t *testing.T) {
 // back in the report JSON.
 func TestDaemonHeuristicJob(t *testing.T) {
 	_, c := newTestDaemon(t, serverConfig{})
-	jb := submitWait(t, c, memorex.ExploreRequest{
-		Benchmark: "vocoder",
-		Strategy:  "ga",
-		Search:    &memorex.SearchConfig{Seed: 9, Budget: 60, Population: 8},
-	})
-	rep := reportOf(t, jb)
+	req := fastRequest()
+	req.Strategy = "ga"
+	req.Search = &memorex.SearchConfig{Seed: 9, Budget: 60, Population: 8}
+	rep := reportOf(t, submitWait(t, c, req))
 	if rep.Search == nil {
 		t.Fatal("heuristic job report carries no search provenance")
 	}
@@ -501,6 +500,40 @@ func TestDaemonHeuristicJob(t *testing.T) {
 	}
 	if len(rep.Designs) == 0 {
 		t.Error("heuristic job report has no designs")
+	}
+}
+
+// TestDaemonDefaultLibrary: a job whose request names no connectivity
+// library is explored with the daemon's (memorexd -lib), and a job that
+// carries its own library keeps it.
+func TestDaemonDefaultLibrary(t *testing.T) {
+	builtin := memorex.DefaultOptions("").ConEx.Library
+	var kit []memorex.ConnComponent
+	for _, comp := range builtin {
+		comp.Name = "kit-" + comp.Name
+		kit = append(kit, comp)
+	}
+	_, c := newTestDaemon(t, serverConfig{Library: kit})
+	for _, tc := range []struct {
+		name string
+		lib  []memorex.ConnComponent
+		kit  bool
+	}{
+		{"no library", nil, true},
+		{"own library", builtin, false},
+	} {
+		req := fastRequest()
+		req.Library = tc.lib
+		rep := reportOf(t, submitWait(t, c, req))
+		if len(rep.Designs) == 0 {
+			t.Fatalf("%s: job report has no designs", tc.name)
+		}
+		for _, d := range rep.Designs {
+			if strings.Contains(d.Connectivity, "kit-") != tc.kit {
+				t.Fatalf("%s: design connectivity %q, want daemon library components: %v",
+					tc.name, d.Connectivity, tc.kit)
+			}
+		}
 	}
 }
 
@@ -519,7 +552,7 @@ func TestDaemonJobRetention(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	req := memorex.ExploreRequest{Benchmark: "vocoder"}
+	req := fastRequest()
 
 	running, err := c.Submit(ctx, req)
 	if err != nil {
@@ -588,7 +621,7 @@ func TestDaemonJobRetentionJanitor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	done := submitWait(t, c, memorex.ExploreRequest{Benchmark: "vocoder"})
+	done := submitWait(t, c, fastRequest())
 	reportOf(t, done)
 	deadline := time.Now().Add(30 * time.Second)
 	for {

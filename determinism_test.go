@@ -35,11 +35,11 @@ func designsSection(t *testing.T, r *Report) []byte {
 // resolve from the cache without simulating anything new.
 func TestWarmColdDeterminism(t *testing.T) {
 	ctx := context.Background()
-	ex1, err := NewExplorer(fastExplorerOpts()...)
+	ex1, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ex1.Explore(ctx, "vocoder")
+	cold, err := ex1.Do(ctx, fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWarmColdDeterminism(t *testing.T) {
 
 	// Warm rerun on the same engine: pure cache hits, no new
 	// simulations, identical designs.
-	warm, err := ex1.Explore(ctx, "vocoder")
+	warm, err := ex1.Do(ctx, fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestWarmColdDeterminism(t *testing.T) {
 	// Independent cold rerun on a fresh engine: every batch is
 	// re-planned and re-executed from scratch, possibly under different
 	// goroutine scheduling, and must still land on the same designs.
-	ex2, err := NewExplorer(fastExplorerOpts()...)
+	ex2, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold2, err := ex2.Explore(ctx, "vocoder")
+	cold2, err := ex2.Do(ctx, fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,16 +55,18 @@ func main() {
 			c.Name, c.Class, c.WidthBytes, c.TransferCycles(4), c.EnergyPerByte, side)
 	}
 
-	ex, err := memorex.NewExplorer(
-		memorex.WithLibrary(lib),
-		memorex.WithAssignCap(48),
-		memorex.WithKeepPerArch(6),
-	)
+	ex, err := memorex.NewExplorer()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "jpegenc"})
+	assignCap := 48
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{
+		Benchmark:         "jpegenc",
+		Library:           lib,
+		MaxAssignPerLevel: &assignCap,
+		KeepPerArch:       6,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,18 +13,20 @@ import (
 )
 
 func main() {
-	// Configure the exploration. An Explorer uses the paper's spaces by
+	// Configure the exploration. A request uses the paper's spaces by
 	// default; we shrink the connectivity enumeration a little so the
 	// quickstart finishes in seconds.
-	ex, err := memorex.NewExplorer(
-		memorex.WithAssignCap(64),
-		memorex.WithKeepPerArch(6),
-	)
+	ex, err := memorex.NewExplorer()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "compress"})
+	assignCap := 64
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{
+		Benchmark:         "compress",
+		MaxAssignPerLevel: &assignCap,
+		KeepPerArch:       6,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

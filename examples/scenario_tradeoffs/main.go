@@ -15,15 +15,17 @@ import (
 )
 
 func main() {
-	ex, err := memorex.NewExplorer(
-		memorex.WithAssignCap(64),
-		memorex.WithKeepPerArch(8),
-	)
+	ex, err := memorex.NewExplorer()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	report, err := ex.Do(context.Background(), memorex.ExploreRequest{Benchmark: "vocoder"})
+	assignCap := 64
+	report, err := ex.Do(context.Background(), memorex.ExploreRequest{
+		Benchmark:         "vocoder",
+		MaxAssignPerLevel: &assignCap,
+		KeepPerArch:       8,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,14 +9,11 @@ import (
 
 	"memorex/internal/apex"
 	"memorex/internal/btcache"
-	"memorex/internal/core"
 	"memorex/internal/engine"
 	"memorex/internal/explore"
 	"memorex/internal/obs"
 	"memorex/internal/profile"
-	"memorex/internal/sampling"
 	"memorex/internal/trace"
-	"memorex/internal/workload"
 )
 
 // Observability types re-exported for Explorer users.
@@ -27,8 +24,8 @@ type (
 	Observer = obs.Observer
 	// Event is one entry of the structured exploration event stream.
 	Event = obs.Event
-	// EventSink consumes events (JSONL writer, in-memory ring, progress
-	// line — see NewJSONLSink, NewRingSink, NewProgressSink).
+	// EventSink consumes events (JSONL writer or in-memory ring — see
+	// NewJSONLSink and NewRingSink).
 	EventSink = obs.Sink
 	// MetricsSnapshot is a point-in-time copy of the exploration metrics
 	// registry: counters, gauges and latency-histogram stats.
@@ -75,10 +72,6 @@ func NewJSONLSink(w io.Writer) EventSink { return obs.NewJSONL(w) }
 // NewRingSink retains the last n events in memory.
 func NewRingSink(n int) *RingSink { return obs.NewRing(n) }
 
-// NewProgressSink repaints a single-line terminal progress display,
-// refreshed every `every` evaluations (0 = a sensible default).
-func NewProgressSink(w io.Writer, every int) EventSink { return obs.NewProgress(w, every) }
-
 // DecodeEvents parses a JSONL event stream written by NewJSONLSink.
 func DecodeEvents(r io.Reader) ([]Event, error) { return obs.DecodeJSONL(r) }
 
@@ -87,29 +80,22 @@ func DecodeEvents(r io.Reader) ([]Event, error) { return obs.DecodeJSONL(r) }
 // ConEx connectivity exploration. It owns the evaluation engine (so
 // repeated runs share the memoization cache), the metrics registry,
 // and the observer that streams structured events. Build one with
-// NewExplorer and functional options; the zero-option Explorer runs
-// the paper-reproduction defaults.
+// NewExplorer and functional options, which set the resources it runs
+// on; what each run explores is the ExploreRequest given to Do.
 //
 // An Explorer is safe for use from multiple goroutines: the engine
 // serializes shared state and the observer is internally locked.
 type Explorer struct {
-	wl      workload.Config
-	apexCfg apex.Config
-	conex   core.Config // Engine field set to eng
-	eng     *engine.Engine
-	obs     *obs.Observer
-	cache   *btcache.Cache // nil without WithTraceCache
+	eng   *engine.Engine
+	obs   *obs.Observer
+	cache *btcache.Cache // nil without WithTraceCache
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// explorerConfig accumulates the functional options before
-// normalization.
+// explorerConfig accumulates the functional options.
 type explorerConfig struct {
-	wl       workload.Config
-	apexCfg  apex.Config
-	conexCfg core.Config
 	workers  int
 	engine   *engine.Engine
 	observer *obs.Observer
@@ -168,70 +154,12 @@ func WithTraceCacheLimit(bytes int64) ExplorerOption {
 	return func(c *explorerConfig) { c.cacheCap = bytes }
 }
 
-// WithWorkloadConfig sets the benchmark scaling. The zero config means
-// the paper-reproduction defaults; partially invalid configs surface
-// as a NewExplorer error.
-func WithWorkloadConfig(cfg WorkloadConfig) ExplorerOption {
-	return func(c *explorerConfig) { c.wl = cfg }
-}
-
-// WithAPEXConfig replaces the memory-modules sweep. The zero config
-// means the paper-reproduction defaults.
-func WithAPEXConfig(cfg APEXConfig) ExplorerOption {
-	return func(c *explorerConfig) { c.apexCfg = cfg }
-}
-
-// WithConExConfig replaces the connectivity-exploration config. The
-// zero config means the paper-reproduction defaults. Its Engine field,
-// when set, acts like WithEngine.
-func WithConExConfig(cfg ConExConfig) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg = cfg }
-}
-
-// WithSampling sets the Phase I time-sampling plan.
-func WithSampling(cfg SamplingConfig) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg.Sampling = cfg }
-}
-
-// WithLibrary sets the connectivity IP library ConEx maps channels
-// onto.
-func WithLibrary(lib []ConnComponent) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg.Library = lib }
-}
-
-// WithKeepPerArch sets how many locally promising designs each memory
-// architecture contributes to Phase II full simulation.
-func WithKeepPerArch(n int) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg.KeepPerArch = n }
-}
-
-// WithAssignCap caps the connectivity assignments enumerated per
-// clustering level (0 = exhaustive).
-func WithAssignCap(n int) ExplorerOption {
-	return func(c *explorerConfig) { c.conexCfg.MaxAssignPerLevel = n }
-}
-
-// NewExplorer builds an Explorer. Configuration is validated here, in
-// one place: zero configs become the paper-reproduction defaults,
-// while explicitly invalid values are reported as errors instead of
-// being silently replaced.
+// NewExplorer builds an Explorer. Conflicting options are reported as
+// errors.
 func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 	var c explorerConfig
 	for _, opt := range opts {
 		opt(&c)
-	}
-
-	wl, err := c.wl.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("memorex: %w", err)
-	}
-	apexCfg, err := c.apexCfg.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("memorex: %w", err)
-	}
-	conexCfg, err := c.conexCfg.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("memorex: %w", err)
 	}
 
 	observer := c.observer
@@ -243,16 +171,9 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 	}
 
 	eng := c.engine
-	if eng == nil {
-		eng = conexCfg.Engine
-	}
 	var cache *btcache.Cache
 	if eng == nil {
 		reg := obs.NewRegistry()
-		workers := c.workers
-		if workers == 0 {
-			workers = conexCfg.Workers
-		}
 		engOpts := []engine.Option{engine.WithObserver(observer), engine.WithMetrics(reg)}
 		if c.cacheDir != "" {
 			var cacheOpts []btcache.Option
@@ -267,7 +188,7 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 			}
 			engOpts = append(engOpts, engine.WithBehaviorCache(cache))
 		}
-		eng = engine.New(workers, engOpts...)
+		eng = engine.New(c.workers, engOpts...)
 	} else {
 		if c.cacheDir != "" {
 			return nil, fmt.Errorf("memorex: WithEngine and WithTraceCache are mutually exclusive; attach the cache when building the engine (engine.WithBehaviorCache)")
@@ -280,22 +201,7 @@ func NewExplorer(opts ...ExplorerOption) (*Explorer, error) {
 		}
 		observer = eng.Observer()
 	}
-	conexCfg.Engine = eng
-
-	return &Explorer{
-		wl:      wl,
-		apexCfg: apexCfg,
-		conex:   conexCfg,
-		eng:     eng,
-		obs:     observer,
-		cache:   cache,
-	}, nil
-}
-
-// Options returns the effective (normalized) configuration the
-// Explorer runs with, in the legacy Options form.
-func (x *Explorer) Options() Options {
-	return Options{WorkloadConfig: x.wl, APEX: x.apexCfg, ConEx: x.conex}
+	return &Explorer{eng: eng, obs: observer, cache: cache}, nil
 }
 
 // Engine returns the Explorer's evaluation engine, for sharing its
@@ -333,48 +239,36 @@ func (x *Explorer) Close() error {
 	return x.closeErr
 }
 
-// Explore runs the full pipeline on the named benchmark. The context
-// cancels the exploration between design-point evaluations. It is
-// shorthand for Do with a benchmark-only request.
-func (x *Explorer) Explore(ctx context.Context, benchmark string) (*Report, error) {
-	return x.Do(ctx, ExploreRequest{Benchmark: benchmark})
-}
-
-// ExploreTrace runs profiling, APEX and ConEx on an existing trace
-// (the trace's own Name labels the run in events and reports). It is
-// shorthand for Do with a trace-only request.
-func (x *Explorer) ExploreTrace(ctx context.Context, t *Trace) (*Report, error) {
-	return x.Do(ctx, ExploreRequest{Trace: t})
-}
-
 // Do runs one exploration request. It is the single code path behind
-// every public entry point — Explore, ExploreTrace and the memorexd job
-// API all build an ExploreRequest and land here.
+// every exploration: the CLIs, the paper experiments and the memorexd
+// job API all build an ExploreRequest and land here.
 //
-// The request is validated, then resolved against the Explorer's own
-// configuration: nil config blocks inherit the Explorer's settings,
-// present blocks override them for this request only. All evaluations
-// go through the Explorer's shared engine, so identical requests —
-// concurrent or sequential, from any submitter — share behavior
-// captures, memoized design points and the persistent trace cache.
+// The request is validated, then resolved against the paper defaults:
+// nil config blocks and zero fields take the default, present ones
+// win. All evaluations go through the Explorer's shared engine, so
+// identical requests — concurrent or sequential, from any submitter —
+// share behavior captures, memoized design points and the persistent
+// trace cache.
 // When the request carries a JobID, the run-level events it emits are
 // stamped with it for per-job routing (see obs.Router).
 func (x *Explorer) Do(ctx context.Context, req ExploreRequest) (*Report, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	wl, apexCfg, conexCfg, err := x.resolve(req)
+	opt, err := resolve(req)
 	if err != nil {
 		return nil, err
 	}
+	opt.ConEx.Engine = x.eng
 
 	t := req.Trace
 	if t == nil {
-		if t, err = GenerateTrace(req.Benchmark, wl); err != nil {
+		if t, err = GenerateTrace(req.Benchmark, opt.WorkloadConfig); err != nil {
 			return nil, err
 		}
 	}
 	benchmark := benchmarkLabel(req.Benchmark, t)
+	opt.Workload = benchmark
 
 	if ctx == nil {
 		ctx = context.Background()
@@ -393,7 +287,7 @@ func (x *Explorer) Do(ctx context.Context, req ExploreRequest) (*Report, error) 
 	start := time.Now()
 	o.RunStart(benchmark, int64(t.NumAccesses()))
 	o.TraceGenerated(benchmark, int64(t.NumAccesses()), len(t.DS))
-	rep, err := x.run(ctx, o, benchmark, t, wl, apexCfg, conexCfg, strategy)
+	rep, err := x.run(ctx, o, opt, t, strategy)
 	o.RunEnd(benchmark, time.Since(start), err)
 	if err != nil {
 		return nil, err
@@ -405,91 +299,56 @@ func (x *Explorer) Do(ctx context.Context, req ExploreRequest) (*Report, error) 
 	return rep, nil
 }
 
-// resolve merges a validated request over the Explorer's configuration:
-// absent blocks inherit, present blocks are normalized and win.
-func (x *Explorer) resolve(req ExploreRequest) (workload.Config, apex.Config, core.Config, error) {
-	wl, apexCfg, conexCfg := x.wl, x.apexCfg, x.conex
+// resolve merges a validated request over the paper defaults: absent
+// blocks and zero fields keep the default, present ones are normalized
+// and win.
+func resolve(req ExploreRequest) (Options, error) {
+	opt := DefaultOptions(req.Benchmark)
 	var err error
 	if req.Workload != nil {
-		if wl, err = req.Workload.Normalize(); err != nil {
-			return wl, apexCfg, conexCfg, fmt.Errorf("memorex: %w", err)
+		if opt.WorkloadConfig, err = req.Workload.Normalize(); err != nil {
+			return opt, fmt.Errorf("memorex: %w", err)
 		}
 	}
 	if req.APEX != nil {
-		if apexCfg, err = req.APEX.Normalize(); err != nil {
-			return wl, apexCfg, conexCfg, fmt.Errorf("memorex: %w", err)
+		if opt.APEX, err = req.APEX.Normalize(); err != nil {
+			return opt, fmt.Errorf("memorex: %w", err)
 		}
 	}
 	if req.Sampling != nil {
-		if conexCfg.Sampling, err = req.Sampling.Normalize(); err != nil {
-			return wl, apexCfg, conexCfg, fmt.Errorf("memorex: %w", err)
+		if opt.ConEx.Sampling, err = req.Sampling.Normalize(); err != nil {
+			return opt, fmt.Errorf("memorex: %w", err)
 		}
 	}
 	if req.Library != nil {
-		conexCfg.Library = req.Library
+		opt.ConEx.Library = req.Library
 	}
 	if req.KeepPerArch > 0 {
-		conexCfg.KeepPerArch = req.KeepPerArch
+		opt.ConEx.KeepPerArch = req.KeepPerArch
 	}
 	if req.MaxAssignPerLevel != nil {
-		conexCfg.MaxAssignPerLevel = *req.MaxAssignPerLevel
+		opt.ConEx.MaxAssignPerLevel = *req.MaxAssignPerLevel
 	}
 	if req.Search != nil {
-		conexCfg.Search = *req.Search
+		opt.ConEx.Search = *req.Search
 	}
-	return wl, apexCfg, conexCfg, nil
+	return opt, nil
 }
 
-func (x *Explorer) run(ctx context.Context, o *obs.Observer, benchmark string, t *trace.Trace,
-	wl workload.Config, apexCfg apex.Config, conexCfg core.Config, strategy explore.Strategy) (*Report, error) {
+// run is the paper's Figure 1 chain on one trace: profile, APEX, and
+// the strategy's ConEx driver over the space APEX selected.
+func (x *Explorer) run(ctx context.Context, o *obs.Observer, opt Options, t *trace.Trace, strategy explore.Strategy) (*Report, error) {
 	prof := profile.Analyze(t)
-	apexRes, err := apex.ExploreContext(ctx, t, prof, apexCfg, x.eng.Workers())
+	apexRes, err := apex.ExploreContext(ctx, t, prof, opt.APEX, x.eng.Workers())
 	if err != nil {
 		return nil, fmt.Errorf("memorex: APEX failed: %w", err)
 	}
 	o.APEXSelected(len(apexRes.All), len(apexRes.Selected))
-	opt := Options{Workload: benchmark, WorkloadConfig: wl, APEX: apexCfg, ConEx: conexCfg}
-	rep := &Report{Options: opt, Trace: t, Profile: prof, APEX: apexRes}
-
-	if strategy == explore.Pruned {
-		// The paper's two-phase algorithm keeps its dedicated code path
-		// (per-architecture pruning events, Phase I/II result split).
-		// Each BRG comes from the memory-only result APEX scored the
-		// architecture with.
-		brgs := make([]*core.BRG, 0, len(apexRes.Selected))
-		for _, dp := range apexRes.Selected {
-			brgs = append(brgs, core.NewBRG(dp.Arch, dp.MemOnly))
-		}
-		conexRes, err := core.ExploreBRGs(ctx, t, brgs, conexCfg)
-		if err != nil {
-			return nil, fmt.Errorf("memorex: ConEx failed: %w", err)
-		}
-		rep.ConEx = conexRes
-		return rep, nil
-	}
-
-	// Every other strategy (full, neighborhood, ga, sa) walks the
-	// combined space through the explore drivers on the shared engine,
-	// and its outcome is folded into the same Result shape the report
-	// pipeline consumes.
-	before := x.eng.Stats()
-	sp := explore.BuildSpace(apexRes)
-	out, err := explore.Run(ctx, t, sp, strategy, conexCfg)
+	out, err := explore.Run(ctx, t, explore.BuildSpace(apexRes), strategy, opt.ConEx)
 	if err != nil {
 		return nil, fmt.Errorf("memorex: %s exploration failed: %w", strategy, err)
 	}
-	res := &core.Result{Combined: out.Points, Stats: out.Stats}
-	res.EstimatedAccesses = out.Stats.SampledAccesses - before.SampledAccesses
-	res.SimulatedAccesses = out.Stats.FullAccesses - before.FullAccesses
-	res.CacheHits = out.Stats.CacheHits - before.CacheHits
-	for _, p := range out.Front {
-		res.CostPerfFront = append(res.CostPerfFront, *p.Meta.(*core.DesignPoint))
-	}
+	res := out.Result
 	o.Prune("cost-perf-front", "", len(res.Combined), len(res.CostPerfFront), 0)
-	rep.ConEx = res
-	rep.Search = out.Search
-	return rep, nil
+	return &Report{Options: opt, Trace: t, Profile: prof, APEX: apexRes, ConEx: res, Search: out.Search}, nil
 }
-
-// SamplingDefault returns the paper's 1:9 time-sampling configuration.
-func SamplingDefault() SamplingConfig { return sampling.DefaultConfig() }

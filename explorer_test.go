@@ -18,11 +18,11 @@ func TestExplorerWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	run := func() (*Report, EngineStats, TraceCacheStats) {
 		t.Helper()
-		ex, err := NewExplorer(append(fastExplorerOpts(), WithTraceCache(dir))...)
+		ex, err := NewExplorer(WithTraceCache(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := ex.Explore(context.Background(), "vocoder")
+		rep, err := ex.Do(context.Background(), fastRequest("vocoder"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,45 +87,58 @@ func TestExplorerWarmStart(t *testing.T) {
 	}
 }
 
-// fastExplorerOpts shrinks the design spaces so Explorer tests stay
-// quick.
-func fastExplorerOpts() []ExplorerOption {
-	return []ExplorerOption{
-		WithAPEXConfig(APEXConfig{
+// fastRequest shrinks the design spaces so Explorer tests stay quick.
+func fastRequest(benchmark string) ExploreRequest {
+	assignCap := 12
+	return ExploreRequest{
+		Benchmark: benchmark,
+		APEX: &APEXConfig{
 			CacheSizes:  []int{2 << 10, 16 << 10},
 			CacheAssocs: []int{2},
 			CacheLines:  []int{32},
 			MaxCustom:   1,
 			SRAMLimit:   80 << 10,
 			MaxSelected: 2,
-		}),
-		WithAssignCap(12),
-		WithKeepPerArch(3),
-		WithSampling(SamplingConfig{OnWindow: 500, OffRatio: 9}),
+		},
+		Sampling:          &SamplingConfig{OnWindow: 500, OffRatio: 9},
+		KeepPerArch:       3,
+		MaxAssignPerLevel: &assignCap,
 	}
 }
 
 // TestExplorerEventStream is the completeness contract of the event
-// stream: over a full run, every evaluated design appears exactly once
-// per phase, every pruning decision is reported, the stream brackets
-// cleanly with run-start/run-end, and the same stream round-trips
-// through the JSONL sink.
+// stream, for every strategy: the stream brackets cleanly with
+// run-start/run-end, every engine request appears as exactly one eval
+// event, the run's final cost/perf front cut is reported exactly once
+// and stamped with the job, and the same stream round-trips through
+// the JSONL sink. The pruned run also reports every select-local cut
+// and every Phase I/II estimator comparison.
 func TestExplorerEventStream(t *testing.T) {
-	ring := NewRingSink(1 << 14)
-	var jsonl bytes.Buffer
-	ex, err := NewExplorer(append(fastExplorerOpts(),
-		WithEventSinks(ring, NewJSONLSink(&jsonl)))...)
-	if err != nil {
-		t.Fatal(err)
+	for _, strategy := range []string{"pruned", "full", "neighborhood", "ga", "sa"} {
+		t.Run(strategy, func(t *testing.T) {
+			ring := NewRingSink(1 << 14)
+			var jsonl bytes.Buffer
+			ex, err := NewExplorer(WithEventSinks(ring, NewJSONLSink(&jsonl)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := fastRequest("vocoder")
+			req.Strategy, req.JobID = strategy, "job-"+strategy
+			req.Search = &SearchConfig{Seed: 11, Budget: 60, Population: 8}
+			rep, err := ex.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkEventStream(t, ex, rep, ring, &jsonl, req)
+		})
 	}
-	rep, err := ex.Explore(context.Background(), "vocoder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
+func checkEventStream(t *testing.T, ex *Explorer, rep *Report, ring *RingSink, jsonl *bytes.Buffer, req ExploreRequest) {
+	t.Helper()
 	events := ring.Events()
 	if int(ring.Total()) != len(events) {
 		t.Fatalf("ring dropped events: total %d, retained %d", ring.Total(), len(events))
@@ -139,7 +152,7 @@ func TestExplorerEventStream(t *testing.T) {
 	}
 
 	seen := map[string]int{}
-	var evals, prunes, estErrs, traces, apexSel int
+	var evals, prunes, fronts, estErrs, traces, apexSel int
 	for i, ev := range events {
 		if ev.Seq != uint64(i+1) {
 			t.Fatalf("event %d has seq %d, want dense ordering", i, ev.Seq)
@@ -153,6 +166,16 @@ func TestExplorerEventStream(t *testing.T) {
 			if ev.Selected > ev.Evaluated {
 				t.Fatalf("prune kept more than it saw: %+v", ev)
 			}
+			if ev.Stage == "cost-perf-front" {
+				fronts++
+				if ev.Job != req.JobID {
+					t.Errorf("cost-perf-front prune stamped %q, want %q", ev.Job, req.JobID)
+				}
+				if ev.Selected != len(rep.ConEx.CostPerfFront) || ev.Evaluated != len(rep.ConEx.Combined) {
+					t.Errorf("cost-perf-front prune kept %d of %d, report front %d of %d",
+						ev.Selected, ev.Evaluated, len(rep.ConEx.CostPerfFront), len(rep.ConEx.Combined))
+				}
+			}
 		case KindEstimatorError:
 			estErrs++
 			if ev.EstLatency <= 0 || ev.FullLatency <= 0 {
@@ -163,6 +186,9 @@ func TestExplorerEventStream(t *testing.T) {
 		case KindAPEX:
 			apexSel++
 		}
+	}
+	if fronts != 1 {
+		t.Errorf("%d cost-perf-front prune events, want 1", fronts)
 	}
 
 	// Every evaluated design exactly once: the engine saw as many eval
@@ -175,21 +201,26 @@ func TestExplorerEventStream(t *testing.T) {
 			t.Fatalf("design %q evaluated %d times in one run", key, n)
 		}
 	}
-	// One select-local prune per explored architecture plus the final
-	// cost/perf front cut.
-	if want := len(rep.ConEx.PerArch) + 1; prunes != want {
-		t.Fatalf("%d prune events, want %d", prunes, want)
-	}
-	if estErrs != len(rep.ConEx.Combined) {
-		t.Fatalf("%d estimator-error events for %d fully simulated designs",
-			estErrs, len(rep.ConEx.Combined))
+	if req.Strategy == "pruned" {
+		// One select-local prune per explored architecture plus the
+		// final cost/perf front cut.
+		if want := len(rep.ConEx.PerArch) + 1; prunes != want {
+			t.Fatalf("%d prune events, want %d", prunes, want)
+		}
+		if estErrs != len(rep.ConEx.Combined) {
+			t.Fatalf("%d estimator-error events for %d fully simulated designs",
+				estErrs, len(rep.ConEx.Combined))
+		}
+		if _, ok := rep.Metrics.Histograms["sampling/est_err_pct"]; !ok {
+			t.Fatal("report metrics missing the estimator-error histogram")
+		}
 	}
 	if traces != 1 || apexSel != 1 {
 		t.Fatalf("trace/apex events = %d/%d, want 1/1", traces, apexSel)
 	}
 
 	// The JSONL stream decodes to the same events.
-	decoded, err := DecodeEvents(&jsonl)
+	decoded, err := DecodeEvents(jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,23 +238,20 @@ func TestExplorerEventStream(t *testing.T) {
 	if rep.Metrics.Counters["engine/evaluations"] != ex.Stats().Requests {
 		t.Fatalf("report metrics inconsistent: %+v vs %+v", rep.Metrics.Counters, ex.Stats())
 	}
-	if _, ok := rep.Metrics.Histograms["sampling/est_err_pct"]; !ok {
-		t.Fatal("report metrics missing the estimator-error histogram")
-	}
 }
 
 // TestExplorerReuse: two runs on one Explorer share the memoization
 // cache, and the second is served (at least partly) from it.
 func TestExplorerReuse(t *testing.T) {
-	ex, err := NewExplorer(fastExplorerOpts()...)
+	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Explore(context.Background(), "vocoder"); err != nil {
+	if _, err := ex.Do(context.Background(), fastRequest("vocoder")); err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := ex.Stats()
-	if _, err := ex.Explore(context.Background(), "vocoder"); err != nil {
+	if _, err := ex.Do(context.Background(), fastRequest("vocoder")); err != nil {
 		t.Fatal(err)
 	}
 	afterSecond := ex.Stats()
@@ -256,19 +284,19 @@ func (s *cancelOnEval) Close() error { return nil }
 // counters used to part ways.
 func TestExplorerReportBooksAgree(t *testing.T) {
 	sink := &cancelOnEval{}
-	ex, err := NewExplorer(append(fastExplorerOpts(), WithWorkers(1), WithEventSinks(sink))...)
+	ex, err := NewExplorer(WithWorkers(1), WithEventSinks(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sink.cancel = cancel
-	if _, err := ex.Explore(ctx, "vocoder"); !errors.Is(err, context.Canceled) {
+	if _, err := ex.Do(ctx, fastRequest("vocoder")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 	if st := ex.Stats(); st.Requests <= st.Simulations+st.CacheHits {
 		t.Fatalf("cancelled run left no claimed-but-unevaluated request: %+v", st)
 	}
-	rep, err := ex.Explore(context.Background(), "vocoder")
+	rep, err := ex.Do(context.Background(), fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +334,6 @@ func TestNewExplorerErrors(t *testing.T) {
 		opts []ExplorerOption
 		want string
 	}{
-		{"negative scale", []ExplorerOption{WithWorkloadConfig(WorkloadConfig{Scale: -1})}, "Scale"},
-		{"bad sampling", []ExplorerOption{WithSampling(SamplingConfig{OnWindow: -5})}, "on-window"},
-		{"bad keep", []ExplorerOption{WithKeepPerArch(-1)}, "KeepPerArch"},
-		{"bad apex", []ExplorerOption{WithAPEXConfig(APEXConfig{CacheSizes: []int{1024}})}, "apex"},
 		{"engine+observer", []ExplorerOption{
 			WithEngine(NewEngine(1)),
 			WithObserver(NewObserver(NewRingSink(4))),
@@ -330,13 +354,20 @@ func TestNewExplorerErrors(t *testing.T) {
 		}
 	}
 
-	// The zero-option Explorer is valid and runs with defaults.
+	// The zero-option Explorer is valid, and a request's absent blocks
+	// run with the paper defaults on the Explorer's engine.
 	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Options().ConEx.KeepPerArch != DefaultOptions("compress").ConEx.KeepPerArch {
-		t.Fatal("zero-option Explorer did not adopt defaults")
+	rep, err := ex.Do(context.Background(), fastRequest("vocoder"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := DefaultOptions("vocoder")
+	if got := rep.Options; got.Workload != "vocoder" || got.WorkloadConfig != def.WorkloadConfig ||
+		len(got.ConEx.Library) != len(def.ConEx.Library) || got.ConEx.Engine != ex.Engine() {
+		t.Fatalf("report options %+v did not adopt the defaults", got)
 	}
 }
 
@@ -345,14 +376,14 @@ func TestNewExplorerErrors(t *testing.T) {
 func TestExplorerSharedEngine(t *testing.T) {
 	ring := NewRingSink(1 << 12)
 	eng := NewEngineWithObservability(1, NewObserver(ring))
-	ex, err := NewExplorer(append(fastExplorerOpts(), WithEngine(eng))...)
+	ex, err := NewExplorer(WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.Observer() == nil {
 		t.Fatal("Explorer did not adopt the engine's observer")
 	}
-	if _, err := ex.Explore(context.Background(), "vocoder"); err != nil {
+	if _, err := ex.Do(context.Background(), fastRequest("vocoder")); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {

@@ -351,7 +351,9 @@ func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, 
 
 // ExploreBRGs is Explore over memory architectures whose BRGs are
 // already built, e.g. from the memory-only results APEX scored them
-// with (NewBRG).
+// with (NewBRG). It reports each per-architecture select-local cut as a
+// prune event; the final cost-perf-front cut is the run's, which
+// memorex.Explorer reports once whatever the strategy.
 func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -414,7 +416,6 @@ func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (
 	for _, p := range pareto.Front(res.Points(), pareto.Cost, pareto.Latency) {
 		res.CostPerfFront = append(res.CostPerfFront, *p.Meta.(*DesignPoint))
 	}
-	o.Prune("cost-perf-front", "", len(res.Combined), len(res.CostPerfFront), 0)
 	res.Stats = eng.Stats()
 	res.CacheHits = res.Stats.CacheHits - before.CacheHits
 	return res, nil

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Figures 3, 4, 6 and Tables 1, 2) from the MemorEx
-// pipeline. Each experiment returns a typed result with a String method
-// that renders rows in the layout of the paper, and cmd/paperbench and
-// the repository's bench_test.go drive them.
+// pipeline: the figures that explore a benchmark end to end run it
+// through memorex.Explorer.Do, the path a memorexd job takes. Each
+// experiment returns a typed result with a String method that renders
+// rows in the layout of the paper, and cmd/paperbench and the
+// repository's bench_test.go drive them.
 //
 // Two presets exist: the Paper preset runs the spaces used for
 // EXPERIMENTS.md, and the Quick preset shrinks traces and enumeration
@@ -19,10 +21,10 @@ import (
 	"fmt"
 	"sync"
 
+	"memorex"
 	"memorex/internal/apex"
 	"memorex/internal/core"
 	"memorex/internal/engine"
-	"memorex/internal/profile"
 	"memorex/internal/sampling"
 	"memorex/internal/trace"
 	"memorex/internal/workload"
@@ -152,25 +154,34 @@ func workers(cfg core.Config) int {
 	return cfg.Workers
 }
 
-// pipeline runs profile + APEX + ConEx for a benchmark under the given
-// bounds, sharing nothing mutable beyond the evaluation engine.
-func pipeline(ctx context.Context, name string, limit int, apexCfg apex.Config, conexCfg core.Config) (*trace.Trace, *apex.Result, *core.Result, error) {
-	t, err := benchTrace(name, limit)
+// run explores each named benchmark through memorex.Explorer.Do, the
+// pipeline every exploration takes, on one Explorer over the preset's
+// shared engine, under the figure bounds of opt and on the (possibly
+// truncated) benchmark traces.
+func run(ctx context.Context, opt Options, names ...string) ([]*memorex.Report, error) {
+	x, err := memorex.NewExplorer(memorex.WithEngine(opt.Engine()))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	prof := profile.Analyze(t)
-	apexRes, err := apex.ExploreContext(ctx, t, prof, apexCfg, workers(conexCfg))
-	if err != nil {
-		return nil, nil, nil, err
+	apexCfg, smp, assignCap := opt.APEX, opt.ConEx.Sampling, opt.ConEx.MaxAssignPerLevel
+	reps := make([]*memorex.Report, len(names))
+	for i, name := range names {
+		t, err := benchTrace(name, opt.TraceLimit)
+		if err != nil {
+			return nil, err
+		}
+		reps[i], err = x.Do(ctx, memorex.ExploreRequest{
+			Benchmark:         name,
+			Trace:             t,
+			APEX:              &apexCfg,
+			Sampling:          &smp,
+			Library:           opt.ConEx.Library,
+			KeepPerArch:       opt.ConEx.KeepPerArch,
+			MaxAssignPerLevel: &assignCap,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 	}
-	brgs := make([]*core.BRG, 0, len(apexRes.Selected))
-	for _, dp := range apexRes.Selected {
-		brgs = append(brgs, core.NewBRG(dp.Arch, dp.MemOnly))
-	}
-	conexRes, err := core.ExploreBRGs(ctx, t, brgs, conexCfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return t, apexRes, conexRes, nil
+	return reps, nil
 }

@@ -41,10 +41,11 @@ type Figure4Result struct {
 
 // Figure4 runs the coupled APEX+ConEx exploration of compress.
 func Figure4(ctx context.Context, opt Options) (*Figure4Result, error) {
-	t, _, conexRes, err := pipeline(ctx, "compress", opt.TraceLimit, opt.APEX, opt.ConEx)
+	reps, err := run(ctx, opt, "compress")
 	if err != nil {
 		return nil, err
 	}
+	t, conexRes := reps[0].Trace, reps[0].ConEx
 	out := &Figure4Result{
 		Benchmark:         "compress",
 		EstimatedAccesses: conexRes.EstimatedAccesses,

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"memorex/internal/core"
+	"memorex/internal/explore"
 	"memorex/internal/mem"
 	"memorex/internal/pareto"
 )
@@ -45,10 +46,12 @@ type Figure6Result struct {
 // conventional design, not against whatever cache-only point happened to
 // survive pruning.
 func Figure6(ctx context.Context, opt Options) (*Figure6Result, error) {
-	t, apexRes, conexRes, err := pipeline(ctx, "compress", opt.TraceLimit, opt.APEX, opt.ConEx)
+	reps, err := run(ctx, opt, "compress")
 	if err != nil {
 		return nil, err
 	}
+	rep := reps[0]
+	t, conexRes := rep.Trace, rep.ConEx
 	out := &Figure6Result{Benchmark: "compress"}
 
 	isTraditional := func(a *mem.Architecture) bool {
@@ -59,10 +62,12 @@ func Figure6(ctx context.Context, opt Options) (*Figure6Result, error) {
 	}
 
 	// Explore the best (lowest miss ratio) cache-only architecture of
-	// the full APEX space as the reference, the paper's design b.
+	// the full APEX space as the reference, the paper's design b, with
+	// the pruned driver over the run's own APEX space (so its BRG comes
+	// from the memory-only result APEX scored it with).
 	var refArch *mem.Architecture
 	bestMiss := 2.0
-	for _, dp := range apexRes.All {
+	for _, dp := range rep.APEX.All {
 		if isTraditional(dp.Arch) && dp.MissRatio < bestMiss {
 			bestMiss = dp.MissRatio
 			refArch = dp.Arch
@@ -70,11 +75,13 @@ func Figure6(ctx context.Context, opt Options) (*Figure6Result, error) {
 	}
 	points := append([]core.DesignPoint(nil), conexRes.Combined...)
 	if refArch != nil {
-		refRes, err := core.Explore(ctx, t, []*mem.Architecture{refArch}, opt.ConEx)
+		sp := explore.BuildSpace(rep.APEX)
+		sp.SelectedMem = []*mem.Architecture{refArch}
+		ref, err := explore.Run(ctx, t, sp, explore.Pruned, rep.Options.ConEx)
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, refRes.Combined...)
+		points = append(points, ref.Points...)
 	}
 
 	// Reference metrics: the best fully simulated cache-only design.

@@ -33,11 +33,11 @@ type FigureEnergyResult struct {
 // FigureEnergy runs the compress exploration and projects the energy
 // dimension.
 func FigureEnergy(ctx context.Context, opt Options) (*FigureEnergyResult, error) {
-	_, _, conexRes, err := pipeline(ctx, "compress", opt.TraceLimit, opt.APEX, opt.ConEx)
+	reps, err := run(ctx, opt, "compress")
 	if err != nil {
 		return nil, err
 	}
-	pts := conexRes.Points()
+	pts := reps[0].ConEx.Points()
 	out := &FigureEnergyResult{
 		Benchmark:     "compress",
 		CostEnergy:    pareto.Front(pts, pareto.Cost, pareto.Energy),

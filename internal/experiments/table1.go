@@ -28,15 +28,16 @@ var Table1Benchmarks = []string{"compress", "li", "vocoder"}
 
 // Table1 runs the full pipeline on all three benchmarks.
 func Table1(ctx context.Context, opt Options) (*Table1Result, error) {
+	reps, err := run(ctx, opt, Table1Benchmarks...)
+	if err != nil {
+		return nil, fmt.Errorf("table1 %w", err)
+	}
 	out := &Table1Result{}
-	for _, name := range Table1Benchmarks {
-		t, _, conexRes, err := pipeline(ctx, name, opt.TraceLimit, opt.APEX, opt.ConEx)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", name, err)
-		}
-		for _, dp := range conexRes.CostPerfFront {
+	for _, rep := range reps {
+		t := rep.Trace
+		for _, dp := range rep.ConEx.CostPerfFront {
 			out.Rows = append(out.Rows, Table1Row{
-				Benchmark: name,
+				Benchmark: rep.Options.Workload,
 				Cost:      dp.Cost,
 				Latency:   dp.Latency,
 				Energy:    dp.Energy,

@@ -1,5 +1,5 @@
-// Package explore provides the three exploration drivers compared in
-// Table 2 of the paper:
+// Package explore provides the five exploration drivers. Three are
+// compared in Table 2 of the paper:
 //
 //   - Full: brute force — every memory-modules candidate architecture is
 //     combined with every connectivity clustering level and assignment,
@@ -13,10 +13,14 @@
 //     neighbouring the selected ones on the cost axis are included, and
 //     each architecture contributes more locally promising designs.
 //
-// All three drivers evaluate design points through one shared
+// The heuristic drivers GA and SA (search.go) walk the same combined
+// space under an evaluation budget.
+//
+// All five drivers evaluate design points through one shared
 // engine.Engine per Run call (or the caller's, via Config.Engine), so
 // parallelism, memoization and cancellation behave identically across
-// strategies.
+// strategies, and every Run returns its outcome in the core.Result
+// shape the report pipeline consumes.
 //
 // The package also computes Table 2's coverage and average-distance
 // metrics of each strategy against the Full truth.
@@ -201,6 +205,11 @@ type Outcome struct {
 	// Search records the heuristic-search provenance (strategy, seed,
 	// budget, evaluations issued); nil for the enumeration strategies.
 	Search *SearchProvenance
+	// Result is the outcome in the ConEx result shape: for Pruned,
+	// core.ExploreBRGs's own result (per-architecture Phase I clouds,
+	// Phase II designs, dropped-assignment count); for every other
+	// strategy, Points and Front with the run's work counters.
+	Result *core.Result
 }
 
 // Run executes the given strategy over the space. All design-point
@@ -215,6 +224,7 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	eng := cfg.EngineOrNew()
 	cfg.Engine = eng
 	start := time.Now()
+	before := eng.Stats()
 	out := &Outcome{Strategy: strategy}
 	switch strategy {
 	case Full:
@@ -232,6 +242,7 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 		}
 		out.Points = res.Combined
 		out.WorkAccesses = res.EstimatedAccesses + res.SimulatedAccesses
+		out.Result = res
 	case Neighborhood:
 		wide := cfg
 		wide.KeepPerArch = cfg.KeepPerArch * 2
@@ -269,6 +280,16 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	out.Front = pareto.Front(pts, pareto.Cost, pareto.Latency)
 	out.Wall = time.Since(start)
 	out.Stats = eng.Stats()
+	if out.Result == nil {
+		res := &core.Result{Combined: out.Points, Stats: out.Stats}
+		res.EstimatedAccesses = out.Stats.SampledAccesses - before.SampledAccesses
+		res.SimulatedAccesses = out.Stats.FullAccesses - before.FullAccesses
+		res.CacheHits = out.Stats.CacheHits - before.CacheHits
+		for _, p := range out.Front {
+			res.CostPerfFront = append(res.CostPerfFront, *p.Meta.(*core.DesignPoint))
+		}
+		out.Result = res
+	}
 	return out, nil
 }
 

@@ -74,8 +74,8 @@ type (
 	// WorkloadConfig controls benchmark trace generation.
 	WorkloadConfig = workload.Config
 	// Engine is the shared design-point evaluation engine: a bounded
-	// worker pool with a memoization cache and statistics. Put one in
-	// Options.ConEx.Engine to share the cache across runs.
+	// worker pool with a memoization cache and statistics. Give one to
+	// several Explorers with WithEngine to share the cache across runs.
 	Engine = engine.Engine
 	// EngineStats is a snapshot of the engine counters (simulations,
 	// cache hits, sampled/full accesses, per-phase wall time).
@@ -86,7 +86,8 @@ type (
 // count (0 = all CPUs).
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// Options configures a full exploration run.
+// Options is the configuration one exploration ran with: a request
+// resolved over DefaultOptions (see Report.Options).
 type Options struct {
 	// Workload selects the benchmark ("compress", "li", "vocoder").
 	Workload string

@@ -4,29 +4,11 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"memorex/internal/apex"
-	"memorex/internal/sampling"
 )
 
-// fastExplorer shrinks the spaces so the facade tests stay quick.
-func fastExplorer(t *testing.T) *Explorer {
+func newExplorer(t *testing.T) *Explorer {
 	t.Helper()
-	conex := DefaultOptions("").ConEx
-	conex.MaxAssignPerLevel = 16
-	conex.KeepPerArch = 4
-	conex.Sampling = sampling.Config{OnWindow: 500, OffRatio: 9}
-	ex, err := NewExplorer(
-		WithAPEXConfig(apex.Config{
-			CacheSizes:  []int{2 << 10, 16 << 10},
-			CacheAssocs: []int{2},
-			CacheLines:  []int{32},
-			MaxCustom:   1,
-			SRAMLimit:   80 << 10,
-			MaxSelected: 3,
-		}),
-		WithConExConfig(conex),
-	)
+	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +16,7 @@ func fastExplorer(t *testing.T) *Explorer {
 }
 
 func TestExplorePipeline(t *testing.T) {
-	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
+	rep, err := newExplorer(t).Do(context.Background(), fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +87,7 @@ func TestGenerateTraceErrors(t *testing.T) {
 
 func TestExploreTraceEmpty(t *testing.T) {
 	req := ExploreRequest{Trace: &Trace{DS: nil}, Benchmark: "compress"}
-	if _, err := fastExplorer(t).Do(context.Background(), req); err == nil {
+	if _, err := newExplorer(t).Do(context.Background(), req); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -118,7 +100,7 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep, err := fastExplorer(t).Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
+	rep, err := newExplorer(t).Do(context.Background(), fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,10 @@ import (
 // in-process and over the wire.
 //
 // Every configuration field is optional: a nil config block (or zero
-// numeric field) inherits the owning Explorer's configuration, so the
-// empty request {"benchmark":"compress"} runs the Explorer's defaults.
-// Set a block to override it for this request only; overrides are
-// validated by Validate and inherit nothing partially — a present
-// block behaves exactly like the corresponding Explorer option.
+// numeric field) means the paper defaults, so the request
+// {"benchmark":"compress"} runs the paper's configuration; memorexd
+// -lib supplies the library of a job that names none. A present block
+// is validated by Validate and replaces the default whole.
 type ExploreRequest struct {
 	// Benchmark names the built-in workload to trace ("compress",
 	// "li", "vocoder"). Required unless Trace is set, in which case it
@@ -39,23 +38,21 @@ type ExploreRequest struct {
 	// the submitter. memorexd overwrites it with the job id it assigns.
 	JobID string `json:"job_id,omitempty"`
 
-	// Workload scales the benchmark (nil = the Explorer's config).
+	// Workload scales the benchmark (nil = the default scale and seed).
 	Workload *WorkloadConfig `json:"workload,omitempty"`
-	// APEX bounds the memory-modules sweep (nil = the Explorer's
-	// config).
+	// APEX bounds the memory-modules sweep (nil = the paper's sweep).
 	APEX *APEXConfig `json:"apex,omitempty"`
-	// Sampling sets the Phase I time-sampling plan (nil = the
-	// Explorer's config).
+	// Sampling sets the Phase I time-sampling plan (nil = the paper's
+	// 1:9 plan).
 	Sampling *SamplingConfig `json:"sampling,omitempty"`
-	// Library replaces the connectivity IP library (nil = the
-	// Explorer's library). Uses the same encoding as library files.
+	// Library is the connectivity IP library (nil = the built-in
+	// library). Uses the same encoding as library files.
 	Library []ConnComponent `json:"library,omitempty"`
-	// KeepPerArch overrides how many locally promising designs each
-	// memory architecture sends to Phase II (0 = the Explorer's
-	// setting).
+	// KeepPerArch sets how many locally promising designs each memory
+	// architecture sends to Phase II (0 = the default).
 	KeepPerArch int `json:"keep_per_arch,omitempty"`
-	// MaxAssignPerLevel overrides the per-level assignment enumeration
-	// cap; 0 means exhaustive, nil means the Explorer's setting.
+	// MaxAssignPerLevel caps the assignments enumerated per clustering
+	// level; 0 means exhaustive, nil means the default.
 	MaxAssignPerLevel *int `json:"max_assign_per_level,omitempty"`
 
 	// Strategy selects the exploration driver: "pruned" (the paper's
@@ -64,9 +61,8 @@ type ExploreRequest struct {
 	// Empty inherits the default.
 	Strategy string `json:"strategy,omitempty"`
 	// Search tunes the heuristic drivers (seed, evaluation budget,
-	// population, rates); nil means the Explorer's search config, whose
-	// zero fields in turn mean the defaults. Ignored by the enumeration
-	// strategies.
+	// population, rates); nil and zero fields mean the defaults.
+	// Ignored by the enumeration strategies.
 	Search *SearchConfig `json:"search,omitempty"`
 
 	// Constraints asks for the paper's constrained selections over the
@@ -100,8 +96,8 @@ const (
 	ScenarioPerf  = "perf"
 )
 
-// Validate checks the request without resolving it against an
-// Explorer: the trace source must exist, every present configuration
+// Validate checks the request without resolving it: the trace source
+// must exist, every present configuration
 // block must be valid on its own, and the constraints must name known
 // scenarios with positive limits. It is the daemon's admission check —
 // a request that validates here is runnable by any Explorer.

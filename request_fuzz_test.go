@@ -9,7 +9,7 @@ import (
 // FuzzExploreRequestJSON fuzzes the wire format the daemon admits:
 // arbitrary bytes go through the same decode → Validate pipeline as a
 // memorexd POST /v1/jobs body, and a request that survives both must
-// resolve against an Explorer without error. Nothing on this path may
+// resolve over the paper defaults without error. Nothing on this path may
 // panic — a malformed submission is a 400, never a daemon crash.
 func FuzzExploreRequestJSON(f *testing.F) {
 	seeds := []string{
@@ -31,11 +31,6 @@ func FuzzExploreRequestJSON(f *testing.F) {
 		f.Add([]byte(s))
 	}
 
-	ex, err := NewExplorer(fastExplorerOpts()...)
-	if err != nil {
-		f.Fatal(err)
-	}
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req ExploreRequest
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -48,8 +43,8 @@ func FuzzExploreRequestJSON(f *testing.F) {
 			return // a validation rejection is the daemon's 400 path
 		}
 		// Invariant: a request that validates is runnable — resolving
-		// it against an Explorer's configuration cannot fail.
-		if _, _, _, err := ex.resolve(req); err != nil {
+		// it over the paper defaults cannot fail.
+		if _, err := resolve(req); err != nil {
 			t.Errorf("validated request failed to resolve: %v\nrequest: %s", err, data)
 		}
 	})

@@ -105,24 +105,23 @@ func TestExploreRequestValidate(t *testing.T) {
 }
 
 // TestExplorerDoRequest runs Do with per-request overrides and
-// constraints: the request's config must win over the Explorer's, the
+// constraints: the request's config must win over the defaults, the
 // constraints must land in Report.Selections in order, and the
 // selections must appear in the report JSON.
 func TestExplorerDoRequest(t *testing.T) {
-	ex, err := NewExplorer(fastExplorerOpts()...)
+	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
 
-	rep, err := ex.Do(context.Background(), ExploreRequest{
-		Benchmark:   "vocoder",
-		KeepPerArch: 2, // override the option's 3
-		Constraints: []Constraint{
-			{Scenario: ScenarioCost, Limit: 1e9},  // generous: everything qualifies
-			{Scenario: ScenarioPerf, Limit: 1e-9}, // impossible: empty selection
-		},
-	})
+	req := fastRequest("vocoder")
+	req.KeepPerArch = 2
+	req.Constraints = []Constraint{
+		{Scenario: ScenarioCost, Limit: 1e9},  // generous: everything qualifies
+		{Scenario: ScenarioPerf, Limit: 1e-9}, // impossible: empty selection
+	}
+	rep, err := ex.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +162,16 @@ func TestExplorerDoRequest(t *testing.T) {
 // report and survive the JSON round trip, and an enumeration run must
 // carry no provenance.
 func TestExplorerDoHeuristicStrategy(t *testing.T) {
-	ex, err := NewExplorer(fastExplorerOpts()...)
+	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
 
-	rep, err := ex.Do(context.Background(), ExploreRequest{
-		Benchmark: "vocoder",
-		Strategy:  "ga",
-		Search:    &SearchConfig{Seed: 11, Budget: 60, Population: 8},
-	})
+	req := fastRequest("vocoder")
+	req.Strategy = "ga"
+	req.Search = &SearchConfig{Seed: 11, Budget: 60, Population: 8}
+	rep, err := ex.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +203,7 @@ func TestExplorerDoHeuristicStrategy(t *testing.T) {
 	}
 
 	// The default (pruned) strategy reports no search provenance.
-	plain, err := ex.Do(context.Background(), ExploreRequest{Benchmark: "vocoder"})
+	plain, err := ex.Do(context.Background(), fastRequest("vocoder"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +216,7 @@ func TestExplorerDoHeuristicStrategy(t *testing.T) {
 // result, every call agreeing, and runs after Close still work (they
 // just lose their events).
 func TestExplorerCloseIdempotent(t *testing.T) {
-	ex, err := NewExplorer(fastExplorerOpts()...)
+	ex, err := NewExplorer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestExplorerCloseIdempotent(t *testing.T) {
 			t.Errorf("Close call %d returned %v, others %v", i, err, errs[0])
 		}
 	}
-	if _, err := ex.Explore(context.Background(), "vocoder"); err != nil {
-		t.Errorf("Explore after Close failed: %v", err)
+	if _, err := ex.Do(context.Background(), fastRequest("vocoder")); err != nil {
+		t.Errorf("Do after Close failed: %v", err)
 	}
 }
