@@ -756,7 +756,10 @@ var replaySink []*sim.Result
 // cache, a stream buffer, a self-indirect DMA and a direct-DRAM data
 // structure over the 60k-access compress slice, once over the whole
 // slice (full) and once over the on-windows of the default 1:9
-// sampling plan (sampled). ns/event divides the wall time by the events
+// sampling plan (sampled); and the same two captures of each of the 24
+// architectures of the Quick preset's APEX sweep on that slice
+// (quick-full, quick-sampled), the cache-dominated mix the exploration
+// workloads capture. ns/event divides the wall time by the events
 // recorded.
 func BenchmarkCaptureBehavior(b *testing.B) {
 	tr := quickTrace(b)
@@ -771,23 +774,37 @@ func BenchmarkCaptureBehavior(b *testing.B) {
 		Route:   map[trace.DSID]int{1: 1, 2: 2, 3: mem.DirectDRAM},
 		Default: 0,
 	}
+	res, err := apex.Explore(tr.Trace, nil, experiments.Quick().APEX)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var quick []*mem.Architecture
+	for _, dp := range res.All {
+		quick = append(quick, dp.Arch)
+	}
+	sampled := sampling.Plan(tr.NumAccesses(), sampling.DefaultConfig())
 	plans := []struct {
 		name    string
+		archs   []*mem.Architecture
 		windows []sim.Window
 	}{
-		{"full", nil},
-		{"sampled", sampling.Plan(tr.NumAccesses(), sampling.DefaultConfig())},
+		{"full", []*mem.Architecture{arch}, nil},
+		{"sampled", []*mem.Architecture{arch}, sampled},
+		{"quick-full", quick, nil},
+		{"quick-sampled", quick, sampled},
 	}
 	for _, p := range plans {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				bt, err := sim.CaptureBehavior(tr.Trace, arch, p.windows)
-				if err != nil {
-					b.Fatal(err)
+				for _, a := range p.archs {
+					bt, err := sim.CaptureBehavior(tr.Trace, a, p.windows)
+					if err != nil {
+						b.Fatal(err)
+					}
+					events += int64(bt.NumEvents())
 				}
-				events += int64(bt.NumEvents())
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})

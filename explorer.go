@@ -344,7 +344,7 @@ func (x *Explorer) run(ctx context.Context, o *obs.Observer, opt Options, t *tra
 		return nil, fmt.Errorf("memorex: APEX failed: %w", err)
 	}
 	o.APEXSelected(len(apexRes.All), len(apexRes.Selected))
-	out, err := explore.Run(ctx, t, explore.BuildSpace(apexRes), strategy, opt.ConEx)
+	out, err := explore.Run(obs.NewContext(ctx, o), t, explore.BuildSpace(apexRes), strategy, opt.ConEx)
 	if err != nil {
 		return nil, fmt.Errorf("memorex: %s exploration failed: %w", strategy, err)
 	}

@@ -152,6 +152,7 @@ func checkEventStream(t *testing.T, ex *Explorer, rep *Report, ring *RingSink, j
 	}
 
 	seen := map[string]int{}
+	localCuts := map[string]int{} // select-local prunes per memory architecture
 	var evals, prunes, fronts, estErrs, traces, apexSel int
 	for i, ev := range events {
 		if ev.Seq != uint64(i+1) {
@@ -165,6 +166,12 @@ func checkEventStream(t *testing.T, ex *Explorer, rep *Report, ring *RingSink, j
 			prunes++
 			if ev.Selected > ev.Evaluated {
 				t.Fatalf("prune kept more than it saw: %+v", ev)
+			}
+			if ev.Stage == "select-local" {
+				localCuts[ev.Mem]++
+				if ev.Job != req.JobID {
+					t.Errorf("select-local prune of %s stamped %q, want %q", ev.Mem, ev.Job, req.JobID)
+				}
 			}
 			if ev.Stage == "cost-perf-front" {
 				fronts++
@@ -180,6 +187,9 @@ func checkEventStream(t *testing.T, ex *Explorer, rep *Report, ring *RingSink, j
 			estErrs++
 			if ev.EstLatency <= 0 || ev.FullLatency <= 0 {
 				t.Fatalf("estimator-error without latencies: %+v", ev)
+			}
+			if ev.Job != req.JobID {
+				t.Errorf("estimator-error event stamped %q, want %q", ev.Job, req.JobID)
 			}
 		case KindTrace:
 			traces++
@@ -210,6 +220,16 @@ func checkEventStream(t *testing.T, ex *Explorer, rep *Report, ring *RingSink, j
 		if estErrs != len(rep.ConEx.Combined) {
 			t.Fatalf("%d estimator-error events for %d fully simulated designs",
 				estErrs, len(rep.ConEx.Combined))
+		}
+		// Exactly one select-local cut per memory architecture, each
+		// carrying the job stamp (checked above).
+		for _, pts := range rep.ConEx.PerArch {
+			if name := pts[0].MemArch.Name; localCuts[name] != 1 {
+				t.Errorf("%d select-local prunes of %s, want 1", localCuts[name], name)
+			}
+		}
+		if len(localCuts) != len(rep.ConEx.PerArch) {
+			t.Errorf("select-local prunes of %d architectures, want %d", len(localCuts), len(rep.ConEx.PerArch))
 		}
 		if _, ok := rep.Metrics.Histograms["sampling/est_err_pct"]; !ok {
 			t.Fatal("report metrics missing the estimator-error histogram")

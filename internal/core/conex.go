@@ -7,6 +7,7 @@ import (
 	"memorex/internal/connect"
 	"memorex/internal/engine"
 	"memorex/internal/mem"
+	"memorex/internal/obs"
 	"memorex/internal/pareto"
 	"memorex/internal/sampling"
 	"memorex/internal/sim"
@@ -352,7 +353,9 @@ func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, 
 // ExploreBRGs is Explore over memory architectures whose BRGs are
 // already built, e.g. from the memory-only results APEX scored them
 // with (NewBRG). It reports each per-architecture select-local cut as a
-// prune event; the final cost-perf-front cut is the run's, which
+// prune event and each Phase II design's estimate error, to the run's
+// observer when ctx carries one (obs.NewContext) and else to the
+// engine's; the final cost-perf-front cut is the run's, which
 // memorex.Explorer reports once whatever the strategy.
 func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -362,7 +365,7 @@ func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (
 		return nil, fmt.Errorf("core: no memory architectures to explore")
 	}
 	eng := cfg.EngineOrNew()
-	o := eng.Observer()
+	o := obs.FromContext(ctx, eng.Observer())
 	before := eng.Stats()
 	res := &Result{}
 

@@ -208,7 +208,9 @@ type Outcome struct {
 	// Result is the outcome in the ConEx result shape: for Pruned,
 	// core.ExploreBRGs's own result (per-architecture Phase I clouds,
 	// Phase II designs, dropped-assignment count); for every other
-	// strategy, Points and Front with the run's work counters.
+	// strategy, Points and Front with the run's work counters, and for
+	// Neighborhood also the Phase I clouds and dropped-assignment count
+	// of its ExploreBRGs run.
 	Result *core.Result
 }
 
@@ -226,6 +228,7 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 	start := time.Now()
 	before := eng.Stats()
 	out := &Outcome{Strategy: strategy}
+	var phase1 *core.Result // Neighborhood's core.ExploreBRGs result
 	switch strategy {
 	case Full:
 		if err := runFull(ctx, eng, t, sp, cfg, out); err != nil {
@@ -266,6 +269,9 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 		}
 		out.Points = append(out.Points, extra...)
 		out.WorkAccesses += work
+		// The result built below is over every design; it keeps Phase
+		// I's per-architecture clouds and dropped-assignment count.
+		phase1 = res
 	case GA, SA:
 		if err := runSearch(ctx, eng, t, sp, strategy, cfg, out); err != nil {
 			return nil, err
@@ -287,6 +293,9 @@ func Run(ctx context.Context, t *trace.Trace, sp *Space, strategy Strategy, cfg 
 		res.CacheHits = out.Stats.CacheHits - before.CacheHits
 		for _, p := range out.Front {
 			res.CostPerfFront = append(res.CostPerfFront, *p.Meta.(*core.DesignPoint))
+		}
+		if phase1 != nil {
+			res.PerArch, res.DroppedAssignments = phase1.PerArch, phase1.DroppedAssignments
 		}
 		out.Result = res
 	}

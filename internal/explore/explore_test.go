@@ -177,3 +177,34 @@ func TestNeighborhoodExpandsAndDedups(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborhoodKeepsPhaseI: a Neighborhood run's result keeps the
+// Phase I clouds of its ExploreBRGs run, so the estimated designs it
+// reports are the run's sampled evaluations, and its estimated and
+// simulated accesses are the engine's sampled and full ones.
+func TestNeighborhoodKeepsPhaseI(t *testing.T) {
+	tr, sp := tinySpace(t)
+	out, err := Run(context.Background(), tr, sp, Neighborhood, tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := out.Result
+	estimated := 0
+	for _, pts := range res.PerArch {
+		estimated += len(pts)
+	}
+	if estimated == 0 || int64(estimated) != out.Stats.SampledSimulations {
+		t.Fatalf("Phase I clouds hold %d designs, the run made %d sampled evaluations",
+			estimated, out.Stats.SampledSimulations)
+	}
+	if len(res.PerArch) != len(sp.NeighborMem) {
+		t.Fatalf("%d Phase I clouds for %d neighbor architectures", len(res.PerArch), len(sp.NeighborMem))
+	}
+	if res.EstimatedAccesses != out.Stats.SampledAccesses || res.SimulatedAccesses != out.Stats.FullAccesses {
+		t.Fatalf("result work %d estimated + %d simulated, engine %d sampled + %d full",
+			res.EstimatedAccesses, res.SimulatedAccesses, out.Stats.SampledAccesses, out.Stats.FullAccesses)
+	}
+	if len(res.Combined) != len(out.Points) {
+		t.Fatalf("result holds %d designs, the run simulated %d", len(res.Combined), len(out.Points))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"memorex/internal/core"
 	"memorex/internal/engine"
 	"memorex/internal/mem"
+	"memorex/internal/obs"
 	"memorex/internal/trace"
 )
 
@@ -500,7 +501,7 @@ func (s *searcher) promote(ctx context.Context, limit int) error {
 	m := s.eng.Metrics()
 	m.Counter("explore/search/promotions").Add(int64(len(designs)))
 	estErr := m.Histogram("sampling/est_err_pct")
-	o := s.eng.Observer()
+	o := obs.FromContext(ctx, s.eng.Observer())
 	for i := range designs {
 		c, d := &s.arch[picks[i]], &designs[i]
 		if d.Latency > 0 {

@@ -113,8 +113,9 @@ func (d *SelfIndirectDMA) SinceLastTouch(now int64) int64 {
 }
 
 // Access implements Module.
-func (d *SelfIndirectDMA) Access(a trace.Access, now int64) AccessResult {
-	defer func() { d.lastTouch = now }()
+func (d *SelfIndirectDMA) Access(_ trace.Access, now int64) AccessResult {
+	last := d.lastTouch
+	d.lastTouch = now
 	if !d.warm {
 		d.warm = true
 		d.Misses++
@@ -126,7 +127,7 @@ func (d *SelfIndirectDMA) Access(a trace.Access, now int64) AccessResult {
 		// The engine prefetched the right node; it started the fetch at
 		// the previous touch.
 		stall := 0
-		ready := d.lastTouch + int64(d.fetchLat)
+		ready := last + int64(d.fetchLat)
 		if ready > now {
 			stall = int(ready - now)
 		}

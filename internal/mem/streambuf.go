@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"memorex/internal/trace"
 )
@@ -20,15 +21,18 @@ type StreamBuffer struct {
 	gates    float64
 	nrg      float64
 
-	lines []streamLine
+	// The FIFO always holds the consecutive line addresses headLine,
+	// headLine+1, ... (modulo 2^32), n of them: none before the first
+	// access, Depth ever after. ready is a ring of their readyAt
+	// cycles, the head line's at ready[head]; tail is the last line's.
+	lineShift uint32
+	headLine  uint32
+	n         int
+	head      int
+	ready     []int64
+	tail      int64
 
 	Hits, Misses, Restarts int64
-}
-
-type streamLine struct {
-	lineAddr uint32
-	readyAt  int64
-	valid    bool
 }
 
 // NewStreamBuffer builds a stream buffer of depth lines.
@@ -43,6 +47,7 @@ func NewStreamBuffer(lineBytes, depth int) (*StreamBuffer, error) {
 		LineBytes: lineBytes,
 		Depth:     depth,
 		fetchLat:  20,
+		lineShift: uint32(bits.TrailingZeros32(uint32(lineBytes))),
 		name:      fmt.Sprintf("stream%dx%db", depth, lineBytes),
 		gates:     streamGates(depth, lineBytes),
 		nrg:       sramEnergy(depth*lineBytes) + 0.02,
@@ -84,7 +89,8 @@ func (s *StreamBuffer) SetFetchLatency(cycles int) {
 
 // Reset implements Module.
 func (s *StreamBuffer) Reset() {
-	s.lines = make([]streamLine, 0, s.Depth)
+	s.ready = make([]int64, s.Depth)
+	s.n, s.head = 0, 0
 	s.Hits, s.Misses, s.Restarts = 0, 0, 0
 }
 
@@ -95,52 +101,53 @@ func (s *StreamBuffer) Clone() Module {
 	return c
 }
 
-// Access implements Module.
+// Access implements Module. A hit is found by its distance from the
+// head line, so an access costs O(1) plus one ring write per line it
+// prefetches.
 func (s *StreamBuffer) Access(a trace.Access, now int64) AccessResult {
-	lineAddr := a.Addr / uint32(s.LineBytes)
-	for i := range s.lines {
-		if s.lines[i].valid && s.lines[i].lineAddr == lineAddr {
-			// In-window hit; stall until the fetch has landed.
-			stall := 0
-			if s.lines[i].readyAt > now {
-				stall = int(s.lines[i].readyAt - now)
-			}
-			// Consume lines before the hit, then top up the FIFO ahead
-			// of the new read point.
-			s.lines = append(s.lines[:0], s.lines[i:]...)
-			pf := s.topUp(now + int64(stall))
-			s.Hits++
-			return AccessResult{Hit: true, Stall: stall, PrefetchBytes: pf}
+	lineAddr := a.Addr >> s.lineShift
+	if i := lineAddr - s.headLine; uint64(i) < uint64(s.n) {
+		// In-window hit; stall until the fetch has landed.
+		slot := s.head + int(i)
+		if slot >= s.Depth {
+			slot -= s.Depth
 		}
+		stall := 0
+		if r := s.ready[slot]; r > now {
+			stall = int(r - now)
+		}
+		// Consume the i lines before the hit: their slots take the lines
+		// that top the FIFO up ahead of the new read point.
+		s.topUp(s.head, int(i), now+int64(stall))
+		s.head, s.headLine = slot, lineAddr
+		s.Hits++
+		return AccessResult{Hit: true, Stall: stall, PrefetchBytes: int(i) * s.LineBytes}
 	}
 	// Out of window: restart the stream at this address.
 	s.Misses++
 	s.Restarts++
-	s.lines = s.lines[:0]
-	s.lines = append(s.lines, streamLine{lineAddr: lineAddr, readyAt: now, valid: true})
-	pf := s.topUp(now)
-	return AccessResult{Hit: false, OffChipBytes: s.LineBytes, PrefetchBytes: pf}
+	s.head, s.headLine, s.n = 0, lineAddr, s.Depth
+	s.ready[0], s.tail = now, now
+	s.topUp(1, s.Depth-1, now)
+	return AccessResult{Hit: false, OffChipBytes: s.LineBytes, PrefetchBytes: (s.Depth - 1) * s.LineBytes}
 }
 
-// topUp issues background prefetches until Depth lines are buffered,
-// returning the number of prefetched bytes.
-func (s *StreamBuffer) topUp(now int64) int {
-	bytes := 0
-	for len(s.lines) < s.Depth {
-		last := s.lines[len(s.lines)-1]
-		s.lines = append(s.lines, streamLine{
-			lineAddr: last.lineAddr + 1,
-			readyAt:  maxI64(now, last.readyAt) + int64(s.fetchLat),
-			valid:    true,
-		})
-		bytes += s.LineBytes
+// topUp issues the background prefetches of k lines behind the tail
+// into the k ring slots from slot on, each landing a fetch latency after
+// the later of now and the line before it. The fetch latency is
+// positive, so from the second line on the line before is the later:
+// the lines land one fetch latency apart.
+func (s *StreamBuffer) topUp(slot, k int, now int64) {
+	if k == 0 {
+		return
 	}
-	return bytes
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+	f := int64(s.fetchLat)
+	first := max(now, s.tail) + f
+	s.tail = first + int64(k-1)*f
+	for j := 0; j < k; j++ {
+		s.ready[slot] = first + int64(j)*f
+		if slot++; slot == s.Depth {
+			slot = 0
+		}
 	}
-	return b
 }

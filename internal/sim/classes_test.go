@@ -58,7 +58,7 @@ func randomEvents(rng *rand.Rand, bt *BehaviorTrace, n int, prefetch bool) []Eve
 // TestManyClassTrace drives the class table far past real captures
 // (which have at most a few dozen classes) and past any 16-bit class
 // id: random in-bounds events with over 70,000 distinct classes,
-// interned by capture's class table, must pass Compile and come back
+// interned by the hashed class table below, must pass Compile and come back
 // from the trace unchanged, and ReplayBatch must
 // equal replayReference bit for bit on contended and uncontended
 // architectures, on full and windowed traces, with and without an L2.
@@ -144,4 +144,87 @@ func TestManyClassTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// classTable interns events into a trace's class table, through an
+// open-addressing hash table of class ids over packed event keys; a key
+// comparison is one branch. It is the one-pass capture's interner, kept
+// for captureReference and for building the synthetic traces of
+// TestManyClassTrace; CaptureBehavior maps events to classes through
+// dense code tables instead.
+type classTable struct {
+	bt    *BehaviorTrace
+	keys  []eventKey // class id -> packed event
+	slots []uint32   // class id + 1, 0 for an empty slot
+}
+
+func newClassTable(bt *BehaviorTrace, events int) *classTable {
+	bt.Classes = nil
+	bt.IDs = make([]uint32, 0, events)
+	return &classTable{bt: bt, slots: make([]uint32, 64)}
+}
+
+// add appends ev as the trace's next event.
+func (ct *classTable) add(ev *Event) {
+	id := ct.lookup(ev)
+	ct.bt.Classes[id].Count++
+	ct.bt.IDs = append(ct.bt.IDs, id)
+}
+
+// lookup returns the class id of ev, adding a class on first sight.
+func (ct *classTable) lookup(ev *Event) uint32 {
+	k := ev.key()
+	if 2*(len(ct.keys)+1) > len(ct.slots) {
+		ct.slots = make([]uint32, 2*len(ct.slots))
+		for id := range ct.keys {
+			ct.slots[ct.free(&ct.keys[id])] = uint32(id) + 1
+		}
+	}
+	mask := uint32(len(ct.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := ct.slots[i]
+		if s == 0 {
+			id := uint32(len(ct.keys))
+			ct.keys = append(ct.keys, k)
+			ct.bt.Classes = append(ct.bt.Classes, EventClass{Event: *ev})
+			ct.slots[i] = id + 1
+			return id
+		}
+		if ct.keys[s-1].eq(&k) {
+			return s - 1
+		}
+	}
+}
+
+// free returns the first empty slot of k's probe sequence.
+func (ct *classTable) free(k *eventKey) uint32 {
+	mask := uint32(len(ct.slots) - 1)
+	i := k.hash() & mask
+	for ct.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// eventKey packs every field of an event into four words.
+type eventKey struct{ a, b, c, d uint64 }
+
+func (ev *Event) key() eventKey {
+	return eventKey{
+		a: uint64(uint16(ev.Route)) | uint64(ev.Size)<<16 | uint64(ev.Flags)<<24 | uint64(uint32(ev.Stall))<<32,
+		b: uint64(uint32(ev.DemandBytes)) | uint64(uint32(ev.DemandL2Off))<<32,
+		c: uint64(uint32(ev.PrefBytes)) | uint64(uint32(ev.PrefL2Off))<<32,
+		d: uint64(uint16(ev.DemandDRAM)) | uint64(uint16(ev.PrefDRAM))<<16,
+	}
+}
+
+// eq compares two keys without a branch per word.
+func (k *eventKey) eq(o *eventKey) bool {
+	return (k.a^o.a)|(k.b^o.b)|(k.c^o.c)|(k.d^o.d) == 0
+}
+
+// hash mixes the key's words with four independent multiplies.
+func (k *eventKey) hash() uint32 {
+	h := k.a*0x9e3779b97f4a7c15 + k.b*0xc2b2ae3d27d4eb4f + k.c*0x165667b19e3779f9 + k.d*0xd6e8feb86659fd93
+	return uint32(h >> 32)
 }
