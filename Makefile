@@ -23,12 +23,14 @@ bench-vet:
 # microbench runs the layer microbenchmarks six times each — Phase B
 # replay (K=1, a prefetch-free batch and a contended batch), Phase A
 # capture (full and sampled), APEX's sim.MemOnly, profile.Analyze, the
-# trace cache's encode + decode, and the engine's dispatch path on a
-# memo hit (claim, wait and account; with and without an observer) —
-# and prints every metric's median and min–max over the six runs. The
-# raw output stays in microbench.out, an OLD or NEW for
+# trace cache's encode + decode, ConEx's engine dispatch (Figure 4: the
+# Quick preset's pruned compress run, captures and replays of every
+# architecture sharing the worker slots), and the engine's dispatch
+# path on a memo hit (claim, wait and account; with and without an
+# observer) — and prints every metric's median and min–max over the six
+# runs. The raw output stays in microbench.out, an OLD or NEW for
 # microbench-compare.
-MICROBENCH_ROOT = ^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze|BTCacheRoundTrip)
+MICROBENCH_ROOT = ^Benchmark(SimulatorReplay|CaptureBehavior|MemOnly|ProfileAnalyze|BTCacheRoundTrip|Figure4)
 MICROBENCH_ENGINE = ^BenchmarkEvaluateObserver$$
 microbench:
 	$(GO) test -run '^$$' -bench '$(MICROBENCH_ROOT)' -benchmem -count 6 . | tee microbench.out

@@ -229,34 +229,42 @@ func ConnectivityExploration(ctx context.Context, t *trace.Trace, arch *mem.Arch
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return connectivityExploration(ctx, cfg.EngineOrNew(), t, brg, cfg)
-}
-
-// connectivityExploration is ConnectivityExploration on an explicit
-// engine, so Explore shares one engine across phases and architectures.
-func connectivityExploration(ctx context.Context, eng *engine.Engine, t *trace.Trace, brg *BRG, cfg Config) ([]DesignPoint, int64, int64, error) {
-	arch := brg.Arch
-	var candidates []*connect.Arch
-	var dropped int64
-	for _, level := range Levels(brg) {
-		archs, d := EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
-		candidates = append(candidates, archs...)
-		dropped += d
-	}
-	stop := eng.StartPhase(phaseEstimate)
-	defer stop()
-	// One homogeneous slice per memory architecture: every design below
-	// shares the behavior-trace fingerprint, so the engine dispatches
-	// the whole candidate set as batched replays of one captured trace.
-	points := make([]DesignPoint, len(candidates))
-	for i, conn := range candidates {
-		points[i] = DesignPoint{MemArch: arch, Conn: conn}
-	}
-	work, err := Evaluate(ctx, eng, t, points, engine.Sampled, cfg.Sampling, phaseEstimate)
+	points, dropped := Candidates(brg, cfg)
+	work, err := estimate(ctx, cfg.EngineOrNew(), t, points, cfg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	return points, work, dropped, nil
+}
+
+// Candidates enumerates the connectivity candidates of one memory
+// architecture: the feasible assignments of every clustering level of
+// its BRG, at most cfg.MaxAssignPerLevel per level, as design points
+// still to be evaluated. It also returns the number of assignments the
+// cap dropped.
+func Candidates(brg *BRG, cfg Config) ([]DesignPoint, int64) {
+	var conns []*connect.Arch
+	var dropped int64
+	for _, level := range Levels(brg) {
+		archs, d := EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
+		conns = append(conns, archs...)
+		dropped += d
+	}
+	points := make([]DesignPoint, len(conns))
+	for i, conn := range conns {
+		points[i] = DesignPoint{MemArch: brg.Arch, Conn: conn}
+	}
+	return points, dropped
+}
+
+// estimate is Phase I's time-sampled estimation of points, in one
+// engine batch timed as the estimate phase. The engine groups the
+// points by behavior trace, one group per memory architecture, and
+// replays each group's candidates in batches over one captured trace.
+func estimate(ctx context.Context, eng *engine.Engine, t *trace.Trace, points []DesignPoint, cfg Config) (int64, error) {
+	stop := eng.StartPhase(phaseEstimate)
+	defer stop()
+	return Evaluate(ctx, eng, t, points, engine.Sampled, cfg.Sampling, phaseEstimate)
 }
 
 // Evaluate evaluates designs through the engine in one batch and fills
@@ -352,11 +360,14 @@ func Explore(ctx context.Context, t *trace.Trace, memArchs []*mem.Architecture, 
 
 // ExploreBRGs is Explore over memory architectures whose BRGs are
 // already built, e.g. from the memory-only results APEX scored them
-// with (NewBRG). It reports each per-architecture select-local cut as a
-// prune event and each Phase II design's estimate error, to the run's
-// observer when ctx carries one (obs.NewContext) and else to the
-// engine's; the final cost-perf-front cut is the run's, which
-// memorex.Explorer reports once whatever the strategy.
+// with (NewBRG). Phase I estimates the candidates of every architecture
+// in one engine batch, so the architectures' captures and replays share
+// the engine's worker slots. It reports each per-architecture
+// select-local cut, in architecture order, as a prune event and each
+// Phase II design's estimate error, to the run's observer when ctx
+// carries one (obs.NewContext) and else to the engine's; the final
+// cost-perf-front cut is the run's, which memorex.Explorer reports once
+// whatever the strategy.
 func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -369,19 +380,33 @@ func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (
 	before := eng.Stats()
 	res := &Result{}
 
-	// Phase I: per-architecture estimation and local selection.
+	// Phase I: enumerate every architecture's candidates, estimate them
+	// all in one engine batch, then select locally per architecture.
+	cands := make([][]DesignPoint, len(brgs))
+	dropped := make([]int64, len(brgs))
+	total := 0
+	for i, brg := range brgs {
+		cands[i], dropped[i] = Candidates(brg, cfg)
+		res.DroppedAssignments += dropped[i]
+		total += len(cands[i])
+	}
+	points := make([]DesignPoint, 0, total)
+	for _, c := range cands {
+		points = append(points, c...)
+	}
+	work, err := estimate(ctx, eng, t, points, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.EstimatedAccesses = work
 	var phase2 []DesignPoint
-	for _, brg := range brgs {
-		arch := brg.Arch
-		points, work, dropped, err := connectivityExploration(ctx, eng, t, brg, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.EstimatedAccesses += work
-		res.DroppedAssignments += dropped
-		res.PerArch = append(res.PerArch, points)
-		kept := SelectLocal(points, cfg.KeepPerArch)
-		o.Prune("select-local", arch.Name, len(points), len(kept), dropped)
+	for i, brg := range brgs {
+		n := len(cands[i])
+		archPoints := points[:n:n]
+		points = points[n:]
+		res.PerArch = append(res.PerArch, archPoints)
+		kept := SelectLocal(archPoints, cfg.KeepPerArch)
+		o.Prune("select-local", brg.Arch.Name, len(archPoints), len(kept), dropped[i])
 		phase2 = append(phase2, kept...)
 	}
 
@@ -390,7 +415,7 @@ func ExploreBRGs(ctx context.Context, t *trace.Trace, brgs []*BRG, cfg Config) (
 	// into shared full-trace replays.
 	stop := eng.StartPhase(phaseFullSim)
 	combined := append([]DesignPoint(nil), phase2...)
-	work, err := Evaluate(ctx, eng, t, combined, engine.Full, cfg.Sampling, phaseFullSim)
+	work, err = Evaluate(ctx, eng, t, combined, engine.Full, cfg.Sampling, phaseFullSim)
 	stop()
 	if err != nil {
 		return nil, err

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"memorex/internal/connect"
+	"memorex/internal/engine"
 	"memorex/internal/mem"
+	"memorex/internal/pareto"
 	"memorex/internal/sampling"
 	"memorex/internal/trace"
 	"memorex/internal/workload"
@@ -368,6 +370,93 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			s.Label() != p.Label() {
 			t.Fatalf("front[%d] differs between 1 and 8 workers:\n  %s\n  %s", i, s.Label(), p.Label())
 		}
+	}
+}
+
+// TestExploreBRGsMatchesPerArchComposition: estimating every
+// architecture's candidates in one engine batch gives what the
+// per-architecture composition gives — ConnectivityExploration and
+// SelectLocal for each architecture on its own, then one Full batch of
+// the survivors — at one worker and at two.
+func TestExploreBRGsMatchesPerArchComposition(t *testing.T) {
+	ctx := context.Background()
+	tr := smallTrace()
+	archs := []*mem.Architecture{
+		testArch(),
+		{
+			Name:    "cache-only",
+			Modules: []mem.Module{mem.MustCache(8192, 32, 2)},
+			DRAM:    mem.DefaultDRAM(),
+			Default: 0,
+		},
+	}
+	sameDesigns := func(what string, got, want []DesignPoint) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d designs, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			g, w := &got[i], &want[i]
+			if g.Label() != w.Label() || g.Cost != w.Cost || g.Latency != w.Latency ||
+				g.Energy != w.Energy || g.Estimated != w.Estimated {
+				t.Fatalf("%s[%d] = %s %v/%v/%v, want %s %v/%v/%v", what, i,
+					g.Label(), g.Cost, g.Latency, g.Energy, w.Label(), w.Cost, w.Latency, w.Energy)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := fastConfig()
+		cfg.Workers = workers
+		var brgs []*BRG
+		for _, a := range archs {
+			brg, err := BuildBRG(tr, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brgs = append(brgs, brg)
+		}
+		got, err := ExploreBRGs(ctx, tr, brgs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		want := &Result{}
+		per := cfg
+		per.Engine = engine.New(workers)
+		var phase2 []DesignPoint
+		for _, a := range archs {
+			points, work, dropped, err := ConnectivityExploration(ctx, tr, a, per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.PerArch = append(want.PerArch, points)
+			want.EstimatedAccesses += work
+			want.DroppedAssignments += dropped
+			phase2 = append(phase2, SelectLocal(points, cfg.KeepPerArch)...)
+		}
+		if _, err := Evaluate(ctx, per.Engine, tr, phase2, engine.Full, cfg.Sampling, ""); err != nil {
+			t.Fatal(err)
+		}
+		want.Combined = phase2
+		for _, p := range pareto.Front(want.Points(), pareto.Cost, pareto.Latency) {
+			want.CostPerfFront = append(want.CostPerfFront, *p.Meta.(*DesignPoint))
+		}
+
+		if want.DroppedAssignments == 0 {
+			t.Fatal("the enumeration cap dropped nothing; the test would not check DroppedAssignments")
+		}
+		if got.EstimatedAccesses != want.EstimatedAccesses || got.DroppedAssignments != want.DroppedAssignments {
+			t.Fatalf("workers=%d: EstimatedAccesses %d, DroppedAssignments %d; want %d, %d", workers,
+				got.EstimatedAccesses, got.DroppedAssignments, want.EstimatedAccesses, want.DroppedAssignments)
+		}
+		if len(got.PerArch) != len(want.PerArch) {
+			t.Fatalf("workers=%d: %d PerArch clouds, want %d", workers, len(got.PerArch), len(want.PerArch))
+		}
+		for i := range want.PerArch {
+			sameDesigns("PerArch", got.PerArch[i], want.PerArch[i])
+		}
+		sameDesigns("Combined", got.Combined, want.Combined)
+		sameDesigns("CostPerfFront", got.CostPerfFront, want.CostPerfFront)
 	}
 }
 

@@ -1,14 +1,20 @@
 // Batched dispatch: Evaluate groups pending requests by
 // behavior-trace fingerprint and re-times each group's connectivity
 // architectures through sim.ReplayBatch — one pass over the shared
-// event trace per chunk instead of one per candidate. Each group is
-// chunked across the worker pool, one ReplayBatch pass per chunk; a
-// group with a single request is a K=1 chunk.
+// event trace per chunk instead of one per candidate.
 //
-// Cache hits and single-flight duplicates wait without holding a
-// worker slot. All of this preserves the engine's contracts: results
-// in submission order, first real error wins over the cancellations it
-// causes, failures are never memoized.
+// Only work holds one of the call's worker slots. A group that misses
+// the behavior memo loads or captures its trace inside a slot; once
+// the trace exists, the group's chunks queue for slots, one
+// ReplayBatch pass each (a group with a single request is a K=1
+// chunk). A group whose trace another owner is resolving, in this call
+// or a concurrent one, waits for it without a slot, as do cache hits
+// and single-flight duplicates. A fresh capture is written through to
+// the persistent cache alongside the group's replays.
+//
+// All of this preserves the engine's contracts: results in submission
+// order, first real error wins over the cancellations it causes,
+// failures are never memoized.
 package engine
 
 import (
@@ -23,7 +29,7 @@ import (
 )
 
 // maxBatch caps a chunk so per-batch replay state stays cache-resident;
-// below it, chunks are balanced across the worker pool.
+// below it, chunks are balanced across the worker slots.
 const maxBatch = 32
 
 // chunkSpan returns the chunk size for a group of n requests on w workers:
@@ -40,10 +46,10 @@ func chunkSpan(n, w int) int {
 	return size
 }
 
-// Evaluate runs a batch of requests on the worker pool and returns the
-// values in submission order. Requests sharing a behavior trace are
-// dispatched as batched replays (see the package comment of this
-// file). On error the batch is cancelled and the first error (in
+// Evaluate runs a batch of requests on at most Workers worker slots of
+// its own and returns the values in submission order. Requests sharing
+// a behavior trace are dispatched as batched replays (see the package
+// comment of this file). On error the batch is cancelled and the first error (in
 // submission order) is returned; ctx cancellation stops the batch
 // between evaluations.
 func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) {
@@ -102,8 +108,7 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		cancel() // abort the rest of the batch, like any failing member
 	}
 
-	// Group the owned requests by behavior fingerprint and chunk each
-	// group for batched replay.
+	// Group the owned requests by behavior fingerprint.
 	var groupOrder []uint64
 	groups := map[uint64][]int{}
 	for i := range reqs {
@@ -115,14 +120,6 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 			groupOrder = append(groupOrder, bk)
 		}
 		groups[bk] = append(groups[bk], i)
-	}
-	var chunks [][]int // request indices, one ReplayBatch pass each
-	for _, bk := range groupOrder {
-		group := groups[bk]
-		span := chunkSpan(len(group), e.workers)
-		for lo := 0; lo < len(group); lo += span {
-			chunks = append(chunks, group[lo:min(lo+span, len(group))])
-		}
 	}
 
 	sem := make(chan struct{}, e.workers)
@@ -161,29 +158,64 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 		}(i)
 	}
 
-	// Batched chunks: each occupies one worker slot and serves all its
-	// members from a single trace pass.
-	for _, chunk := range chunks {
-		wg.Add(1)
-		go func(chunk []int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-bctx.Done():
-				for _, i := range chunk {
-					fail(i, bctx.Err())
-				}
-				return
+	// replay queues one chunk of a group whose trace exists for a
+	// worker slot and serves all its members from a single trace pass;
+	// lead is work already done for the chunk (its group's capture),
+	// counted into its wall time.
+	replay := func(bt *sim.BehaviorTrace, chunk []int, lead time.Duration) {
+		select {
+		case sem <- struct{}{}:
+		case <-bctx.Done():
+			for _, i := range chunk {
+				fail(i, bctx.Err())
 			}
-			defer func() { <-sem }()
-			if err := bctx.Err(); err != nil {
-				for _, i := range chunk {
+			return
+		}
+		defer func() { <-sem }()
+		if err := bctx.Err(); err != nil {
+			for _, i := range chunk {
+				fail(i, err)
+			}
+			return
+		}
+		e.computeChunk(bt, reqs, chunk, time.Now().Add(-lead), finish, abort)
+	}
+
+	// Each fingerprint group resolves its behavior trace, then queues
+	// its chunks; the goroutine holds a slot only while it loads or
+	// captures the trace itself.
+	for _, bk := range groupOrder {
+		wg.Add(1)
+		go func(bk uint64, group []int) {
+			defer wg.Done()
+			span := chunkSpan(len(group), e.workers)
+			uses := (len(group) + span - 1) / span
+			bt, lead, store, err := e.behaviorTrace(bctx, bk, reqs[group[0]], sem, uses)
+			if err != nil {
+				for _, i := range group {
 					fail(i, err)
 				}
+				abort(err)
 				return
 			}
-			e.computeChunk(bctx, bkeys[chunk[0]], reqs, chunk, finish, abort)
-		}(chunk)
+			if store != nil {
+				// The write-through runs alongside the group's replays
+				// and still completes before Evaluate returns.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					store()
+				}()
+			}
+			for lo := span; lo < len(group); lo += span {
+				wg.Add(1)
+				go func(chunk []int) {
+					defer wg.Done()
+					replay(bt, chunk, 0)
+				}(group[lo:min(lo+span, len(group))])
+			}
+			replay(bt, group[:span], lead)
+		}(bk, groups[bk])
 	}
 
 	wg.Wait()
@@ -201,29 +233,14 @@ func (e *Engine) Evaluate(ctx context.Context, reqs []Request) ([]Value, error) 
 	return out, nil
 }
 
-// computeChunk replays one fingerprint-group chunk, whose behavior key
-// is bk, through sim.ReplayBatch: the behavior trace is resolved once
-// (single-flight memoized across chunks) and every member's
-// connectivity architecture is re-timed in the same trace pass. A batch
-// fails as a whole when any member's architecture is rejected, so on
-// failure each member is re-timed as its own K=1 replay: the error
-// names its own request and one poisoned member cannot take down its
-// group-mates.
-func (e *Engine) computeChunk(ctx context.Context, bk uint64, reqs []Request, chunk []int, finish func(int, Value, error), abort func(error)) {
-	start := time.Now()
-	bt, store, err := e.behaviorTrace(ctx, bk, reqs[chunk[0]])
-	if err != nil {
-		for _, i := range chunk {
-			finish(i, Value{}, err)
-		}
-		abort(err)
-		return
-	}
-	if store != nil {
-		// Chunks waiting on this capture replay meanwhile; the write
-		// still completes before Evaluate returns.
-		defer store()
-	}
+// computeChunk re-times one fingerprint-group chunk on its resolved
+// behavior trace through sim.ReplayBatch, every member's connectivity
+// architecture in the same trace pass; start is when the chunk's work
+// began. A batch fails as a whole when any member's architecture is
+// rejected, so on failure each member is re-timed as its own K=1
+// replay: the error names its own request and one poisoned member
+// cannot take down its group-mates.
+func (e *Engine) computeChunk(bt *sim.BehaviorTrace, reqs []Request, chunk []int, start time.Time, finish func(int, Value, error), abort func(error)) {
 	if e.replayChunk(bt, reqs, chunk, start, finish) == nil {
 		return
 	}

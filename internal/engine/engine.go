@@ -6,8 +6,11 @@
 //
 // The engine owns three concerns the callers used to hand-roll:
 //
-//   - a bounded worker pool honouring the configured parallelism, with
-//     context.Context cancellation plumbed through every batch;
+//   - bounded parallelism: each Evaluate call runs on at most Workers
+//     worker slots of its own (concurrent calls, like memorexd's jobs
+//     on its one engine, each get Workers), held only by captures,
+//     disk loads and replays, with context.Context cancellation
+//     plumbed through every batch;
 //   - a memoization cache keyed by a stable fingerprint of
 //     (trace, memory architecture, connectivity architecture,
 //     sampled-vs-full), so a design estimated in ConEx Phase I or seen
@@ -312,7 +315,8 @@ func New(workers int, opts ...Option) *Engine {
 	return e
 }
 
-// Workers returns the engine's parallelism bound.
+// Workers returns the engine's parallelism bound: the worker slots
+// each Evaluate call gets.
 func (e *Engine) Workers() int { return e.workers }
 
 // Observer returns the engine's event observer (nil when detached).
@@ -438,30 +442,68 @@ func (e *Engine) awaitHit(ctx context.Context, r Request, ent *entry) (Value, er
 }
 
 // behaviorTrace returns the Phase A event trace of a request whose
-// behavior key is key, capturing it on first use and serving concurrent
-// duplicates single-flight. A fresh capture is published to waiting
-// chunks at once; the returned store, non-nil only then, writes it
-// through to the persistent cache and is left to the caller to run once
-// its own replay is done.
-func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *sim.BehaviorTrace, store func(), err error) {
+// behavior key is key, for uses chunks that will replay it. A trace
+// already held, or being resolved by another owner in this call or a
+// concurrent one, is waited for without a worker slot, and every use
+// counts as a behavior reuse. Otherwise the caller takes a slot from
+// sem, claims the trace, loads it from the persistent cache or
+// captures it, and frees the slot; every use but one counts as a
+// reuse, and lead is the time the resolution took in the slot. The
+// returned store, non-nil only after a fresh capture, writes the trace
+// through to the persistent cache and is left to the caller to run.
+func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request, sem chan struct{}, uses int) (bt *sim.BehaviorTrace, lead time.Duration, store func(), err error) {
 	e.mu.Lock()
-	if ent, ok := e.behavior[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-ent.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		if ent.err != nil {
-			return nil, nil, ent.err
-		}
-		e.m.capReuse.Inc()
-		return ent.bt, nil, nil
-	}
-	ent := &behaviorEntry{done: make(chan struct{})}
-	e.behavior[key] = ent
+	ent, held := e.behavior[key]
 	e.mu.Unlock()
+	if !held {
+		// The slot is taken before the claim, so a claimed entry is
+		// always being resolved and never fails on this call's
+		// cancellation.
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, 0, nil, ctx.Err()
+		}
+		if err := ctx.Err(); err != nil {
+			<-sem
+			return nil, 0, nil, err
+		}
+		e.mu.Lock()
+		if ent, held = e.behavior[key]; !held {
+			ent = &behaviorEntry{done: make(chan struct{})}
+			e.behavior[key] = ent
+		}
+		e.mu.Unlock()
+		if !held {
+			start := time.Now()
+			store = e.resolveBehavior(key, ent, r)
+			lead = time.Since(start)
+			<-sem
+			if ent.err != nil {
+				return nil, 0, nil, ent.err
+			}
+			e.m.capReuse.Add(int64(uses - 1))
+			return ent.bt, lead, store, nil
+		}
+		<-sem
+	}
+	select {
+	case <-ent.done:
+	case <-ctx.Done():
+		return nil, 0, nil, ctx.Err()
+	}
+	if ent.err != nil {
+		return nil, 0, nil, ent.err
+	}
+	e.m.capReuse.Add(int64(uses))
+	return ent.bt, 0, nil, nil
+}
 
+// resolveBehavior fills and publishes a claimed behavior entry: from
+// the persistent cache when it holds a valid entry, else by a Phase A
+// capture. It returns the write-through of a fresh capture, else nil.
+func (e *Engine) resolveBehavior(key uint64, ent *behaviorEntry, r Request) (store func()) {
+	defer close(ent.done)
 	// Second layer: the persistent cache. A validated disk entry stands
 	// in for the capture; any validation failure inside Get is a plain
 	// miss (the damaged file is quarantined by the cache) and we fall
@@ -469,24 +511,25 @@ func (e *Engine) behaviorTrace(ctx context.Context, key uint64, r Request) (bt *
 	if bt, ok := e.disk.Get(key); ok {
 		ent.bt = bt
 		e.m.diskHits.Inc()
-		close(ent.done)
-		return ent.bt, nil, nil
+		return nil
 	}
-
 	ent.bt, ent.err = e.captureBehavior(r)
 	if ent.err != nil {
 		e.mu.Lock()
 		delete(e.behavior, key) // failures are not memoized
 		e.mu.Unlock()
-		close(ent.done)
-		return nil, nil, ent.err
+		return nil
 	}
 	e.m.captures.Inc()
-	close(ent.done)
 	// Best-effort persist: a failed write only costs a future
 	// recapture and is counted by the cache's put_errors.
-	return ent.bt, func() { e.disk.Put(key, ent.bt) }, nil
+	bt := ent.bt
+	return func() { e.disk.Put(key, bt) }
 }
+
+// captureTrace is the Phase A capture; the dispatch tests swap it to
+// hold captures in flight.
+var captureTrace = sim.CaptureBehavior
 
 // captureBehavior runs Phase A for a request: the whole trace in Full
 // mode, the sampling plan's on-windows in Sampled mode.
@@ -507,5 +550,5 @@ func (e *Engine) captureBehavior(r Request) (*sim.BehaviorTrace, error) {
 		}
 		e.m.samplingOnAcc.Add(on)
 	}
-	return sim.CaptureBehavior(r.Trace, r.Mem, windows)
+	return captureTrace(r.Trace, r.Mem, windows)
 }

@@ -83,10 +83,8 @@ func projectFullWork(ctx context.Context, t *trace.Trace, apexRes *apex.Result, 
 	}
 	var designs int64
 	for _, brg := range brgs {
-		for _, level := range core.Levels(brg) {
-			cands, _ := core.EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
-			designs += int64(len(cands))
-		}
+		cands, _ := core.Candidates(brg, cfg)
+		designs += int64(len(cands))
 	}
 	return designs * int64(t.NumAccesses()), nil
 }

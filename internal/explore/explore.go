@@ -364,12 +364,8 @@ func runFull(ctx context.Context, eng *engine.Engine, t *trace.Trace, sp *Space,
 	}
 	var points []core.DesignPoint
 	for _, brg := range brgs {
-		for _, level := range core.Levels(brg) {
-			cands, _ := core.EnumerateAssignments(brg, level, cfg.Library, cfg.MaxAssignPerLevel)
-			for _, c := range cands {
-				points = append(points, core.DesignPoint{MemArch: brg.Arch, Conn: c})
-			}
-		}
+		cands, _ := core.Candidates(brg, cfg)
+		points = append(points, cands...)
 	}
 	stop := eng.StartPhase("explore/full-space")
 	defer stop()

@@ -208,8 +208,9 @@ func grow[T any](s []T, n int) []T {
 
 // CaptureBehavior runs the memory-module model over the given
 // on-windows of the trace (nil = one window covering everything) and
-// returns the recorded event trace. The architecture is cloned, so the
-// caller's module state is untouched.
+// returns the recorded event trace. The caller's module state is
+// untouched: the capture runs on cold clones of the modules, except the
+// caches a stack walker serves, of which it reads only the geometry.
 func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window) (*BehaviorTrace, error) {
 	if err := memArch.Validate(); err != nil {
 		return nil, err
@@ -228,15 +229,26 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 		total += w.Hi - w.Lo
 	}
 
-	arch := memArch.Clone()
+	mods := make([]mem.Module, len(memArch.Modules))
+	for i, m := range memArch.Modules {
+		if cache, ok := m.(*mem.Cache); !ok || !stackWalkable(cache) {
+			m = m.Clone()
+		}
+		mods[i] = m
+	}
+	var l2 *mem.Cache
+	if memArch.L2 != nil {
+		l2 = memArch.L2.Clone().(*mem.Cache)
+	}
+	dram := memArch.DRAM.Clone().(*mem.DRAM)
 	bt := &BehaviorTrace{Channels: memArch.Channels()}
-	nm := len(arch.Modules)
-	c := &capture{bt: bt, l2: arch.L2, dram: arch.DRAM, captureScratch: scratchPool.Get().(*captureScratch)}
+	nm := len(mods)
+	c := &capture{bt: bt, l2: l2, dram: dram, captureScratch: scratchPool.Get().(*captureScratch)}
 	defer scratchPool.Put(c.captureScratch)
 	c.reset(nm)
-	c.dramLat = [2]int{arch.DRAM.RowHitCycles, arch.DRAM.RowMissCycles}
+	c.dramLat = [2]int{dram.RowHitCycles, dram.RowMissCycles}
 	bt.Modules = make([]ModuleMeta, nm)
-	for i, m := range arch.Modules {
+	for i, m := range mods {
 		meta := ModuleMeta{Kind: m.Kind(), Latency: m.Latency(), Energy: m.Energy()}
 		if sb, ok := m.(*mem.StreamBuffer); ok {
 			meta.LineBytes = sb.LineBytes
@@ -248,32 +260,32 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 		}
 		bt.Modules[i] = meta
 	}
-	if arch.L2 != nil {
+	if l2 != nil {
 		bt.HasL2 = true
-		bt.L2Latency = arch.L2.Latency()
-		bt.L2Energy = arch.L2.Energy()
+		bt.L2Latency = l2.Latency()
+		bt.L2Energy = l2.Energy()
 		c.l2Lat = int64(bt.L2Latency)
-		c.l2Line = arch.L2.LineBytes
+		c.l2Line = l2.LineBytes
 	}
-	bt.DRAMRowHit = arch.DRAM.RowHitCycles
-	bt.DRAMEnergy = arch.DRAM.Energy()
+	bt.DRAMRowHit = dram.RowHitCycles
+	bt.DRAMEnergy = dram.Energy()
 
 	// Nominal fetch latency, mirroring sim.New's readiness wiring.
 	nomFetch := int(nomTransfer(32))
-	if arch.L2 != nil {
-		nomFetch += arch.L2.Latency()
+	if l2 != nil {
+		nomFetch += l2.Latency()
 	} else {
-		nomFetch += arch.DRAM.RowHitCycles
+		nomFetch += dram.RowHitCycles
 	}
 	c.mods = make([]capModule, nm)
-	for i, m := range arch.Modules {
+	for i, m := range mods {
 		if bt.Modules[i].Backed {
 			m.SetFetchLatency(nomFetch)
 		}
 		c.mods[i] = c.newModule(m, bt.Modules[i])
 	}
 	c.setSkip()
-	routeTab, routeDef := buildRouteTable(arch)
+	routeTab, routeDef := buildRouteTable(memArch)
 	c.dsKey = grow(c.dsKey, len(routeTab))
 	for ds, r := range routeTab {
 		c.dsKey[ds] = c.routeKey(r)
@@ -295,7 +307,7 @@ func CaptureBehavior(t *trace.Trace, memArch *mem.Architecture, windows []Window
 			c.gapStart = c.now
 			c.walk(t.Accesses[pos:w.Lo], false)
 			bt.GapCycles[wi] = c.now - c.gapStart
-			c.resync(arch, bt.Resync[wi*nm*2:(wi+1)*nm*2])
+			c.resync(mods, bt.Resync[wi*nm*2:(wi+1)*nm*2])
 		}
 		c.walk(t.Accesses[w.Lo:w.Hi], true)
 		bt.WindowLen[wi] = int32(w.Hi - w.Lo)
@@ -851,8 +863,8 @@ func (c *capture) skip(blk []trace.Access) {
 // position (their readiness chain is rebuilt by the replay, in its own
 // clock and at the actual fetch latency), DMA modules how long ago they
 // were last touched.
-func (c *capture) resync(arch *mem.Architecture, out []int32) {
-	for i, m := range arch.Modules {
+func (c *capture) resync(mods []mem.Module, out []int32) {
+	for i, m := range mods {
 		switch mod := m.(type) {
 		case *mem.StreamBuffer:
 			out[2*i] = c.refills[i]
@@ -886,11 +898,18 @@ type stackWalker struct {
 	sets                []uint64
 }
 
-// newStackWalker returns the stage-1 walk of c, nil when c is not a
-// write-back cache of at most 2 ways or its line × sets is below 8
+// stackWalkable reports whether a stack walker serves cache: a
+// write-back cache of at most 2 ways whose line × sets is at least 8
 // bytes (the largest tag+1 must fit the 30-bit key).
+func stackWalkable(cache *mem.Cache) bool {
+	return cache.Policy == mem.WriteBack && cache.Assoc <= 2 && cache.SizeBytes/cache.Assoc >= 8
+}
+
+// newStackWalker returns the stage-1 walk of c, nil when no stack
+// walker serves c. The walker keeps its own sets and reads only c's
+// geometry.
 func (c *capture) newStackWalker(cache *mem.Cache) func(acc []trace.Access, idx []uint16, keys []uint32) {
-	if cache.Policy != mem.WriteBack || cache.Assoc > 2 || cache.SizeBytes/cache.Assoc < 8 {
+	if !stackWalkable(cache) {
 		return nil
 	}
 	nSets := cache.SizeBytes / (cache.LineBytes * cache.Assoc)
