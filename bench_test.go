@@ -749,8 +749,75 @@ func BenchmarkSimulatorReplayBatchContended(b *testing.B) {
 	b.ReportMetric(float64(len(conns)), "archs")
 }
 
-// replaySink keeps BenchmarkSimulatorReplayBatchContended's result live.
+// replaySink keeps the replay benchmarks' results live.
 var replaySink []*sim.Result
+
+// BenchmarkSimulatorReplayBatchFullSpace measures batched replay on the
+// work of exhaustive exploration: the memory architectures of the
+// Quick preset's Table 2 sweep (2K and 32K caches, 2-way, 32-byte
+// lines, at most one custom module) on the 60k-access compress and li
+// slices, each captured over the whole slice, and each replaying its
+// full core.Candidates set (at most 12 assignments per clustering
+// level) as one batch. ns/pair divides the wall time by the
+// (architecture, event) pairs replayed.
+func BenchmarkSimulatorReplayBatchFullSpace(b *testing.B) {
+	type group struct {
+		bt    *sim.BehaviorTrace
+		conns []*connect.Arch
+	}
+	var groups []group
+	var archs, pairsPerOp int64
+	cfg := core.Config{Library: connect.Library(), MaxAssignPerLevel: 12}
+	for _, bench := range []string{"compress", "li"} {
+		w, err := workload.ByName(bench)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := w.Generate(workload.DefaultConfig()).Slice(0, 60_000)
+		res, err := apex.Explore(tr, nil, apex.Config{
+			CacheSizes:  []int{2 << 10, 32 << 10},
+			CacheAssocs: []int{2},
+			CacheLines:  []int{32},
+			MaxCustom:   1,
+			SRAMLimit:   80 << 10,
+			MaxSelected: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, arch := range explore.BuildSpace(res).AllMem {
+			bt, err := sim.CaptureBehavior(tr, arch, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			brg, err := core.BuildBRG(tr, arch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cands, _ := core.Candidates(brg, cfg)
+			g := group{bt: bt}
+			for _, c := range cands {
+				g.conns = append(g.conns, c.Conn)
+			}
+			groups = append(groups, g)
+			archs += int64(len(g.conns))
+			pairsPerOp += int64(len(g.conns)) * int64(bt.NumEvents())
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range groups {
+			res, err := sim.ReplayBatch(g.bt, g.conns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			replaySink = res
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pairsPerOp), "ns/pair")
+	b.ReportMetric(float64(archs), "archs")
+}
 
 // BenchmarkCaptureBehavior measures Phase A: sim.CaptureBehavior of a
 // cache, a stream buffer, a self-indirect DMA and a direct-DRAM data

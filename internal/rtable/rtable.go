@@ -5,6 +5,11 @@
 // transfer occupies at which relative cycle; a Scheduler finds the
 // earliest conflict-free issue slot for a new transfer given everything
 // already reserved.
+//
+// A Scheduler takes a transfer as a stage list (EarliestIssue, Query,
+// Reserve, Grant) or, when the transfer holds a single resource from
+// its issue on, as a run length (the ...Run entry points), which skips
+// the list's walk and validation.
 package rtable
 
 import (
@@ -197,11 +202,16 @@ func NewScheduler(resources int) *Scheduler {
 }
 
 // advance slides the window so that absolute cycle t is representable.
+// It is small enough to inline into every entry point, which mostly
+// find t already in the window.
 func (s *Scheduler) advance(t int64) {
-	if t < s.base+int64((s.words-1)*64) {
-		return
+	if t >= s.base+int64((s.words-1)*64) {
+		s.slide(t)
 	}
-	// Slide so that t sits in the first quarter of the window.
+}
+
+// slide moves the window so that t sits in its first quarter.
+func (s *Scheduler) slide(t int64) {
 	newBase := t - int64(s.words*16)
 	if newBase < s.base {
 		newBase = s.base
@@ -403,6 +413,64 @@ func (s *Scheduler) mark(t int64, stages []Stage) {
 	for _, st := range stages {
 		s.markRange(st.Res, t+int64(st.Start), st.Len)
 	}
+}
+
+// The run form below schedules a transfer holding resource 0 alone
+// for the cycles [0, n) of its issue: the one-stage list {{0, 0, n}}
+// without the list. Each entry point counts, searches, slides and
+// reserves exactly as its stage-list namesake does on that list, but
+// skips the per-call stage validation, so the caller must have built
+// the scheduler with at least one resource and must pass n >= 0.
+//
+// A scheduler every transfer of which holds the same resources over
+// the same cycles keeps identical rows, and a search tests the rows in
+// list order, reaching a later row only where the first is free: such
+// a scheduler answers like a one-row one fed the run form, Stats
+// included.
+
+// EarliestIssueRun is EarliestIssue of a run of n cycles.
+func (s *Scheduler) EarliestIssueRun(at int64, n int) int64 {
+	t := s.QueryRun(at, n)
+	s.markRange(0, t, n)
+	return t
+}
+
+// QueryRun is Query of a run of n cycles.
+func (s *Scheduler) QueryRun(at int64, n int) int64 {
+	t := s.issueRun(at, n)
+	for {
+		c := s.firstBusy(0, t, n)
+		if c < 0 {
+			return t
+		}
+		s.stats.Conflicts++
+		next := s.busyRunEnd(0, c) + 1
+		if next <= t {
+			next = t + 1
+		}
+		t = next
+		s.advance(t + int64(n))
+	}
+}
+
+// ReserveRun is Reserve of a run of n cycles.
+func (s *Scheduler) ReserveRun(at int64, n int) {
+	s.markRange(0, s.issueRun(at, n), n)
+}
+
+// GrantRun is Grant of a run of n cycles.
+func (s *Scheduler) GrantRun(at int64, n int) {
+	s.issueRun(at, n)
+}
+
+// issueRun is issue for a run of n cycles.
+func (s *Scheduler) issueRun(at int64, n int) int64 {
+	if at < 0 {
+		at = 0
+	}
+	s.advance(at + int64(n))
+	s.stats.Issues++
+	return at
 }
 
 // Stats returns the scheduler's activity counters.

@@ -341,3 +341,60 @@ func TestPartialEntryPointsMatchEarliestIssue(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFormMatchesStages pins the run form to the stage list it
+// stands for. A two-row scheduler fed dead-time stage pairs
+// {0,0,n},{1,0,n} and a one-row scheduler fed runs of n receive the
+// same random sequence of all four entry points; every grant, the
+// Stats and the one row against both rows must agree after each call.
+// Far-future asks slide the window, asks behind the slid base read
+// forgotten cycles, n = 0 reserves nothing, and asks at random cycles
+// make runs cross word boundaries.
+func TestRunFormMatchesStages(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pair, row := NewScheduler(2), NewScheduler(1)
+		var at int64
+		for i := 0; i < 400; i++ {
+			switch r := rng.Intn(16); {
+			case r == 0:
+				at += 4000 + rng.Int63n(20_000) // far future: slides the window
+			case r == 1:
+				at = pair.base - rng.Int63n(300) // behind the window's base
+			default:
+				at += rng.Int63n(120) - 40
+			}
+			n := rng.Intn(63)
+			if rng.Intn(10) == 0 {
+				n = 0
+			}
+			st := []Stage{{Res: 0, Start: 0, Len: n}, {Res: 1, Start: 0, Len: n}}
+			op := rng.Intn(4)
+			var gPair, gRow int64
+			switch op {
+			case 0:
+				gPair, gRow = pair.EarliestIssue(at, st), row.EarliestIssueRun(at, n)
+			case 1:
+				gPair, gRow = pair.Query(at, st), row.QueryRun(at, n)
+			case 2:
+				pair.Reserve(at, st)
+				row.ReserveRun(at, n)
+			case 3:
+				pair.Grant(at, st)
+				row.GrantRun(at, n)
+			}
+			if gPair != gRow || pair.Stats() != row.Stats() || pair.base != row.base {
+				t.Fatalf("seed %d call %d (op %d, at %d, n %d): stage pair granted %d stats %+v base %d, run form %d stats %+v base %d",
+					seed, i, op, at, n, gPair, pair.Stats(), pair.base, gRow, row.Stats(), row.base)
+			}
+			for r := 0; r < 2; r++ {
+				for w := range row.window[0] {
+					if pair.window[r][w] != row.window[0][w] {
+						t.Fatalf("seed %d call %d: stage pair row %d word %d = %#x, run form row %#x",
+							seed, i, r, w, pair.window[r][w], row.window[0][w])
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,20 +17,24 @@
 //   - Transfer-cycle, transfer-energy and reservation-stage tables
 //     depend only on a component's timing parameters, so architectures
 //     assigning the same library component share one set of tables.
-//     The stages of a dead-time off-chip leg depend only on their
-//     (clamped) length and come from one package-level table.
 //
-// Per (architecture, class) the batch then builds a row. Energy never
-// depends on timing, so every row holds the event's energy addends, in
-// the order replayReference adds them. A class is fast when its module
-// is neither a stream buffer nor a DMA and none of the channels it uses
-// is in a contended cluster (below): its latency is then a constant,
-// read off once by replaying the class at cycle 0. The trace is walked
-// twice, neither pass touching the per-event fields:
+// Per (architecture, class) the batch then compiles the class into a
+// plan: the legs of its access on the architecture's wiring, each with
+// its cluster, its stages or run length, the cycles before its ask and
+// the channel its wait is booked to, plus the module's latency and,
+// for a stream buffer or DMA, what its stall is recomputed from. A
+// transfer on an uncontended cluster (below) is granted at its asking
+// cycle, so it folds into the cycles around the contended legs. A
+// class is fast when its plan has no contended leg and no recomputed
+// stall: its latency is then a constant, read off once by running the
+// plan at cycle 0. Energy never depends on timing, so every class's
+// row holds the event's energy addends, in the order replayReference
+// adds them. The trace is walked twice, neither pass touching the
+// per-event fields:
 //
 //   - The clock pass, for each architecture with slow classes: a fast
-//     event advances the clock by its constant, a slow one runs the
-//     full event path on the class's decoded view. Fast latencies are
+//     event advances the clock by its constant, a slow one interprets
+//     its plan, the one timing path of the batch. Fast latencies are
 //     booked as count × constant at the end; integer sums may be
 //     reordered.
 //
@@ -57,6 +61,17 @@
 //     reserved (Query). A prefetch leg at or after the horizon is
 //     reserved with no search (Reserve); an earlier one is scheduled in
 //     full (EarliestIssue).
+//
+//   - A contended cluster on a non-split component whose channels
+//     carry only off-chip transactions (the direct and L2<->DRAM
+//     channels, and the backing channels of a system without an L2)
+//     carries only dead-time legs, whose two stages hold resources 0
+//     and 1 over the same cycles. Its scheduler's two rows therefore
+//     stay equal, and a search tests resource 0 first and reaches
+//     resource 1 only where 0 is free, so it finds the same grants and
+//     conflicts on one row: such a cluster gets a one-row scheduler
+//     and rtable's run form. Split and on-chip clusters keep the
+//     stage lists.
 //
 // Each bypass still counts its issue and slides the scheduler's window
 // exactly as EarliestIssue would. That matters: the window forgets
@@ -133,7 +148,8 @@ func ReplayBatch(bt *BehaviorTrace, archs []*connect.Arch) ([]*Result, error) {
 // compTables is the per-distinct-component set of dense timing tables,
 // shared by every (arch, channel) slot of the batch that resolves to a
 // component with identical timing parameters. plain is allocated once
-// a contended cluster uses the component and filled on first use.
+// a contended stage-list cluster uses the component and filled on
+// first use.
 type compTables struct {
 	comp  *connect.Component // the first component with these parameters
 	cyc   []int32            // n -> TransferCycles(n)
@@ -142,12 +158,11 @@ type compTables struct {
 }
 
 // stages returns the memoized plain-transfer stages of n bytes.
-func (ct *compTables) stages(n int) []rtable.Stage {
-	if st := ct.plain[n]; st != nil {
-		return st
+func (ct *compTables) stages(n int) *[]rtable.Stage {
+	st := &ct.plain[n]
+	if *st == nil {
+		*st = ct.comp.Stages(n)
 	}
-	st := ct.comp.Stages(n)
-	ct.plain[n] = st
 	return st
 }
 
@@ -159,49 +174,54 @@ type compSig struct {
 	epb              float64
 }
 
-// deadStages[n] is the stage list of a non-split off-chip transaction
-// holding the bus for n cycles through its DRAM dead time, as
-// deadTimeStages builds it; the length is clamped to 62 there.
-var deadStages = func() (t [63][]rtable.Stage) {
-	for n := range t {
-		t[n] = []rtable.Stage{{Res: 0, Start: 0, Len: n}, {Res: 1, Start: 0, Len: n}}
-	}
-	return t
-}()
-
 // cluster is the reservation state of one contended cluster of one
 // architecture.
 type cluster struct {
 	sched   *rtable.Scheduler
 	horizon int64 // latest end of any prefetch reservation
 	exact   bool  // a stage outlives its transfer: schedule and reserve every leg
+	row     bool  // dead-time legs only: one resource, run form
 }
 
-// leg returns the grant of a transfer with stages st asking at cycle
-// at; pref marks background prefetch traffic. See the package comment
-// for why skipped searches and reservations leave every grant
-// unchanged.
-func (c *cluster) leg(at int64, st []rtable.Stage, pref bool) int64 {
-	switch {
-	case c.exact:
-		return c.sched.EarliestIssue(at, st)
-	case !pref && at >= c.horizon:
-		c.sched.Grant(at, st)
-		return at
-	case !pref:
-		return c.sched.Query(at, st)
-	}
+// leg returns the grant of leg l asking l.pre cycles after cycle t and
+// books its wait; pref marks background prefetch traffic. See the
+// package comment for why skipped searches and reservations leave
+// every grant unchanged.
+func (st *archState) leg(l *busLeg, t int64, pref bool) int64 {
+	at := t + l.pre
+	c := l.cl
+	search := c.exact || at < c.horizon
+	reserve := c.exact || pref
+	s := c.sched
 	g := at
-	if at >= c.horizon {
-		c.sched.Reserve(at, st)
+	if l.st == nil {
+		n := int(l.n)
+		switch {
+		case search && reserve:
+			g = s.EarliestIssueRun(at, n)
+		case search:
+			g = s.QueryRun(at, n)
+		case reserve:
+			s.ReserveRun(at, n)
+		default:
+			s.GrantRun(at, n)
+		}
 	} else {
-		g = c.sched.EarliestIssue(at, st)
-	}
-	for _, s := range st {
-		if end := g + int64(s.Start+s.Len); end > c.horizon {
-			c.horizon = end
+		switch {
+		case search && reserve:
+			g = s.EarliestIssue(at, *l.st)
+		case search:
+			g = s.Query(at, *l.st)
+		case reserve:
+			s.Reserve(at, *l.st)
+		default:
+			s.Grant(at, *l.st)
 		}
 	}
+	if pref {
+		c.horizon = max(c.horizon, g+int64(l.n))
+	}
+	st.wait[l.wait] += g - at
 	return g
 }
 
@@ -210,11 +230,6 @@ type slot struct {
 	tab   *compTables
 	cl    *cluster // nil when uncontended: every grant is the asking cycle
 	split bool     // split-transaction component
-}
-
-// backLeg is the recorded traffic of one backing transaction.
-type backLeg struct {
-	n, l2off, dram int
 }
 
 // modState is the prefetch state of one module on one architecture.
@@ -226,11 +241,63 @@ type modState struct {
 
 // classRow is how one architecture replays one event class: the
 // event's energy addends are addends[lo:hi]; a fast class has the
-// constant latency lat, a slow one runs event.
+// constant latency lat and plan -1, a slow one is replayed by
+// interpreting plans[plan].
 type classRow struct {
 	lat    int64
 	lo, hi int32
-	slow   bool
+	plan   int32
+}
+
+// busLeg is one transfer of a compiled plan on a contended cluster.
+// It asks pre cycles after the previous leg's grant (or the start of
+// its path). On a one-row cluster it holds the run [0, n) of its grant
+// and st is nil; elsewhere it holds the stages *st, which end n cycles
+// after the grant. Its wait is booked to channel wait.
+type busLeg struct {
+	cl   *cluster
+	st   *[]rtable.Stage
+	pre  int64
+	n    int32
+	wait int32
+}
+
+// plan is an event class compiled for one architecture: everything its
+// timing needs, read from the class, the module metadata and the
+// architecture's wiring once instead of at every event. It has three
+// paths, each a chain of n[i] legs ending tail[i] cycles after the
+// last grant (or after its start, when it has no legs): uncontended
+// transfers are granted at their asking cycle, so they fold into the
+// cycles around the contended ones. The paths are
+//
+//  0. the CPU link, or a direct access's off-chip transaction;
+//  1. the module's latency and recorded stall, then the demand backing;
+//  2. the background prefetch backing, from the demand's end.
+//
+// Their legs are legs[lo:] of the batch, path after path. A stream
+// buffer or a DMA (pf) recomputes its stall between paths 0 and 1 from
+// its state mods[mod]; a stream event tops up topup lines.
+type plan struct {
+	tail  [3]int64
+	lo    int32
+	n     [3]uint8
+	pf    uint8
+	hit   bool
+	mod   int16
+	topup int32
+}
+
+// Prefetch stalls a plan recomputes.
+const (
+	pfNone = iota
+	pfStream
+	pfDMA
+)
+
+// slow reports whether the plan depends on the replay clock: it waits
+// on a contended cluster or recomputes a prefetch stall.
+func (p *plan) slow() bool {
+	return p.n != [3]uint8{} || p.pf != pfNone
 }
 
 // archState is the replay state of one architecture of the batch. Its
@@ -238,6 +305,7 @@ type classRow struct {
 type archState struct {
 	now        int64
 	res        *Result
+	wait       []int64    // res.ChannelWait
 	slots      []slot     // channel -> wiring
 	mods       []modState // module -> prefetch state
 	rows       []classRow // event class -> replay plan
@@ -254,6 +322,12 @@ type batchReplayer struct {
 
 	// addends holds the energy addends of every (arch, class) pair.
 	addends []float64
+	// plans holds the compiled plan of every slow (arch, class) pair,
+	// legs their contended legs; scratch is compile's buffer while
+	// they are counted.
+	plans   []plan
+	legs    []busLeg
+	scratch []busLeg
 
 	archs []archState
 	res   []Result
@@ -271,6 +345,7 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 	mods := make([]modState, k*nm)
 	rows := make([]classRow, k*ncl)
 	b.countShared()
+	var nplans, nlegs int
 
 	// Which modules generate background prefetch traffic: the only
 	// source of scheduler contention (see the package comment).
@@ -280,6 +355,20 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		if ev := &bt.Classes[ci].Event; ev.Route >= 0 && ev.PrefBytes > 0 {
 			modHasPref[ev.Route] = true
 			anyPref = true
+		}
+	}
+
+	// Which channels carry off-chip transactions only (the legs of
+	// compileOffChip): the direct channel, the L2<->DRAM channel of an
+	// L2 system, and the backing channels of a system without one.
+	deadTime := make([]bool, nc)
+	transactions := []int32{b.chans.direct, b.chans.l2DRAMChan}
+	if !bt.HasL2 {
+		transactions = append(transactions[:1], b.chans.back...)
+	}
+	for _, ch := range transactions {
+		if ch != -1 {
+			deadTime[ch] = true
 		}
 	}
 
@@ -333,11 +422,24 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 			}
 			if contCl[cl] {
 				if cls[cl] == nil {
-					if ct.plain == nil {
-						ct.plain = make([][]rtable.Stage, bt.MaxBytes+1)
+					// A non-split cluster of off-chip transactions carries
+					// only dead-time legs, which hold both resources over
+					// the same cycles: one row answers alike (see the
+					// package comment).
+					c := &cluster{exact: comp.OutlivesTransfer(), row: !comp.Split}
+					for _, ch := range arch.Clusters[cl] {
+						c.row = c.row && deadTime[ch]
 					}
-					cls[cl] = &cluster{sched: rtable.NewScheduler(connect.NumResources()), exact: comp.OutlivesTransfer()}
-					st.clusters = append(st.clusters, cls[cl])
+					if c.row {
+						c.sched = rtable.NewScheduler(1)
+					} else {
+						c.sched = rtable.NewScheduler(connect.NumResources())
+						if ct.plain == nil {
+							ct.plain = make([][]rtable.Stage, bt.MaxBytes+1)
+						}
+					}
+					cls[cl] = c
+					st.clusters = append(st.clusters, c)
 				}
 				s.cl = cls[cl]
 			}
@@ -354,28 +456,164 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 				st.mods[m].fetch = int64(f)
 			}
 		}
-		st.res.ChannelWait = make([]int64, nc)
-		b.planClasses(st)
+		st.wait = make([]int64, nc)
+		st.res.ChannelWait = st.wait
+		p, l := b.planClasses(st, nplans)
+		nplans += p
+		nlegs += l
+	}
+	b.plans = make([]plan, nplans)
+	b.legs = make([]busLeg, 0, nlegs)
+	for a := range b.archs {
+		b.compileSlow(&b.archs[a])
 	}
 	return b
 }
 
-// planClasses fills an architecture's class rows. A fast class is
-// replayed once, at cycle 0, to read off its latency.
-func (b *batchReplayer) planClasses(st *archState) {
+// planClasses fills an architecture's class rows: every class's energy
+// addends, and a fast class's latency, read off by replaying its plan
+// at cycle 0. A slow class is numbered from first, to be compiled once
+// the batch's plans and legs are allocated; planClasses returns how
+// many plans and legs the architecture's slow classes need.
+func (b *batchReplayer) planClasses(st *archState, first int) (plans, legs int) {
 	for ci := range b.bt.Classes {
 		c := &b.bt.Classes[ci]
 		row := &st.rows[ci]
 		row.lo = int32(len(b.addends))
 		b.addends = b.energy(st, c, b.addends)
 		row.hi = int32(len(b.addends))
-		if b.slow(st, c) {
-			row.slow = true
+		var p plan
+		p, b.scratch = b.compile(st, c, b.scratch[:0])
+		if p.slow() {
+			row.plan = int32(first + plans)
+			plans++
+			legs += len(b.scratch)
 			st.anySlow = true
 		} else {
-			row.lat = b.event(st, c)
+			row.plan = -1
+			row.lat = b.replay(st, &p, 0)
 		}
 	}
+	return plans, legs
+}
+
+// compileSlow compiles an architecture's slow classes into the batch's
+// plans and legs.
+func (b *batchReplayer) compileSlow(st *archState) {
+	for ci, row := range st.rows {
+		if row.plan >= 0 {
+			b.plans[row.plan], b.legs = b.compile(st, &b.bt.Classes[ci], b.legs)
+		}
+	}
+}
+
+// compile builds the plan of class c on an architecture, mirroring
+// replayReference's event, backing and offChip step for step, and
+// appends its contended legs to legs.
+func (b *batchReplayer) compile(st *archState, c *EventClass, legs []busLeg) (plan, []busLeg) {
+	e := &c.view
+	pb := pathBuilder{legs: legs, lo: len(legs)}
+	p := plan{lo: int32(len(legs))}
+	if c.Route < 0 {
+		b.compileOffChip(&pb, st, e.cpu, int(c.Size), int(c.DemandDRAM))
+		p.n[0], p.tail[0] = pb.end()
+		return p, pb.legs
+	}
+	pb.plain(st, e.cpu, int(c.Size), 0)
+	p.n[0], p.tail[0] = pb.end()
+
+	// The module: behavior from the event; a stream buffer's or a DMA's
+	// stall is recomputed in the replay's clock.
+	meta := &b.bt.Modules[c.Route]
+	pb.pend = int64(meta.Latency)
+	switch meta.Kind {
+	case mem.KindStream:
+		p.pf, p.mod, p.topup, p.hit = pfStream, c.Route, e.topup, e.hit
+	case mem.KindDMA:
+		p.pf, p.mod, p.hit = pfDMA, c.Route, e.hit
+	default:
+		pb.pend += int64(c.Stall)
+	}
+	if e.hasDem {
+		b.compileBacking(&pb, st, e.back, int(c.DemandBytes), int(c.DemandL2Off), int(c.DemandDRAM))
+	}
+	p.n[1], p.tail[1] = pb.end()
+	if e.prefBack {
+		b.compileBacking(&pb, st, e.back, int(c.PrefBytes), int(c.PrefL2Off), int(c.PrefDRAM))
+	}
+	p.n[2], p.tail[2] = pb.end()
+	return p, pb.legs
+}
+
+// compileBacking adds one backing transaction of n bytes on channel
+// back, l2off of which the L2 forwards to DRAM.
+func (b *batchReplayer) compileBacking(pb *pathBuilder, st *archState, back int32, n, l2off, dramLat int) {
+	if !b.bt.HasL2 {
+		b.compileOffChip(pb, st, back, n, dramLat)
+		return
+	}
+	pb.plain(st, back, n, int64(b.bt.L2Latency))
+	if l2 := b.chans.l2DRAMChan; l2off > 0 && l2 != -1 {
+		b.compileOffChip(pb, st, l2, l2off, dramLat)
+	}
+}
+
+// compileOffChip adds an off-chip transaction of n bytes on channel
+// ch: a split component's address and data phases, or one leg holding
+// the bus through the DRAM's dead time, clamped to 62 cycles as
+// deadTimeStages clamps it. A decoded trace may give the leg no DRAM
+// latency (-1); a dead time below 0 then holds the bus for no cycle,
+// and the run of 0 slides the window as the stage list of -1 does.
+func (b *batchReplayer) compileOffChip(pb *pathBuilder, st *archState, ch int32, n, dramLat int) {
+	s := &st.slots[ch]
+	if s.split {
+		pb.plain(st, ch, 4, int64(dramLat))
+		pb.plain(st, ch, n, 0)
+		return
+	}
+	cyc := int(s.tab.cyc[n])
+	if s.cl != nil {
+		pb.push(busLeg{cl: s.cl, n: int32(min(max(cyc+dramLat, 0), 62)), wait: ch})
+	}
+	pb.pend += int64(cyc + dramLat)
+}
+
+// pathBuilder builds the paths of one plan.
+type pathBuilder struct {
+	legs []busLeg
+	lo   int   // first leg of the open path
+	pend int64 // cycles from the last grant (or the path's start) to the next ask
+}
+
+// plain adds a transfer of n bytes on channel ch, with extra cycles
+// after it.
+func (pb *pathBuilder) plain(st *archState, ch int32, n int, extra int64) {
+	s := &st.slots[ch]
+	if s.cl != nil {
+		stages := s.tab.stages(n)
+		span := 0
+		for _, x := range *stages {
+			span = max(span, x.Start+x.Len)
+		}
+		pb.push(busLeg{cl: s.cl, st: stages, n: int32(span), wait: ch})
+	}
+	pb.pend += int64(s.tab.cyc[n]) + extra
+}
+
+// push appends a contended leg asking the pending cycles after the
+// previous grant.
+func (pb *pathBuilder) push(l busLeg) {
+	l.pre = pb.pend
+	pb.legs = append(pb.legs, l)
+	pb.pend = 0
+}
+
+// end closes the open path, returning its legs and tail, and opens the
+// next.
+func (pb *pathBuilder) end() (uint8, int64) {
+	n, tail := len(pb.legs)-pb.lo, pb.pend
+	pb.lo, pb.pend = len(pb.legs), 0
+	return uint8(n), tail
 }
 
 // energy appends the energy addends of one event of class c in the
@@ -409,34 +647,8 @@ func (b *batchReplayer) backingEnergy(st *archState, back int32, n, l2off int, o
 	return out
 }
 
-// slow reports whether class c depends on the replay clock on this
-// architecture: its module recomputes prefetch stalls, or one of the
-// channels it uses is in a contended cluster.
-func (b *batchReplayer) slow(st *archState, c *EventClass) bool {
-	e := &c.view
-	if c.Route >= 0 {
-		if k := b.bt.Modules[c.Route].Kind; k == mem.KindStream || k == mem.KindDMA {
-			return true
-		}
-	}
-	if st.slots[e.cpu].cl != nil {
-		return true
-	}
-	if !e.hasDem && !e.prefBack {
-		return false
-	}
-	if st.slots[e.back].cl != nil {
-		return true
-	}
-	l2 := b.chans.l2DRAMChan
-	if !b.bt.HasL2 || l2 == -1 || st.slots[l2].cl == nil {
-		return false
-	}
-	return (e.hasDem && c.DemandL2Off > 0) || (e.prefBack && c.PrefL2Off > 0)
-}
-
 // countShared adds up the architecture-independent counters from the
-// class counts, mirroring event's and backing's accounting.
+// class counts, mirroring replayReference's accounting.
 func (b *batchReplayer) countShared() {
 	bt := b.bt
 	sh := &b.shared
@@ -495,9 +707,7 @@ func (b *batchReplayer) run() {
 			b.runClock(st)
 		}
 	}
-	for a := 0; a < len(b.archs); a += energyLanes {
-		b.runEnergy(b.archs[a:min(a+energyLanes, len(b.archs))])
-	}
+	b.runEnergy()
 	sh := &b.shared
 	var legs int64
 	for _, n := range sh.ChannelTransfers {
@@ -507,7 +717,7 @@ func (b *batchReplayer) run() {
 		st := &b.archs[a]
 		r := st.res
 		for ci, row := range st.rows {
-			if !row.slow {
+			if row.plan < 0 {
 				n := b.bt.Classes[ci].Count
 				r.TotalLatency += n * row.lat
 				r.LatencyHist[latBucket(int(row.lat))] += n
@@ -535,73 +745,84 @@ func (b *batchReplayer) run() {
 // energyLanes is the number of archs runEnergy sums side by side.
 const energyLanes = 4
 
-// runEnergy adds up the energy of up to energyLanes archs. A class has
-// the same number of energy addends on every arch, so the group's
-// addends are laid out lane-interleaved per class: each arch's sum
-// still adds its addends in trace order, so it is the very float sum
-// replayReference builds, and the lanes are independent chains the CPU
-// overlaps. Every class is padded with +0 addends to the longest
-// list, so the inner loop has one trip count and its exit is never
-// mispredicted. The padding changes no sum: adding +0 leaves every
-// value but -0 unchanged, and a sum that starts at +0 never becomes -0
-// under round-to-nearest.
-func (b *batchReplayer) runEnergy(group []archState) {
+// runEnergy adds up the energy of every arch, energyLanes archs at a
+// time. A class has the same number of energy addends on every arch,
+// so a group's addends are laid out lane-interleaved per class: each
+// arch's sum still adds its addends in trace order, so it is the very
+// float sum replayReference builds, and the lanes are independent
+// chains the CPU overlaps. Every class is padded with +0 addends to
+// the longest list, so the inner loop has one trip count and its exit
+// is never mispredicted. The padding changes no sum: adding +0 leaves
+// every value but -0 unchanged, and a sum that starts at +0 never
+// becomes -0 under round-to-nearest. The groups share one table: each
+// overwrites every addend of its lanes, the padding is never written,
+// and a lane the last group leaves stale is summed but not read.
+func (b *batchReplayer) runEnergy() {
 	bt := b.bt
 	w := 0
-	for _, r := range group[0].rows {
+	for _, r := range b.archs[0].rows {
 		w = max(w, int(r.hi-r.lo))
 	}
 	stride := w * energyLanes
 	tab := make([]float64, len(bt.Classes)*stride)
-	for lane := range group {
-		for c, r := range group[lane].rows {
-			for j, x := range b.addends[r.lo:r.hi] {
-				tab[c*stride+energyLanes*j+lane] = x
+	for a := 0; a < len(b.archs); a += energyLanes {
+		group := b.archs[a:min(a+energyLanes, len(b.archs))]
+		for lane := range group {
+			for c, r := range group[lane].rows {
+				for j, x := range b.addends[r.lo:r.hi] {
+					tab[c*stride+energyLanes*j+lane] = x
+				}
 			}
 		}
-	}
-	var e0, e1, e2, e3 float64
-	for _, id := range bt.IDs {
-		t := tab[int(id)*stride : int(id)*stride+stride]
-		for j := 0; j+3 < len(t); j += energyLanes {
-			e0 += t[j]
-			e1 += t[j+1]
-			e2 += t[j+2]
-			e3 += t[j+3]
+		var e0, e1, e2, e3 float64
+		for _, id := range bt.IDs {
+			t := tab[int(id)*stride : int(id)*stride+stride]
+			for j := 0; j+3 < len(t); j += energyLanes {
+				e0 += t[j]
+				e1 += t[j+1]
+				e2 += t[j+2]
+				e3 += t[j+3]
+			}
 		}
-	}
-	sums := [energyLanes]float64{e0, e1, e2, e3}
-	for lane := range group {
-		group[lane].res.EnergyNJ = sums[lane]
+		sums := [energyLanes]float64{e0, e1, e2, e3}
+		for lane := range group {
+			group[lane].res.EnergyNJ = sums[lane]
+		}
 	}
 }
 
 // runClock replays every window of the behavior trace for one arch with
 // slow classes: a fast event only advances the clock (its latency is
-// booked per class by run), a slow one runs event.
+// booked per class by run), a slow one interprets its plan.
 func (b *batchReplayer) runClock(st *archState) {
 	bt := b.bt
-	rows := st.rows
+	rows, plans := st.rows, b.plans
+	hist := &st.res.LatencyHist
 	nmods := len(bt.Modules)
+	now, total := st.now, int64(0)
 	pos := 0
 	for wi, wlen := range bt.WindowLen {
 		if bt.GapCycles[wi] > 0 {
-			gapStart := st.now
-			st.now += bt.GapCycles[wi]
+			gapStart := now
+			now += bt.GapCycles[wi]
+			st.now = now
 			b.applyResync(st, bt.Resync[wi*nmods*2:(wi+1)*nmods*2], gapStart)
 		}
 		for _, id := range bt.IDs[pos : pos+int(wlen)] {
-			if r := &rows[id]; !r.slow {
-				st.now += r.lat + 1
+			r := &rows[id]
+			if r.plan < 0 {
+				now += r.lat + 1
 				continue
 			}
-			lat := b.event(st, &bt.Classes[id])
-			st.res.TotalLatency += lat
-			st.res.LatencyHist[latBucket(int(lat))]++
-			st.now += lat + 1
+			lat := b.replay(st, &plans[r.plan], now) - now
+			total += lat
+			hist[latBucket(int(lat))]++
+			now += lat + 1
 		}
 		pos += int(wlen)
 	}
+	st.now = now
+	st.res.TotalLatency += total
 }
 
 // applyResync mirrors (*replayer).applyResync for one architecture.
@@ -660,48 +881,29 @@ func (b *batchReplayer) applyResync(st *archState, resync []int32, gapStart int6
 	}
 }
 
-// event replays the timing of one access of class c for one
-// architecture and returns its latency, mirroring (*replayer).event step
-// for step; its energy comes from the class's addends.
-func (b *batchReplayer) event(st *archState, c *EventClass) int64 {
-	now := st.now
-	e := &c.view
-	size := int(c.Size)
-	if c.Route < 0 {
-		return b.offChip(st, e.cpu, size, int(c.DemandDRAM), now, false) - now
+// replay interprets plan p for an access asking at cycle now on one
+// architecture and returns its completion cycle.
+func (b *batchReplayer) replay(st *archState, p *plan, now int64) int64 {
+	i, t := int(p.lo), now
+	for end := i + int(p.n[0]); i < end; i++ {
+		t = st.leg(&b.legs[i], t, false)
 	}
-
-	// 1. CPU <-> module link.
-	s := &st.slots[e.cpu]
-	grant := now
-	if s.cl != nil {
-		grant = s.cl.leg(now, s.tab.stages(size), false)
-		st.res.ChannelWait[e.cpu] += grant - now
+	t += p.tail[0]
+	switch p.pf {
+	case pfStream:
+		t += streamStall(&st.mods[p.mod], b.bt.Modules[p.mod].Depth, int(p.topup), p.hit, t)
+	case pfDMA:
+		t += dmaStall(&st.mods[p.mod], t, p.hit)
 	}
-	t := grant + int64(s.tab.cyc[size])
-
-	// 2. The module: behavior from the event, prefetch stalls recomputed
-	// in this architecture's clock.
-	meta := &b.bt.Modules[c.Route]
-	stall := int64(c.Stall)
-	switch meta.Kind {
-	case mem.KindStream:
-		stall = streamStall(&st.mods[c.Route], meta.Depth, int(e.topup), e.hit, t)
-	case mem.KindDMA:
-		stall = dmaStall(&st.mods[c.Route], t, e.hit)
+	for end := i + int(p.n[1]); i < end; i++ {
+		t = st.leg(&b.legs[i], t, false)
 	}
-	t += int64(meta.Latency) + stall
-
-	// 3. Demand backing traffic.
-	if e.hasDem {
-		t = b.backing(st, e.back, backLeg{int(c.DemandBytes), int(c.DemandL2Off), int(c.DemandDRAM)}, t, false)
+	t += p.tail[1]
+	// The background prefetch does not hold up the CPU.
+	for end, pt := i+int(p.n[2]), t; i < end; i++ {
+		pt = st.leg(&b.legs[i], pt, true)
 	}
-
-	// 4. Background prefetch traffic (does not hold up the CPU).
-	if e.prefBack {
-		b.backing(st, e.back, backLeg{int(c.PrefBytes), int(c.PrefL2Off), int(c.PrefDRAM)}, t, true)
-	}
-	return t - now
+	return t
 }
 
 // streamStall mirrors (*replayer).streamStall for one stream module's
@@ -761,52 +963,4 @@ func dmaStall(ms *modState, t int64, hit bool) int64 {
 		return ready - t
 	}
 	return 0
-}
-
-// backing mirrors the timing of (*replayer).backing for one
-// architecture.
-func (b *batchReplayer) backing(st *archState, backCh int32, l backLeg, at int64, pref bool) int64 {
-	if !b.bt.HasL2 {
-		return b.offChip(st, backCh, l.n, l.dram, at, pref)
-	}
-	s := &st.slots[backCh]
-	grant := at
-	if s.cl != nil {
-		grant = s.cl.leg(at, s.tab.stages(l.n), pref)
-		st.res.ChannelWait[backCh] += grant - at
-	}
-	t := grant + int64(s.tab.cyc[l.n]) + int64(b.bt.L2Latency)
-	if l2 := b.chans.l2DRAMChan; l.l2off > 0 && l2 != -1 {
-		t = b.offChip(st, l2, l.l2off, l.dram, t, pref)
-	}
-	return t
-}
-
-// offChip mirrors the timing of (*replayer).offChip for one
-// architecture and returns the completion cycle. On uncontended
-// clusters every grant is the asking cycle (for split components both
-// the address and the data phase).
-func (b *batchReplayer) offChip(st *archState, ch int32, n, dramLat int, at int64, pref bool) int64 {
-	s := &st.slots[ch]
-	ct := s.tab
-	if s.split {
-		if s.cl == nil {
-			return at + int64(ct.cyc[4]) + int64(dramLat) + int64(ct.cyc[n])
-		}
-		addrGrant := s.cl.leg(at, ct.stages(4), pref)
-		ready := addrGrant + int64(ct.cyc[4]) + int64(dramLat)
-		dataGrant := s.cl.leg(ready, ct.stages(n), pref)
-		st.res.ChannelWait[ch] += (addrGrant - at) + (dataGrant - ready)
-		return dataGrant + int64(ct.cyc[n])
-	}
-	grant := at
-	if s.cl != nil {
-		held := int(ct.cyc[n]) + dramLat
-		if held > 62 {
-			held = 62
-		}
-		grant = s.cl.leg(at, deadStages[held], pref)
-		st.res.ChannelWait[ch] += grant - at
-	}
-	return grant + int64(ct.cyc[n]) + int64(dramLat)
 }

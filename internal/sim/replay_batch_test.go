@@ -307,11 +307,14 @@ func randSyntheticConn(t *testing.T, rng *rand.Rand, m *mem.Architecture) *conne
 
 // TestReplayBatchContendedStress drives the contended-cluster bypasses
 // of ReplayBatch (prefetch horizon, window slides of skipped issues,
-// the fallback for stages that outlive their transfer) with synthetic
-// components far outside the library: slow, narrow buses build long
-// prefetch queues whose searches slide the scheduler window and make
-// it forget reservations. Every member must equal replayReference bit
-// for bit, on full and windowed captures, with and without an L2.
+// the fallback for stages that outlive their transfer, the one-row
+// scheduler of dead-time off-chip clusters) with synthetic components
+// far outside the library: slow, narrow buses build long prefetch
+// queues whose searches slide the scheduler window and make it forget
+// reservations. Every member must equal replayReference bit for bit,
+// on full and windowed captures, with and without an L2. The test
+// counts the contended one-row and outlives-transfer clusters that
+// scheduled a leg, and fails if it drove none of either.
 func TestReplayBatchContendedStress(t *testing.T) {
 	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 2000)
 	type capture struct {
@@ -336,6 +339,7 @@ func TestReplayBatchContendedStress(t *testing.T) {
 			caps = append(caps, capture{fmt.Sprintf("l2=%v windowed=%v", withL2, windowed), m, bt})
 		}
 	}
+	var rows, exact int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, c := range caps {
@@ -346,6 +350,22 @@ func TestReplayBatchContendedStress(t *testing.T) {
 			batch, err := ReplayBatch(c.bt, conns)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The same replay once more, with its clusters in reach.
+			b := newBatchReplayer(c.bt, conns)
+			b.run()
+			for a := range b.archs {
+				for _, cl := range b.archs[a].clusters {
+					if cl.sched.Stats().Issues == 0 {
+						continue
+					}
+					if cl.row {
+						rows++
+					}
+					if cl.exact {
+						exact++
+					}
+				}
 			}
 			for i, conn := range conns {
 				want, err := replayReference(c.bt, conn)
@@ -359,4 +379,58 @@ func TestReplayBatchContendedStress(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("contended clusters driven: %d one-row, %d outliving their transfer", rows, exact)
+	if rows == 0 || exact == 0 {
+		t.Errorf("drove %d contended one-row and %d outlives-transfer clusters; want both > 0", rows, exact)
+	}
+}
+
+// TestReplayBatchDeadTimeWithoutDRAM: a decoded trace may give a
+// direct access no DRAM latency (noDRAM), and Compile accepts it. On a
+// zero-cycle off-chip component that leg's dead time is then -1
+// cycles; it must hold the bus for no cycle and slide the scheduler's
+// window as replayReference's stage list does.
+func TestReplayBatchDeadTimeWithoutDRAM(t *testing.T) {
+	m := richArch(false)
+	bt, err := CaptureBehavior(workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 4000), m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := 0
+	for ci := range bt.Classes {
+		if ev := &bt.Classes[ci].Event; ev.Route < 0 {
+			ev.DemandDRAM = noDRAM
+			direct++
+		}
+	}
+	if direct == 0 {
+		t.Fatal("capture has no direct access")
+	}
+	bt.MaxBytes, bt.MaxDRAMLat = bt.eventBounds()
+	if err := bt.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	ahb, err := connect.ByName(connect.Library(), "ahb32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []*connect.Arch
+	for _, pipelined := range []bool{false, true} {
+		c := &connect.Arch{Channels: bt.Channels}
+		var off []int
+		for i, ch := range bt.Channels {
+			if ch.OffChip {
+				off = append(off, i)
+				continue
+			}
+			c.Clusters = append(c.Clusters, []int{i})
+			c.Assign = append(c.Assign, ahb)
+		}
+		c.Clusters = append(c.Clusters, off)
+		c.Assign = append(c.Assign, connect.Component{
+			Name: "zero-cycle", WidthBytes: 4, Pipelined: pipelined, MaxPorts: 16, EnergyPerByte: 0.01,
+		})
+		conns = append(conns, c)
+	}
+	assertBatchExact(t, "noDRAM", bt, conns)
 }
