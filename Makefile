@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-vet microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet bench-vet bench-test microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ vet:
 # binary lands in the tree.
 bench-vet:
 	cd bench && $(GO) vet ./...
+
+# bench-test runs the benchmark module's own tests, which replay two
+# ops each of pruned-cold, full-space and search-heuristic against
+# bench/golden/seed-1.json, so a change to the explorations' results
+# (a GA/SA tuning value, say) fails here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # microbench runs the layer microbenchmarks six times each — Phase B
 # replay (K=1, a prefetch-free batch, a contended batch and the
@@ -119,9 +126,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/adl/
 
 # check is the gate a change must pass before review: formatting is
-# clean, vet finds nothing in either module, the whole suite passes under the race
-# detector, the trace-cache, daemon and heuristic-search suites hold,
-# and the microbenchmark gate gives its pinned verdicts.
-check: vet bench-vet cache-check daemon-check search-check microbench-compare-check
+# clean, vet finds nothing in either module, the benchmark module's
+# tests pass, the whole suite passes under the race detector, the
+# trace-cache, daemon and heuristic-search suites hold, and the
+# microbenchmark gate gives its pinned verdicts.
+check: vet bench-vet bench-test cache-check daemon-check search-check microbench-compare-check
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race ./...

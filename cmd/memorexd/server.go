@@ -10,7 +10,6 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -39,9 +38,6 @@ type serverConfig struct {
 	// TenantQuota bounds each tenant's active (queued + running) jobs;
 	// 0 disables per-tenant quotas.
 	TenantQuota int
-	// EventBuffer bounds the per-job event log retained for streaming
-	// (0 = a default).
-	EventBuffer int
 	// JobRetention bounds how long terminal jobs (done, failed,
 	// cancelled) stay queryable after finishing; a janitor evicts
 	// older ones from the job table. 0 disables eviction. The report
@@ -50,7 +46,8 @@ type serverConfig struct {
 	JobRetention time.Duration
 	// TestGate, when set, runs before each job's exploration; tests use
 	// it to hold jobs "running" while they probe queue and cancel
-	// behavior. A non-nil error fails the job with it.
+	// behavior. A non-nil error (typically jb.ctx.Err()) fails the job
+	// with it.
 	TestGate func(jb *job) error
 }
 
@@ -62,20 +59,18 @@ type job struct {
 
 	cancel context.CancelFunc
 	ctx    context.Context
-	sub    *obs.Subscription
-	done   chan struct{}
+	// sub is the job's event log in the Router, read by the events
+	// stream and the snapshot's EventsDropped.
+	sub  *obs.Subscription
+	done chan struct{}
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	state         jobapi.State
-	created       time.Time
-	started       time.Time
-	finished      time.Time
-	errMsg        string
-	report        []byte
-	events        []obs.Event
-	eventsDropped int64
-	evDone        bool
+	mu       sync.Mutex
+	state    jobapi.State
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	errMsg   string
+	report   []byte
 }
 
 // server multiplexes exploration jobs onto the shared Explorer.
@@ -93,14 +88,7 @@ type server struct {
 
 	runners     sync.WaitGroup
 	janitorStop chan struct{}
-
-	// testGate, when set, is invoked before each job's exploration; it
-	// lets tests hold a job "running" and observe queue behavior. A
-	// non-nil error (typically jb.ctx.Err()) fails the job with it.
-	testGate func(jb *job) error
 }
-
-const defaultEventBuffer = 4096
 
 // newServer builds the job server and starts its runner pool.
 func newServer(cfg serverConfig) *server {
@@ -110,16 +98,12 @@ func newServer(cfg serverConfig) *server {
 	if cfg.MaxRunning < 1 {
 		cfg.MaxRunning = 2
 	}
-	if cfg.EventBuffer < 1 {
-		cfg.EventBuffer = defaultEventBuffer
-	}
 	s := &server{
-		cfg:      cfg,
-		jobs:     map[string]*job{},
-		active:   map[string]int{},
-		byState:  map[jobapi.State]int{},
-		queue:    make(chan *job, cfg.QueueCap),
-		testGate: cfg.TestGate,
+		cfg:     cfg,
+		jobs:    map[string]*job{},
+		active:  map[string]int{},
+		byState: map[jobapi.State]int{},
+		queue:   make(chan *job, cfg.QueueCap),
 	}
 	s.runners.Add(cfg.MaxRunning)
 	for i := 0; i < cfg.MaxRunning; i++ {
@@ -270,7 +254,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
-	jb.cond = sync.NewCond(&jb.mu)
 	// The job runs under its own context: submission is asynchronous,
 	// so the HTTP request's context must not cancel the exploration.
 	jb.ctx, jb.cancel = context.WithCancel(context.Background())
@@ -288,34 +271,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectBusy(w, "job queue full (%d queued)", s.cfg.QueueCap)
 		return
 	}
-	jb.sub = s.cfg.Router.Subscribe(jb.id, s.cfg.EventBuffer)
+	jb.sub = s.cfg.Router.Subscribe(jb.id)
 	s.jobs[jb.id] = jb
 	s.order = append(s.order, jb.id)
 	s.active[tenant]++
 	s.byState[jobapi.StateQueued]++
 	s.mu.Unlock()
 
-	// Drain the job's event subscription into its streamable log.
-	go jb.collectEvents()
-
 	w.Header().Set("Location", jobapi.PathJobs+"/"+jb.id)
 	writeJSON(w, http.StatusAccepted, jb.snapshot())
-}
-
-// collectEvents copies the job's routed events into its log, waking
-// any streaming handlers, until the subscription is cancelled.
-func (jb *job) collectEvents() {
-	for ev := range jb.sub.Events() {
-		jb.mu.Lock()
-		jb.events = append(jb.events, ev)
-		jb.cond.Broadcast()
-		jb.mu.Unlock()
-	}
-	jb.mu.Lock()
-	jb.eventsDropped = jb.sub.Dropped()
-	jb.evDone = true
-	jb.cond.Broadcast()
-	jb.mu.Unlock()
 }
 
 // snapshot renders the job's current wire representation.
@@ -328,7 +292,7 @@ func (jb *job) snapshot() jobapi.Job {
 		State:         jb.state,
 		Created:       jb.created,
 		Error:         jb.errMsg,
-		EventsDropped: jb.eventsDropped,
+		EventsDropped: jb.sub.Dropped(),
 	}
 	if !jb.started.IsZero() {
 		t := jb.started
@@ -359,13 +323,14 @@ func (s *server) runJob(jb *job) {
 	}
 	var rep *memorex.Report
 	var err error
-	if s.testGate != nil {
-		err = s.testGate(jb)
+	if s.cfg.TestGate != nil {
+		err = s.cfg.TestGate(jb)
 	}
 	if err == nil {
 		rep, err = s.cfg.Explorer.Do(jb.ctx, jb.req)
 	}
-	s.finishJob(jb, rep, err)
+	state, errMsg, report := outcome(jb, rep, err)
+	s.finish(jb, jobapi.StateRunning, state, errMsg, report)
 }
 
 // startJob transitions queued -> running, unless the job was cancelled
@@ -378,7 +343,7 @@ func (s *server) startJob(jb *job) bool {
 	}
 	if jb.ctx.Err() != nil {
 		jb.mu.Unlock()
-		s.finishJob(jb, nil, jb.ctx.Err())
+		s.finish(jb, jobapi.StateQueued, jobapi.StateCancelled, "cancelled", nil)
 		return false
 	}
 	jb.state = jobapi.StateRunning
@@ -392,28 +357,33 @@ func (s *server) startJob(jb *job) bool {
 	return true
 }
 
-// finishJob records the outcome, releases the tenant's quota slot and
-// closes the job's event feed.
-func (s *server) finishJob(jb *job, rep *memorex.Report, err error) {
-	state := jobapi.StateDone
-	var errMsg string
-	var report []byte
+// outcome maps a run's result to the job's terminal state, error
+// message and report JSON.
+func outcome(jb *job, rep *memorex.Report, err error) (jobapi.State, string, []byte) {
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || jb.ctx.Err() != nil):
-		state, errMsg = jobapi.StateCancelled, "cancelled"
+		return jobapi.StateCancelled, "cancelled", nil
 	case err != nil:
-		state, errMsg = jobapi.StateFailed, err.Error()
-	default:
-		var buf bytes.Buffer
-		if werr := rep.WriteJSON(&buf); werr != nil {
-			state, errMsg = jobapi.StateFailed, fmt.Sprintf("serializing report: %v", werr)
-		} else {
-			report = buf.Bytes()
-		}
+		return jobapi.StateFailed, err.Error(), nil
 	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		return jobapi.StateFailed, fmt.Sprintf("serializing report: %v", err), nil
+	}
+	return jobapi.StateDone, "", buf.Bytes()
+}
 
+// finish moves a job from state from to a terminal state: it records
+// the outcome, releases the tenant's quota slot, ends the job's event
+// log and logs the outcome. It does nothing when the job is no longer
+// in state from, so a queued job that a cancel and a runner both try
+// to finish is finished once.
+func (s *server) finish(jb *job, from, state jobapi.State, errMsg string, report []byte) {
 	jb.mu.Lock()
-	prev := jb.state
+	if jb.state != from {
+		jb.mu.Unlock()
+		return
+	}
 	jb.state = state
 	jb.errMsg = errMsg
 	jb.report = report
@@ -421,7 +391,7 @@ func (s *server) finishJob(jb *job, rep *memorex.Report, err error) {
 	jb.mu.Unlock()
 
 	s.mu.Lock()
-	s.byState[prev]--
+	s.byState[from]--
 	s.byState[state]++
 	s.active[jb.tenant]--
 	if s.active[jb.tenant] == 0 {
@@ -431,11 +401,10 @@ func (s *server) finishJob(jb *job, rep *memorex.Report, err error) {
 
 	jb.cancel()
 	// All of the run's events were emitted synchronously before Do
-	// returned; cancelling the subscription now closes the feed after
-	// the buffered tail is drained.
+	// returned, so the log is complete.
 	jb.sub.Cancel()
 	close(jb.done)
-	log.Printf("%s: %s (tenant %s)", jb.id, state, jb.tenant)
+	log.Printf("%s: %s -> %s (tenant %s)", jb.id, from, state, jb.tenant)
 }
 
 // lookup resolves the {id} path component.
@@ -498,51 +467,19 @@ func (s *server) cancelJob(jb *job) {
 	jb.mu.Unlock()
 	switch state {
 	case jobapi.StateQueued:
-		jb.cancel()
 		// Finish it now so status and quota reflect the cancellation
 		// without waiting for a runner to reach it; startJob's state
 		// check makes the later dequeue a no-op.
-		jb.mu.Lock()
-		still := jb.state == jobapi.StateQueued
-		jb.mu.Unlock()
-		if still {
-			s.finishQueuedCancel(jb)
-		}
+		jb.cancel()
+		s.finish(jb, jobapi.StateQueued, jobapi.StateCancelled, "cancelled", nil)
 	case jobapi.StateRunning:
 		jb.cancel()
 	}
 }
 
-// finishQueuedCancel finalizes a queued job as cancelled, guarding
-// against the runner picking it up concurrently.
-func (s *server) finishQueuedCancel(jb *job) {
-	jb.mu.Lock()
-	if jb.state != jobapi.StateQueued {
-		jb.mu.Unlock()
-		return
-	}
-	jb.state = jobapi.StateCancelled
-	jb.errMsg = "cancelled"
-	jb.finished = time.Now()
-	jb.mu.Unlock()
-
-	s.mu.Lock()
-	s.byState[jobapi.StateQueued]--
-	s.byState[jobapi.StateCancelled]++
-	s.active[jb.tenant]--
-	if s.active[jb.tenant] == 0 {
-		delete(s.active, jb.tenant)
-	}
-	s.mu.Unlock()
-
-	jb.sub.Cancel()
-	close(jb.done)
-	log.Printf("%s: cancelled while queued (tenant %s)", jb.id, jb.tenant)
-}
-
 // handleEvents streams the job's event log as JSONL: everything
 // routed so far, then live events as they arrive, until the job's
-// feed closes or the client disconnects.
+// log ends or the client disconnects.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb := s.lookup(w, r)
 	if jb == nil {
@@ -553,33 +490,10 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// Wake the cond wait below when the client goes away.
-	clientGone := r.Context().Done()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-clientGone:
-		case <-stop:
-		}
-		jb.cond.Broadcast()
-	}()
-
-	i := 0
-	for {
-		jb.mu.Lock()
-		for i >= len(jb.events) && !jb.evDone && r.Context().Err() == nil {
-			jb.cond.Wait()
-		}
-		batch := append([]obs.Event(nil), jb.events[i:]...)
-		i += len(batch)
-		done := jb.evDone
-		jb.mu.Unlock()
-
-		if r.Context().Err() != nil {
-			return
-		}
-		for _, ev := range batch {
+	for i := 0; ; {
+		evs, ended, grew := jb.sub.Since(i)
+		i += len(evs)
+		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {
 				return
 			}
@@ -587,7 +501,12 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if done && len(batch) == 0 {
+		if ended {
+			return
+		}
+		select {
+		case <-grew:
+		case <-r.Context().Done():
 			return
 		}
 	}
@@ -662,10 +581,4 @@ func (s *server) drain(timeout time.Duration) bool {
 		log.Printf("drain: closing explorer: %v", err)
 	}
 	return clean
-}
-
-// retryAfterSeconds is exported for tests asserting the header value.
-func retryAfterSeconds(h http.Header) int {
-	n, _ := strconv.Atoi(h.Get("Retry-After"))
-	return n
 }

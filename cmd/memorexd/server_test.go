@@ -459,6 +459,10 @@ func TestDaemonValidation(t *testing.T) {
 		{"unknown strategy", `{"benchmark": "vocoder", "strategy": "tabu"}`},
 		{"bad search budget", `{"benchmark": "vocoder", "strategy": "ga", "search": {"budget": -1}}`},
 		{"bad search cooling", `{"benchmark": "vocoder", "strategy": "sa", "search": {"cooling": 1.5}}`},
+		{"retired search mutation_rate", `{"benchmark": "vocoder", "strategy": "ga", "search": {"mutation_rate": 0.3}}`},
+		{"retired search crossover_rate", `{"benchmark": "vocoder", "strategy": "ga", "search": {"crossover_rate": 0.5}}`},
+		{"retired search init_temp", `{"benchmark": "vocoder", "strategy": "sa", "search": {"init_temp": 0.1}}`},
+		{"retired search cooling", `{"benchmark": "vocoder", "strategy": "sa", "search": {"cooling": 0.9}}`},
 		{"unknown field exact", `{"benchmark": "vocoder", "exact": true}`},
 	}
 	for _, tc := range cases {

@@ -60,11 +60,6 @@ func main() {
 	default:
 		log.Fatalf("unknown preset %q", *preset)
 	}
-	if ev.Workers != 0 {
-		opt.ConEx.Workers = ev.Workers
-		opt.Table2ConEx.Workers = ev.Workers
-	}
-
 	observer, closeObs, err := ob.Observer()
 	if err != nil {
 		log.Fatal(err)
@@ -75,13 +70,15 @@ func main() {
 		}
 	}()
 	// Rebuild the preset's shared engine so the figure experiments run
-	// with the requested worker bound and instrumentation attached.
+	// with the requested worker bound and instrumentation attached; the
+	// private engines of Table 2 and the search experiment take its
+	// worker bound.
 	reg := obs.NewRegistry()
 	cache, err := cf.Open(reg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt.ConEx.Engine = engine.New(opt.ConEx.Workers,
+	opt.ConEx.Engine = engine.New(ev.Workers,
 		engine.WithObserver(observer), engine.WithMetrics(reg),
 		engine.WithBehaviorCache(cache))
 	ob.ServeDebug(reg.Snapshot)

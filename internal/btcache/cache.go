@@ -112,9 +112,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -52,11 +52,11 @@ import (
 //
 // Every count is cross-checked against its section's exact byte length
 // before anything is allocated, and each section must be consumed to
-// its last byte. This is the trace's in-memory form, so Decode reads
-// the class table and the ids as they are and checks them against the
-// architecture section (sim.BehaviorTrace.Compile) with a fixed amount
-// of work per byte: a CRC-valid but structurally inconsistent entry is
-// still rejected rather than replayed.
+// its last byte. This is the trace's in-memory form, so Decode only
+// parses the sections; the parsed trace is then validated whole
+// (sim.BehaviorTrace.Compile) with a fixed amount of work per byte: a
+// CRC-valid but structurally inconsistent entry is still rejected
+// rather than replayed.
 const (
 	// Magic identifies a behavior-trace cache entry.
 	Magic = "MXBT"
@@ -219,19 +219,8 @@ func Decode(data []byte, fp uint64) (*sim.BehaviorTrace, error) {
 	if err := decodeWindows(secs[2], bt); err != nil {
 		return nil, err
 	}
-	if want := len(bt.WindowLen) * len(bt.Modules) * 2; len(bt.Resync) != want {
-		return nil, corruptf("resync length %d inconsistent with %d windows x %d modules",
-			len(bt.Resync), len(bt.WindowLen), len(bt.Modules))
-	}
-	var events int64
-	for _, wl := range bt.WindowLen {
-		if wl < 0 {
-			return nil, corruptf("negative window length %d", wl)
-		}
-		events += int64(wl)
-	}
-	if events != int64(bt.NumEvents()) {
-		return nil, corruptf("window lengths sum to %d events, the events section holds %d", events, bt.NumEvents())
+	if err := bt.Compile(); err != nil {
+		return nil, corruptf("%v", err)
 	}
 	return bt, nil
 }
@@ -356,7 +345,7 @@ func decodeArch(sec []byte, bt *sim.BehaviorTrace) error {
 }
 
 // decodeEvents parses section 1 into the trace's class table and class
-// ids and validates them against section 0 (decodeArch must have run).
+// ids.
 func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 	r := &reader{b: sec, section: "events"}
 	// A full-trace capture holds one id per access, millions of them,
@@ -390,13 +379,7 @@ func decodeEvents(sec []byte, bt *sim.BehaviorTrace) error {
 		return corruptf("events section is %d bytes, %d classes + %d events need %d", len(sec), nc, n, want)
 	}
 	bt.IDs = u32s[uint32](r, n)
-	if err := r.finish(); err != nil {
-		return err
-	}
-	if err := bt.Compile(); err != nil {
-		return corruptf("events section: %v", err)
-	}
-	return nil
+	return r.finish()
 }
 
 // decodeWindows parses section 2 into the sampling-window bookkeeping.

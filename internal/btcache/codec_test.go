@@ -125,8 +125,9 @@ func goldenTrace() *sim.BehaviorTrace {
 		Channels: []mem.Channel{
 			{Kind: mem.ChanCPUModule, Module: 0},
 			{Kind: mem.ChanCPUModule, Module: 1},
-			{Kind: mem.ChanModuleDRAM, Module: 0, OffChip: true},
-			{Kind: mem.ChanModuleDRAM, Module: 1, OffChip: true},
+			{Kind: mem.ChanModuleL2, Module: 0},
+			{Kind: mem.ChanModuleL2, Module: 1},
+			{Kind: mem.ChanL2DRAM, OffChip: true},
 			{Kind: mem.ChanCPUDRAM, OffChip: true},
 		},
 		Modules: []sim.ModuleMeta{
@@ -393,7 +394,8 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 	arch, class0 := bounds[1], bounds[2]+4
 	ids := class0 + len(bt.Classes)*classBytes + 4
 	nCh, nMod := len(bt.Channels), len(bt.Modules)
-	channelModule := func(i int) int { return arch + 4 + i*channelBytes + 4 }
+	channelKind := func(i int) int { return arch + 4 + i*channelBytes }
+	channelModule := func(i int) int { return channelKind(i) + 4 }
 	module := func(i int) int { return arch + 4 + nCh*channelBytes + 4 + i*moduleBytes }
 	maxBytesOff := bounds[2] - 8
 	put16 := func(off int, v int16) func([]byte) {
@@ -415,6 +417,10 @@ func TestDecodeRejectsForgedEvents(t *testing.T) {
 		// backing channel (channel nMod), to module 1.
 		{"route to a module with no CPU channel", put32(channelModule(0), 1)},
 		{"demand leg with no backing channel", put32(channelModule(nMod), 1)},
+		// The capture has an L2: its modules back onto module-L2
+		// channels, the first of them channel nMod.
+		{"L2 channels with HasL2 false", func(b []byte) { b[module(nMod)] = 0 }},
+		{"module-DRAM channel with HasL2 true", put32(channelKind(nMod), int32(mem.ChanModuleDRAM))},
 		{"demand bytes above MaxBytes", put32(demBytes, int32(bt.MaxBytes+1))},
 		{"negative demand bytes", put32(demBytes, -8)},
 		{"DRAM latency above MaxDRAMLat", put16(prefDRAM, int16(bt.MaxDRAMLat+1))},

@@ -72,13 +72,11 @@ type Config struct {
 	// KeepPerArch is how many locally promising designs each memory
 	// architecture contributes to Phase II.
 	KeepPerArch int
-	// Workers bounds evaluation parallelism (0 = engine.DefaultWorkers).
-	// Ignored when Engine is set: the engine's own bound wins.
-	Workers int
-	// Engine, when non-nil, is the shared evaluation engine. Sharing
-	// one engine across explorations lets the memoization cache elide
-	// repeated simulations of equivalent designs. When nil, each
-	// Explore call builds a private engine from Workers.
+	// Engine, when non-nil, is the shared evaluation engine, whose
+	// Workers bound the evaluation parallelism. Sharing one engine
+	// across explorations lets the memoization cache elide repeated
+	// simulations of equivalent designs. When nil, each Explore call
+	// builds a private engine on every CPU.
 	Engine *engine.Engine
 	// Search parameterizes the heuristic exploration drivers (the GA
 	// and SA strategies of internal/explore); the enumeration-based
@@ -94,45 +92,6 @@ func DefaultConfig() Config {
 		MaxAssignPerLevel: 192,
 		KeepPerArch:       8,
 	}
-}
-
-// IsZero reports whether the algorithmic fields are all zero. Workers
-// and Engine are execution knobs, not part of the design-space
-// description, so they do not affect zeroness.
-func (c Config) IsZero() bool {
-	return c.Library == nil && c.Sampling.IsZero() &&
-		c.MaxAssignPerLevel == 0 && c.KeepPerArch == 0 && c.Search.IsZero()
-}
-
-// Normalize resolves the config the exploration runs with: when every
-// algorithmic field is zero they are filled from DefaultConfig (the
-// execution knobs Workers/Engine are preserved). In a partially
-// set config the unset sub-pieces fall back individually — a nil
-// Library means the built-in IP library, a zero Sampling means the
-// paper's 1:9 plan, KeepPerArch 0 means the default 8 — while
-// explicitly invalid values surface as errors instead of being
-// silently replaced.
-func (c Config) Normalize() (Config, error) {
-	if c.IsZero() {
-		def := DefaultConfig()
-		def.Workers, def.Engine = c.Workers, c.Engine
-		return def, nil
-	}
-	def := DefaultConfig()
-	if c.Library == nil {
-		c.Library = def.Library
-	}
-	var err error
-	if c.Sampling, err = c.Sampling.Normalize(); err != nil {
-		return Config{}, err
-	}
-	if c.KeepPerArch == 0 {
-		c.KeepPerArch = def.KeepPerArch
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
 }
 
 // Validate checks the configuration.
@@ -158,12 +117,12 @@ func (c Config) Validate() error {
 }
 
 // EngineOrNew returns the configured shared engine, or a fresh one
-// bounded by Workers.
+// on every CPU.
 func (c Config) EngineOrNew() *engine.Engine {
 	if c.Engine != nil {
 		return c.Engine
 	}
-	return engine.New(c.Workers)
+	return engine.New(0)
 }
 
 // Result is the outcome of the full ConEx exploration.

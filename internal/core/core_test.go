@@ -344,7 +344,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	}
 	run := func(workers int) *Result {
 		cfg := fastConfig()
-		cfg.Workers = workers
+		cfg.Engine = engine.New(workers)
 		res, err := Explore(context.Background(), tr, archs(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +406,7 @@ func TestExploreBRGsMatchesPerArchComposition(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		cfg := fastConfig()
-		cfg.Workers = workers
+		cfg.Engine = engine.New(workers)
 		var brgs []*BRG
 		for _, a := range archs {
 			brg, err := BuildBRG(tr, a)

@@ -6,7 +6,9 @@ import "fmt"
 // and simulated-annealing strategies of internal/explore). The zero
 // config means "use the defaults" everywhere it is accepted; its JSON
 // encoding is the "search" block of a memorex.ExploreRequest, so a
-// daemon job and an in-process run spell the knobs identically.
+// daemon job and an in-process run spell the knobs identically. The
+// drivers' rates and annealing schedule are fixed (see
+// internal/explore); only the seed and the size of the run are set.
 type SearchConfig struct {
 	// Seed is the root of every PRNG the driver uses. All randomness is
 	// split deterministically from it (per generation, per individual /
@@ -21,38 +23,16 @@ type SearchConfig struct {
 	// Population is the GA population size, or the number of parallel
 	// annealing chains for SA. 0 means the default.
 	Population int `json:"population,omitempty"`
-	// MutationRate is the per-cluster probability of mutating a
-	// component gene when an offspring/move is produced. 0 means the
-	// default; the valid range is (0, 1].
-	MutationRate float64 `json:"mutation_rate,omitempty"`
-	// CrossoverRate is the GA probability of recombining two parents
-	// instead of cloning the tournament winner. 0 means the default;
-	// the valid range is (0, 1].
-	CrossoverRate float64 `json:"crossover_rate,omitempty"`
-	// InitTemp is the SA starting temperature on the scalarized
-	// relative-worsening scale (0.2 accepts a 20% combined worsening
-	// with probability 1/e at step 0). 0 means the default.
-	InitTemp float64 `json:"init_temp,omitempty"`
-	// Cooling is the per-step geometric cooling factor of the SA
-	// schedule, in (0, 1]. 0 means the default.
-	Cooling float64 `json:"cooling,omitempty"`
 }
 
 // DefaultSearchConfig returns the heuristic-search defaults.
 func DefaultSearchConfig() SearchConfig {
 	return SearchConfig{
-		Seed:          1,
-		Budget:        4096,
-		Population:    32,
-		MutationRate:  0.25,
-		CrossoverRate: 0.7,
-		InitTemp:      0.2,
-		Cooling:       0.95,
+		Seed:       1,
+		Budget:     4096,
+		Population: 32,
 	}
 }
-
-// IsZero reports whether every field is unset.
-func (c SearchConfig) IsZero() bool { return c == SearchConfig{} }
 
 // Normalize fills unset fields from DefaultSearchConfig and validates
 // the result; explicitly invalid values surface as errors instead of
@@ -68,43 +48,20 @@ func (c SearchConfig) Normalize() (SearchConfig, error) {
 	if c.Population == 0 {
 		c.Population = def.Population
 	}
-	if c.MutationRate == 0 {
-		c.MutationRate = def.MutationRate
-	}
-	if c.CrossoverRate == 0 {
-		c.CrossoverRate = def.CrossoverRate
-	}
-	if c.InitTemp == 0 {
-		c.InitTemp = def.InitTemp
-	}
-	if c.Cooling == 0 {
-		c.Cooling = def.Cooling
-	}
 	if err := c.Validate(); err != nil {
 		return SearchConfig{}, err
 	}
 	return c, nil
 }
 
-// Validate checks a fully resolved configuration (every field set).
+// Validate checks the configuration; zero fields are valid (they mean
+// the defaults).
 func (c SearchConfig) Validate() error {
 	if c.Budget < 0 {
 		return fmt.Errorf("core: search Budget must be non-negative")
 	}
 	if c.Population < 0 {
 		return fmt.Errorf("core: search Population must be non-negative")
-	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
-		return fmt.Errorf("core: search MutationRate must be in [0, 1], got %g", c.MutationRate)
-	}
-	if c.CrossoverRate < 0 || c.CrossoverRate > 1 {
-		return fmt.Errorf("core: search CrossoverRate must be in [0, 1], got %g", c.CrossoverRate)
-	}
-	if c.InitTemp < 0 {
-		return fmt.Errorf("core: search InitTemp must be non-negative, got %g", c.InitTemp)
-	}
-	if c.Cooling < 0 || c.Cooling > 1 {
-		return fmt.Errorf("core: search Cooling must be in (0, 1], got %g", c.Cooling)
 	}
 	return nil
 }

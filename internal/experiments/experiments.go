@@ -44,7 +44,8 @@ type Options struct {
 	Table2TraceLimit int
 	// Table2APEX / Table2ConEx bound the Table 2 space. Table2ConEx
 	// deliberately carries no shared engine: each strategy run gets a
-	// private one, so the Full-vs-Pruned work comparison stays honest.
+	// private one with the shared engine's worker bound, so the
+	// Full-vs-Pruned work comparison stays honest.
 	Table2APEX  apex.Config
 	Table2ConEx core.Config
 }
@@ -145,13 +146,12 @@ func benchTrace(name string, limit int) (*trace.Trace, error) {
 	return t, nil
 }
 
-// workers is the evaluation parallelism of a ConEx configuration: its
-// engine's bound when it has one.
-func workers(cfg core.Config) int {
-	if cfg.Engine != nil {
-		return cfg.Engine.Workers()
-	}
-	return cfg.Workers
+// onPrivateEngine returns cfg on a fresh engine with the shared
+// engine's worker bound, so a strategy run on it measures what the
+// strategy would cost on its own.
+func (o Options) onPrivateEngine(cfg core.Config) core.Config {
+	cfg.Engine = engine.New(o.Engine().Workers())
+	return cfg
 }
 
 // run explores each named benchmark through memorex.Explorer.Do, the

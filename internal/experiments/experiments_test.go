@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"memorex/internal/engine"
 )
 
 func TestFigure3Quick(t *testing.T) {
@@ -175,5 +177,20 @@ func TestFigureEnergyQuick(t *testing.T) {
 	s := res.String()
 	if !strings.Contains(s, "performance/power") || !strings.Contains(s, "3-D pareto") {
 		t.Fatalf("rendering incomplete:\n%s", s)
+	}
+}
+
+// TestPrivateEngineWorkers: the private engines of Table 2 and the
+// search experiment are fresh engines with the shared engine's worker
+// bound, so paperbench -workers 1 runs them on one worker too.
+func TestPrivateEngineWorkers(t *testing.T) {
+	opt := Quick()
+	opt.ConEx.Engine = engine.New(1)
+	cfg := opt.onPrivateEngine(opt.Table2ConEx)
+	if cfg.Engine == nil || cfg.Engine == opt.Engine() {
+		t.Fatal("strategy run shares the figure experiments' engine")
+	}
+	if got := cfg.Engine.Workers(); got != 1 {
+		t.Fatalf("private engine has %d workers, want the shared engine's 1", got)
 	}
 }

@@ -37,7 +37,7 @@ func Figure3(ctx context.Context, opt Options) (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apex.ExploreContext(ctx, t, nil, opt.APEX, workers(opt.ConEx))
+	res, err := apex.ExploreContext(ctx, t, nil, opt.APEX, opt.Engine().Workers())
 	if err != nil {
 		return nil, err
 	}

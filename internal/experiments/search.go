@@ -19,31 +19,32 @@ type SearchResult struct {
 // cap is lifted (the heuristic drivers walk the full cross-product
 // space, so the ground truth must too) and each heuristic gets an
 // evaluation budget of 25% of Full's simulations — the economy the
-// drivers are designed for. Each strategy runs on a private engine, so
-// the work columns measure what each would cost on its own.
+// drivers are designed for. Each strategy runs on a private engine with
+// the shared engine's worker bound, so the work columns measure what
+// each would cost on its own.
 func Search(ctx context.Context, opt Options) (*SearchResult, error) {
 	t, err := benchTrace("compress", opt.Table2TraceLimit)
 	if err != nil {
 		return nil, err
 	}
-	apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, workers(opt.Table2ConEx))
+	apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, opt.Engine().Workers())
 	if err != nil {
 		return nil, err
 	}
 	space := explore.BuildSpace(apexRes)
 	cfg := opt.Table2ConEx
 	cfg.MaxAssignPerLevel = 0
-	full, err := explore.Run(ctx, t, space, explore.Full, cfg)
+	full, err := explore.Run(ctx, t, space, explore.Full, opt.onPrivateEngine(cfg))
 	if err != nil {
 		return nil, err
 	}
 	cfg.Search.Seed = 42
 	cfg.Search.Budget = int(full.Stats.Simulations / 4)
-	ga, err := explore.Run(ctx, t, space, explore.GA, cfg)
+	ga, err := explore.Run(ctx, t, space, explore.GA, opt.onPrivateEngine(cfg))
 	if err != nil {
 		return nil, err
 	}
-	sa, err := explore.Run(ctx, t, space, explore.SA, cfg)
+	sa, err := explore.Run(ctx, t, space, explore.SA, opt.onPrivateEngine(cfg))
 	if err != nil {
 		return nil, err
 	}

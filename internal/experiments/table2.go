@@ -27,9 +27,9 @@ type Table2Result struct {
 }
 
 // Table2 runs the three exploration strategies on compress and vocoder.
-// Each strategy runs on a private engine (Table2ConEx carries none), so
-// the work comparison between Full, Pruned and Neighborhood measures
-// what each strategy would cost on its own.
+// Each strategy runs on a private engine with the shared engine's
+// worker bound, so the work comparison between Full, Pruned and
+// Neighborhood measures what each strategy would cost on its own.
 func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 	out := &Table2Result{}
 	for _, name := range Table2Benchmarks {
@@ -37,20 +37,20 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, workers(opt.Table2ConEx))
+		apexRes, err := apex.ExploreContext(ctx, t, nil, opt.Table2APEX, opt.Engine().Workers())
 		if err != nil {
 			return nil, err
 		}
 		space := explore.BuildSpace(apexRes)
-		full, err := explore.Run(ctx, t, space, explore.Full, opt.Table2ConEx)
+		full, err := explore.Run(ctx, t, space, explore.Full, opt.onPrivateEngine(opt.Table2ConEx))
 		if err != nil {
 			return nil, err
 		}
-		pruned, err := explore.Run(ctx, t, space, explore.Pruned, opt.Table2ConEx)
+		pruned, err := explore.Run(ctx, t, space, explore.Pruned, opt.onPrivateEngine(opt.Table2ConEx))
 		if err != nil {
 			return nil, err
 		}
-		nbhd, err := explore.Run(ctx, t, space, explore.Neighborhood, opt.Table2ConEx)
+		nbhd, err := explore.Run(ctx, t, space, explore.Neighborhood, opt.onPrivateEngine(opt.Table2ConEx))
 		if err != nil {
 			return nil, err
 		}
@@ -62,11 +62,11 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	liAPEX, err := apex.ExploreContext(ctx, liTrace.Slice(0, opt.Table2TraceLimit), nil, opt.Table2APEX, workers(opt.Table2ConEx))
+	liAPEX, err := apex.ExploreContext(ctx, liTrace.Slice(0, opt.Table2TraceLimit), nil, opt.Table2APEX, opt.Engine().Workers())
 	if err != nil {
 		return nil, err
 	}
-	out.LiProjectedFullAccesses, err = projectFullWork(ctx, liTrace, liAPEX, opt.Table2ConEx)
+	out.LiProjectedFullAccesses, err = projectFullWork(ctx, liTrace, liAPEX, opt.Table2ConEx, opt.Engine().Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +75,9 @@ func Table2(ctx context.Context, opt Options) (*Table2Result, error) {
 
 // projectFullWork counts the designs the Full strategy would simulate on
 // the full-length trace and multiplies by the trace length.
-func projectFullWork(ctx context.Context, t *trace.Trace, apexRes *apex.Result, cfg core.Config) (int64, error) {
+func projectFullWork(ctx context.Context, t *trace.Trace, apexRes *apex.Result, cfg core.Config, workers int) (int64, error) {
 	space := explore.BuildSpace(apexRes)
-	brgs, err := core.BuildBRGs(ctx, t.Slice(0, 10_000), space.AllMem, workers(cfg))
+	brgs, err := core.BuildBRGs(ctx, t.Slice(0, 10_000), space.AllMem, workers)
 	if err != nil {
 		return 0, err
 	}

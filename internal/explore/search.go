@@ -337,6 +337,36 @@ const (
 	phaseSearchPromote  = "explore/search-promote"
 )
 
+// Fixed tuning of the heuristic drivers. Every value has one setting
+// in use, so none is a knob: a front depends only on the seed, the
+// budget and the population.
+const (
+	// mutationRate is the GA's per-cluster probability of mutating a
+	// component gene.
+	mutationRate = 0.25
+	// crossoverRate is the GA's probability of recombining two parents
+	// instead of cloning the tournament winner.
+	crossoverRate = 0.7
+	// gaLevelMove is the GA's probability of a level move before the
+	// component mutations; gaNeighborStep the probability a mutated
+	// gene steps to a neighboring library entry rather than anywhere.
+	gaLevelMove    = 0.15
+	gaNeighborStep = 0.6
+	// initTemp is the SA starting temperature on the scalarized
+	// relative-worsening scale: 0.2 accepts a 20% combined worsening
+	// with probability 1/e at step 0.
+	initTemp = 0.2
+	// cooling is the SA schedule's per-step geometric cooling factor.
+	cooling = 0.95
+	// saRestart and saLevelMove are the probabilities that an SA move
+	// restarts from a random genome or steps the clustering level; the
+	// rest are component moves, which step to a neighboring library
+	// entry with probability saNeighborStep and go anywhere otherwise.
+	saRestart      = 0.05
+	saLevelMove    = 0.25
+	saNeighborStep = 0.7
+)
+
 func newSearcher(eng *engine.Engine, t *trace.Trace, mems []*memSpace, cfg core.Config, scfg core.SearchConfig, strategy Strategy, out *Outcome) *searcher {
 	prov := &SearchProvenance{
 		Strategy:   strategy.String(),
@@ -526,7 +556,9 @@ func (s *searcher) promote(ctx context.Context, limit int) error {
 	return nil
 }
 
-// frontSize counts the cost/latency-nondominated archive entries.
+// frontSize counts the archive entries on at least one of the three
+// projection fronts (cost/latency, latency/energy, cost/energy): the
+// union marginDominated(i, 0) leaves standing.
 func (s *searcher) frontSize() int {
 	n := 0
 	for i := range s.arch {
@@ -758,7 +790,7 @@ func (s *searcher) runGA(ctx context.Context) error {
 				} else {
 					p1 := s.tournament(islands[i], ranks, lo, span, r)
 					g = s.arch[p1].g.clone()
-					if r.float() < s.scfg.CrossoverRate {
+					if r.float() < crossoverRate {
 						p2 := s.tournament(islands[i], ranks, lo, span, r)
 						g = s.crossover(g, s.arch[p2].g, r)
 					}
@@ -844,7 +876,7 @@ func (s *searcher) runSA(ctx context.Context) error {
 	for step := 1; int(s.evals) < mainBudget && step < 100_000; step++ {
 		stepCounter.Inc()
 		s.prov.Steps = step
-		temp := s.scfg.InitTemp * math.Pow(s.scfg.Cooling, float64(step))
+		temp := initTemp * math.Pow(cooling, float64(step))
 		rngs := make([]*rng, nChains)
 		proposals := make([]genome, nChains)
 		for c := 0; c < nChains; c++ {
@@ -912,10 +944,10 @@ func (s *searcher) proposeMove(g genome, r *rng) genome {
 	ms := s.mems[g.mem]
 	roll := r.float()
 	switch {
-	case roll < 0.05:
+	case roll < saRestart:
 		// Restart: a fresh random genome of the same architecture.
 		return randomGenome(g.mem, ms, r)
-	case roll < 0.30 && len(ms.levels) > 1:
+	case roll < saRestart+saLevelMove && len(ms.levels) > 1:
 		// Level move: one step up or down the clustering hierarchy.
 		d := 1
 		if r.intn(2) == 0 {
@@ -936,7 +968,7 @@ func (s *searcher) proposeMove(g genome, r *rng) genome {
 		ci := r.intn(len(ng.comps))
 		n := len(ms.feas[g.level][ci])
 		if n > 1 {
-			if r.float() < 0.7 {
+			if r.float() < saNeighborStep {
 				d := 1
 				if r.intn(2) == 0 {
 					d = -1
@@ -954,7 +986,7 @@ func (s *searcher) proposeMove(g genome, r *rng) genome {
 // mutation (step or uniform), and an occasional level move.
 func (s *searcher) mutate(g genome, r *rng) genome {
 	ms := s.mems[g.mem]
-	if r.float() < 0.15 && len(ms.levels) > 1 {
+	if r.float() < gaLevelMove && len(ms.levels) > 1 {
 		d := 1
 		if r.intn(2) == 0 {
 			d = -1
@@ -968,14 +1000,14 @@ func (s *searcher) mutate(g genome, r *rng) genome {
 		g = remapLevel(ms, g, nl)
 	}
 	for ci := range g.comps {
-		if r.float() >= s.scfg.MutationRate {
+		if r.float() >= mutationRate {
 			continue
 		}
 		n := len(ms.feas[g.level][ci])
 		if n <= 1 {
 			continue
 		}
-		if r.float() < 0.6 {
+		if r.float() < gaNeighborStep {
 			d := 1
 			if r.intn(2) == 0 {
 				d = -1

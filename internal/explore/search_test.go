@@ -9,6 +9,7 @@ import (
 
 	"memorex/internal/apex"
 	"memorex/internal/core"
+	"memorex/internal/engine"
 	"memorex/internal/trace"
 	"memorex/internal/workload"
 )
@@ -120,7 +121,7 @@ func TestSearchSeededDeterminism(t *testing.T) {
 				cfg := tinyConfig()
 				cfg.Search = searchConfig()
 				cfg.Search.Budget = 120
-				cfg.Workers = workers
+				cfg.Engine = engine.New(workers)
 				out, err := Run(context.Background(), tr, sp, strategy, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -225,14 +226,14 @@ func TestSearchTinyBudgetPromotes(t *testing.T) {
 func TestSearchInvalidConfig(t *testing.T) {
 	tr, sp := tinySpace(t)
 	cfg := tinyConfig()
-	cfg.Search.MutationRate = 1.5
+	cfg.Search.Budget = -1
 	if _, err := Run(context.Background(), tr, sp, GA, cfg); err == nil {
-		t.Fatal("MutationRate 1.5 accepted")
+		t.Fatal("negative Budget accepted")
 	}
 	cfg = tinyConfig()
-	cfg.Search.Cooling = -0.1
+	cfg.Search.Population = -1
 	if _, err := Run(context.Background(), tr, sp, SA, cfg); err == nil {
-		t.Fatal("negative Cooling accepted")
+		t.Fatal("negative Population accepted")
 	}
 }
 

@@ -278,20 +278,24 @@ const (
 	maxStreamDepth   = 1 << 16
 )
 
-// Compile validates a trace whose fields, class table and ids included,
-// are set, and derives each class's Count and replay view: the
-// decoder's counterpart of CaptureBehavior, with a fixed amount of work
-// per class and per id. It validates everything the replay indexes by:
-// channel module
-// indices and routes in range, module kinds among mem.Kind's five,
-// stream geometry positive, module, L2 and DRAM latencies and stalls
-// not negative, transfer sizes in [0, MaxBytes], DRAM latencies noDRAM
-// or in [0, MaxDRAMLat], MaxBytes and MaxDRAMLat exactly the bounds a
-// capture records for these events, every channel an event uses
-// listed, and every id in range, with the ids introducing the classes
-// in first-occurrence order, the order capture assigns (so every class
-// is used). It does not check that the classes are distinct: a repeated
-// class replays like the one it repeats.
+// Compile validates a trace whose fields, class table, ids and windows
+// included, are set, and derives each class's Count and replay view:
+// the decoder's counterpart of CaptureBehavior, with a fixed amount of
+// work per class, per id and per window. It is the one definition of a
+// valid behavior trace. It validates everything the replay indexes by:
+// channel module indices and routes in range, channel kinds that agree
+// with HasL2 (an L2 trace backs its modules through the L2, so it lists
+// no module-DRAM channel; a trace without one lists no module-L2 or
+// L2-DRAM channel), module kinds among mem.Kind's five, stream geometry
+// positive, module, L2 and DRAM latencies and stalls not negative,
+// transfer sizes in [0, MaxBytes], DRAM latencies noDRAM or in
+// [0, MaxDRAMLat], MaxBytes and MaxDRAMLat exactly the bounds a capture
+// records for these events, every channel an event uses listed, every
+// id in range, with the ids introducing the classes in first-occurrence
+// order, the order capture assigns (so every class is used), one gap
+// per window and two resync records per window and module, and window
+// lengths not negative that sum to the event count. It does not check that the classes are
+// distinct: a repeated class replays like the one it repeats.
 func (bt *BehaviorTrace) Compile() error {
 	nm := len(bt.Modules)
 	for ci, ch := range bt.Channels {
@@ -300,6 +304,10 @@ func (bt *BehaviorTrace) Compile() error {
 			if ch.Module < 0 || ch.Module >= nm {
 				return fmt.Errorf("sim: channel %d names module %d of %d", ci, ch.Module, nm)
 			}
+		}
+		l2Kind := ch.Kind == mem.ChanModuleL2 || ch.Kind == mem.ChanL2DRAM
+		if (ch.Kind == mem.ChanModuleDRAM && bt.HasL2) || (l2Kind && !bt.HasL2) {
+			return fmt.Errorf("sim: channel %d is a %v channel, but HasL2 is %v", ci, ch.Kind, bt.HasL2)
 		}
 	}
 	for mi, m := range bt.Modules {
@@ -348,6 +356,20 @@ func (bt *BehaviorTrace) Compile() error {
 	if maxBytes, maxDRAM := bt.eventBounds(); maxBytes != bt.MaxBytes || maxDRAM != bt.MaxDRAMLat {
 		return fmt.Errorf("sim: declared bounds %d bytes, %d DRAM cycles; the events need %d, %d",
 			bt.MaxBytes, bt.MaxDRAMLat, maxBytes, maxDRAM)
+	}
+	if want := len(bt.WindowLen) * nm * 2; len(bt.Resync) != want || len(bt.GapCycles) != len(bt.WindowLen) {
+		return fmt.Errorf("sim: %d resync records and %d gaps for %d windows of %d modules",
+			len(bt.Resync), len(bt.GapCycles), len(bt.WindowLen), nm)
+	}
+	var events int64
+	for _, wl := range bt.WindowLen {
+		if wl < 0 {
+			return fmt.Errorf("sim: negative window length %d", wl)
+		}
+		events += int64(wl)
+	}
+	if events != int64(len(bt.IDs)) {
+		return fmt.Errorf("sim: window lengths sum to %d events, the trace holds %d", events, len(bt.IDs))
 	}
 	bt.setViews()
 	// A capture lists the CPU channel of every module an event uses and

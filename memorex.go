@@ -66,7 +66,7 @@ type (
 	// SamplingConfig controls the time-sampling estimator.
 	SamplingConfig = sampling.Config
 	// SearchConfig tunes the heuristic exploration drivers (GA and SA):
-	// seed, evaluation budget, population size and move rates.
+	// seed, evaluation budget and population size.
 	SearchConfig = core.SearchConfig
 	// SearchInfo records the heuristic-search provenance of a run:
 	// strategy, seed, budget and the evaluations actually issued.

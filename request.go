@@ -61,7 +61,7 @@ type ExploreRequest struct {
 	// Empty inherits the default.
 	Strategy string `json:"strategy,omitempty"`
 	// Search tunes the heuristic drivers (seed, evaluation budget,
-	// population, rates); nil and zero fields mean the defaults.
+	// population); nil and zero fields mean the defaults.
 	// Ignored by the enumeration strategies.
 	Search *SearchConfig `json:"search,omitempty"`
 

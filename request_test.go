@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -92,7 +94,7 @@ func TestExploreRequestValidate(t *testing.T) {
 		{"negative keep", ExploreRequest{Benchmark: "vocoder", KeepPerArch: -1}, "KeepPerArch"},
 		{"negative cap", ExploreRequest{Benchmark: "vocoder", MaxAssignPerLevel: &neg}, "MaxAssignPerLevel"},
 		{"bad strategy", ExploreRequest{Benchmark: "vocoder", Strategy: "tabu"}, "strategy"},
-		{"bad search", ExploreRequest{Benchmark: "vocoder", Search: &SearchConfig{MutationRate: 1.5}}, "search"},
+		{"bad search", ExploreRequest{Benchmark: "vocoder", Search: &SearchConfig{Budget: -1}}, "search"},
 		{"bad scenario", ExploreRequest{Benchmark: "vocoder", Constraints: []Constraint{{Scenario: "speed", Limit: 1}}}, "unknown scenario"},
 		{"bad limit", ExploreRequest{Benchmark: "vocoder", Constraints: []Constraint{{Scenario: ScenarioCost, Limit: 0}}}, "limit must be positive"},
 	}
@@ -238,4 +240,75 @@ func TestExplorerCloseIdempotent(t *testing.T) {
 	if _, err := ex.Do(context.Background(), fastRequest("vocoder")); err != nil {
 		t.Errorf("Do after Close failed: %v", err)
 	}
+}
+
+// TestRequestWireFields pins the JSON keys a submission may carry:
+// every key of ExploreRequest and of its nested blocks, read from the
+// struct tags (a library entry's, sorted, from its wire encoding,
+// which connect.Component writes itself). Adding or retiring a knob changes
+// this list, so it shows up as a reviewed diff.
+func TestRequestWireFields(t *testing.T) {
+	want := []string{
+		"benchmark",
+		"job_id",
+		"workload", "workload.scale", "workload.seed",
+		"apex", "apex.cache_sizes", "apex.cache_assocs", "apex.cache_lines",
+		"apex.max_custom", "apex.sram_limit", "apex.max_selected",
+		"apex.victim_lines", "apex.sweep_write_through", "apex.l2_sizes",
+		"sampling", "sampling.on_window", "sampling.off_ratio",
+		"library", "library.arb_cycles", "library.base_gates",
+		"library.beat_cycles", "library.class", "library.energy_per_byte_nj",
+		"library.gates_per_port", "library.max_ports", "library.name",
+		"library.on_chip", "library.pipelined", "library.split",
+		"library.width_bytes", "library.wire_gates_per_port",
+		"keep_per_arch",
+		"max_assign_per_level",
+		"strategy",
+		"search", "search.seed", "search.budget", "search.population",
+		"constraints", "constraints.scenario", "constraints.limit",
+	}
+	got := wireKeys("", reflect.TypeOf(ExploreRequest{}))
+	if !slices.Equal(got, want) {
+		t.Errorf("request wire keys:\n got %q\nwant %q", got, want)
+	}
+}
+
+// wireKeys lists the JSON keys of typ's encoding, each nested block's
+// keys after the block's own, prefixed with the block's path.
+func wireKeys(prefix string, typ reflect.Type) []string {
+	for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+		typ = typ.Elem()
+	}
+	if typ.Kind() != reflect.Struct {
+		return nil
+	}
+	var keys []string
+	if typ.Implements(reflect.TypeFor[json.Marshaler]()) {
+		data, err := json.Marshal(reflect.Zero(typ).Interface())
+		if err != nil {
+			panic(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(data, &fields); err != nil {
+			panic(err)
+		}
+		for k := range fields {
+			keys = append(keys, prefix+k)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		keys = append(keys, prefix+name)
+		keys = append(keys, wireKeys(prefix+name+".", f.Type)...)
+	}
+	return keys
 }
