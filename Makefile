@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-vet bench-test microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet loc bench-vet bench-test microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the Go line counts tracked next to ns/op: production
+# (non-test .go files outside bench/) and test (_test.go files outside
+# bench/).
+loc:
+	@printf 'production %d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
+	@printf 'test %d\n' $$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
 
 # bench-vet compiles and vets the benchmark module (bench/ has its own
 # go.mod, so ./... at the root skips it). It uses vet, not build, so no

@@ -442,6 +442,8 @@ func TestDaemonEvents(t *testing.T) {
 
 // TestDaemonValidation exercises the 400/404 surface.
 func TestDaemonValidation(t *testing.T) {
+	const onChipEntry = `{"name": "b", "class": "ahb", "width_bytes": 4, "arb_cycles": 1, "beat_cycles": 1,
+		"max_ports": 4, "on_chip": true, "energy_per_byte_nj": 0.1, "base_gates": 100}`
 	_, c := newTestDaemon(t, serverConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -464,6 +466,12 @@ func TestDaemonValidation(t *testing.T) {
 		{"retired search init_temp", `{"benchmark": "vocoder", "strategy": "sa", "search": {"init_temp": 0.1}}`},
 		{"retired search cooling", `{"benchmark": "vocoder", "strategy": "sa", "search": {"cooling": 0.9}}`},
 		{"unknown field exact", `{"benchmark": "vocoder", "exact": true}`},
+		{"unknown library key", `{"benchmark": "vocoder", "library": [` + onChipEntry + `,
+			{"name": "o", "class": "offchip", "width_bytes": 4, "arb_cycles": 2, "beat_cycles": 1, "max_ports": 8,
+			 "energy_per_byte_nj": 0.5, "base_gates": 50, "bogus_key": 7}]}`},
+		{"library arbitration beyond window", `{"benchmark": "vocoder", "library": [` + onChipEntry + `,
+			{"name": "o", "class": "offchip", "split": true, "pipelined": true, "width_bytes": 4, "arb_cycles": 70,
+			 "beat_cycles": 1, "max_ports": 8, "energy_per_byte_nj": 0.5, "base_gates": 50}]}`},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitRaw(ctx, []byte(tc.body))

@@ -95,6 +95,12 @@ type Component struct {
 	WireGatesPerPort float64
 }
 
+// StageWindow is the reservation window, in cycles, that every stage of
+// a transfer's reservation table is clamped to. It sits inside rtable's
+// 64-cycle tables; ValidateComponent bounds ArbCycles by it, so every
+// clamped table still holds its arbitration stage whole.
+const StageWindow = 62
+
 // resource indices of the reservation tables built for components.
 const (
 	resArbiter = 0
@@ -125,13 +131,14 @@ func (c *Component) TransferCycles(n int) int {
 // component: how long the arbiter and the data path are held. For
 // non-pipelined components the arbiter is held for the whole transfer,
 // serializing everything; pipelined components release it after
-// arbitration so the next transfer can overlap.
+// arbitration so the next transfer can overlap. A burst longer than
+// StageWindow holds the data path only up to the window's end: the
+// table clamps its occupancy, while TransferCycles keeps its full
+// latency. So for a valid component and n >= 1 no stage ends after
+// TransferCycles(n).
 func (c *Component) Table(n int) *rtable.Table {
 	t := rtable.New(c.Name, numRes)
-	dataCycles := c.Beats(n) * c.BeatCycles
-	if dataCycles > 62-c.ArbCycles {
-		dataCycles = 62 - c.ArbCycles // clamp to table window; sim splits long bursts
-	}
+	dataCycles := min(c.Beats(n)*c.BeatCycles, StageWindow-c.ArbCycles)
 	if c.ArbCycles > 0 {
 		if c.Pipelined {
 			t.Stage(resArbiter, 0, c.ArbCycles)
@@ -139,21 +146,12 @@ func (c *Component) Table(n int) *rtable.Table {
 			t.Stage(resArbiter, 0, c.ArbCycles+dataCycles)
 		}
 	} else if !c.Pipelined {
-		t.Stage(resArbiter, 0, maxInt(1, dataCycles))
+		t.Stage(resArbiter, 0, max(1, dataCycles))
 	}
 	if dataCycles > 0 {
 		t.Stage(resData, c.ArbCycles, dataCycles)
 	}
 	return t
-}
-
-// OutlivesTransfer reports whether the reservation table of some
-// transfer of n >= 1 bytes holds a resource after TransferCycles(n):
-// only a non-pipelined component with neither arbitration nor beat
-// cycles, whose arbiter is held one cycle for a zero-cycle transfer.
-// Every other table ends by the time its transfer completes.
-func (c *Component) OutlivesTransfer() bool {
-	return !c.Pipelined && c.ArbCycles == 0 && c.BeatCycles == 0
 }
 
 // Stages returns the dynamic stage list for an n-byte transfer (the
@@ -184,13 +182,6 @@ func (c *Component) Fits(ports int, offChip bool) bool {
 		return false
 	}
 	return ports <= c.MaxPorts
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Library returns the default connectivity IP library used by the
@@ -295,8 +286,9 @@ func (a *Arch) Ports(i int) int {
 }
 
 // Validate checks that the clustering is a partition of the channels and
-// every assignment is feasible (port count, chip placement, no mixing of
-// on- and off-chip channels in one cluster).
+// every assignment is a valid component (ValidateComponent) that is
+// feasible (port count, chip placement, no mixing of on- and off-chip
+// channels in one cluster).
 func (a *Arch) Validate() error {
 	if len(a.Clusters) != len(a.Assign) {
 		return fmt.Errorf("connect: %d clusters but %d assignments", len(a.Clusters), len(a.Assign))
@@ -320,6 +312,9 @@ func (a *Arch) Validate() error {
 			if a.Channels[ch].OffChip != off {
 				return fmt.Errorf("connect: cluster %d mixes on-chip and off-chip channels", i)
 			}
+		}
+		if err := ValidateComponent(&a.Assign[i]); err != nil {
+			return err
 		}
 		if !a.Assign[i].Fits(a.Ports(i), off) {
 			return fmt.Errorf("connect: cluster %d (%d ports, offchip=%v) cannot map to %s",

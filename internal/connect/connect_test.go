@@ -114,32 +114,43 @@ func TestComponentTableClampsLongBursts(t *testing.T) {
 	}
 }
 
-// TestOutlivesTransfer pins OutlivesTransfer to the reservation
-// tables themselves: over a grid of timing shapes (zero and small
-// values, and ones long enough to hit the 62-cycle clamp) and every
-// transfer size, it must report exactly whether some stage ends after
-// TransferCycles(n).
+// TestOutlivesTransfer checks the invariant the replay's contention
+// bypasses rely on: over a grid of valid timing shapes (zero and small
+// values, and ones long enough to hit the StageWindow clamp) and every
+// transfer size, no stage ends after TransferCycles(n).
 func TestOutlivesTransfer(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 8} {
-		for _, arb := range []int{0, 1, 2, 3, 24, 40} {
-			for _, beat := range []int{0, 1, 2, 3, 50} {
+		for _, arb := range []int{0, 1, 2, 3, 24, 40, StageWindow} {
+			for _, beat := range []int{1, 2, 3, 50} {
 				for _, pipelined := range []bool{false, true} {
-					c := Component{WidthBytes: width, ArbCycles: arb, BeatCycles: beat, Pipelined: pipelined}
-					outlives := false
-					for n := 1; n <= 64; n++ {
-						for _, st := range c.Stages(n) {
-							if st.Start+st.Len > c.TransferCycles(n) {
-								outlives = true
-							}
-						}
+					c := Component{
+						Name: "grid", WidthBytes: width, ArbCycles: arb, BeatCycles: beat,
+						Pipelined: pipelined, MaxPorts: 2, EnergyPerByte: 1, BaseGates: 1,
 					}
-					if got := c.OutlivesTransfer(); got != outlives {
-						t.Errorf("%+v: OutlivesTransfer() = %v, stage tables say %v", c, got, outlives)
+					if err := ValidateComponent(&c); err != nil {
+						t.Fatalf("%+v: %v", c, err)
+					}
+					if n, st, ok := outlivingStage(&c, 64); !ok {
+						t.Errorf("%+v: %d-byte stage %+v ends after TransferCycles = %d",
+							c, n, st, c.TransferCycles(n))
 					}
 				}
 			}
 		}
 	}
+}
+
+// outlivingStage returns the first transfer size in [1, maxN] and stage
+// of c that ends after TransferCycles(n), and ok when there is none.
+func outlivingStage(c *Component, maxN int) (int, rtable.Stage, bool) {
+	for n := 1; n <= maxN; n++ {
+		for _, st := range c.Stages(n) {
+			if st.Start+st.Len > c.TransferCycles(n) {
+				return n, st, false
+			}
+		}
+	}
+	return 0, rtable.Stage{}, true
 }
 
 func TestComponentSchedulingWithScheduler(t *testing.T) {
@@ -262,6 +273,20 @@ func TestArchValidate(t *testing.T) {
 	bad.Clusters = [][]int{{0, 1}, {7}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-range channel accepted")
+	}
+	// A component ValidateComponent rejects: no width, no beat cycles,
+	// or an arbitration latency beyond the stage window.
+	for _, mutate := range []func(*Component){
+		func(c *Component) { c.WidthBytes = 0 },
+		func(c *Component) { c.BeatCycles = 0 },
+		func(c *Component) { c.ArbCycles = StageWindow + 1 },
+	} {
+		bad = *a
+		bad.Assign = append([]Component(nil), a.Assign...)
+		mutate(&bad.Assign[1])
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("invalid component %+v accepted", bad.Assign[1])
+		}
 	}
 	// Cluster/assignment count mismatch.
 	bad = *a

@@ -1,6 +1,7 @@
 package connect
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,11 +62,15 @@ func (c Component) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON parses the library wire format. It validates only the
-// class name; structural validation is the caller's job (ValidateLibrary).
+// UnmarshalJSON parses the library wire format, rejecting unknown keys
+// so a misspelled one cannot silently leave its field zero. It validates
+// only the class name; structural validation is the caller's job
+// (ValidateLibrary).
 func (c *Component) UnmarshalJSON(data []byte) error {
 	var in componentJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
 		return err
 	}
 	class, ok := classNames[in.Class]
@@ -83,7 +88,12 @@ func (c *Component) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ValidateComponent checks that a library entry is physically plausible.
+// ValidateComponent is the one definition of a valid component: a
+// physically plausible library entry whose reservation tables fit the
+// stage window. Library loading, request admission and every simulator
+// (through Arch.Validate) check it, and the simulators rely on it: with
+// at least one cycle per beat, no stage of an n >= 1-byte transfer ends
+// after TransferCycles(n).
 func ValidateComponent(c *Component) error {
 	switch {
 	case c.Name == "":
@@ -94,6 +104,9 @@ func ValidateComponent(c *Component) error {
 		return fmt.Errorf("connect: %s: beat cycles must be positive", c.Name)
 	case c.ArbCycles < 0:
 		return fmt.Errorf("connect: %s: negative arbitration latency", c.Name)
+	case c.ArbCycles > StageWindow:
+		return fmt.Errorf("connect: %s: arbitration latency %d exceeds the %d-cycle stage window",
+			c.Name, c.ArbCycles, StageWindow)
 	case c.MaxPorts < 2:
 		return fmt.Errorf("connect: %s: needs at least 2 ports", c.Name)
 	case c.EnergyPerByte <= 0:
@@ -137,54 +150,17 @@ func ValidateLibrary(lib []Component) error {
 
 // WriteLibrary serializes a connectivity library as indented JSON.
 func WriteLibrary(w io.Writer, lib []Component) error {
-	out := make([]componentJSON, len(lib))
-	for i, c := range lib {
-		name := ""
-		for n, cl := range classNames {
-			if cl == c.Class {
-				name = n
-			}
-		}
-		if name == "" {
-			return fmt.Errorf("connect: component %q has unknown class %d", c.Name, c.Class)
-		}
-		out[i] = componentJSON{
-			Name: c.Name, Class: name, WidthBytes: c.WidthBytes,
-			ArbCycles: c.ArbCycles, BeatCycles: c.BeatCycles,
-			Pipelined: c.Pipelined, Split: c.Split, MaxPorts: c.MaxPorts,
-			OnChip: c.OnChip, EnergyPerByte: c.EnergyPerByte,
-			BaseGates: c.BaseGates, GatesPerPort: c.GatesPerPort,
-			WireGatesPerPort: c.WireGatesPerPort,
-		}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(lib)
 }
 
 // ReadLibrary parses and validates a JSON connectivity library, allowing
 // users to explore with their own IP catalogs.
 func ReadLibrary(r io.Reader) ([]Component, error) {
-	var in []componentJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	var lib []Component
+	if err := json.NewDecoder(r).Decode(&lib); err != nil {
 		return nil, fmt.Errorf("connect: parsing library: %w", err)
-	}
-	lib := make([]Component, len(in))
-	for i, c := range in {
-		class, ok := classNames[c.Class]
-		if !ok {
-			return nil, fmt.Errorf("connect: component %q: unknown class %q", c.Name, c.Class)
-		}
-		lib[i] = Component{
-			Name: c.Name, Class: class, WidthBytes: c.WidthBytes,
-			ArbCycles: c.ArbCycles, BeatCycles: c.BeatCycles,
-			Pipelined: c.Pipelined, Split: c.Split, MaxPorts: c.MaxPorts,
-			OnChip: c.OnChip, EnergyPerByte: c.EnergyPerByte,
-			BaseGates: c.BaseGates, GatesPerPort: c.GatesPerPort,
-			WireGatesPerPort: c.WireGatesPerPort,
-		}
 	}
 	if err := ValidateLibrary(lib); err != nil {
 		return nil, err

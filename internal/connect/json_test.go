@@ -2,6 +2,7 @@ package connect
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,6 +36,8 @@ func TestReadLibraryRejectsBadInput(t *testing.T) {
 		"unknown field": `[{"name":"x","class":"mux","bogus":1}]`,
 		"empty":         `[]`,
 		"zero width":    `[{"name":"x","class":"mux","width_bytes":0,"beat_cycles":1,"max_ports":4,"on_chip":true,"energy_per_byte_nj":0.1,"base_gates":100}]`,
+		"arb beyond window": `[{"name":"b","class":"ahb","width_bytes":4,"arb_cycles":1,"beat_cycles":1,"max_ports":4,"on_chip":true,"energy_per_byte_nj":0.1,"base_gates":100},
+		  {"name":"o","class":"offchip","split":true,"pipelined":true,"width_bytes":4,"arb_cycles":70,"beat_cycles":1,"max_ports":8,"energy_per_byte_nj":1.5,"base_gates":50}]`,
 	}
 	for name, src := range cases {
 		if _, err := ReadLibrary(strings.NewReader(src)); err == nil {
@@ -72,6 +75,28 @@ func TestValidateLibraryRules(t *testing.T) {
 	bad[0].ArbCycles = -1
 	if err := ValidateLibrary(bad); err == nil {
 		t.Fatal("negative arbitration accepted")
+	}
+	bad = append([]Component{}, lib...)
+	bad[0].ArbCycles = StageWindow + 1
+	if err := ValidateLibrary(bad); err == nil {
+		t.Fatal("arbitration beyond the stage window accepted")
+	}
+}
+
+// TestComponentUnmarshalRejectsUnknownKeys: a library entry embedded
+// in another JSON body (an exploration request) is decoded by
+// Component.UnmarshalJSON, which the outer decoder's
+// DisallowUnknownFields does not reach, so it must reject unknown keys
+// itself.
+func TestComponentUnmarshalRejectsUnknownKeys(t *testing.T) {
+	var body struct {
+		Library []Component `json:"library"`
+	}
+	src := `{"library":[{"name":"x","class":"mux","width_bytes":4,"beat_cycles":1,"bogus_key":7}]}`
+	dec := json.NewDecoder(strings.NewReader(src))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err == nil || !strings.Contains(err.Error(), "bogus_key") {
+		t.Fatalf("unknown library key: err = %v, want one naming bogus_key", err)
 	}
 }
 

@@ -165,25 +165,26 @@ type access struct {
 	prefBack bool // a prefetch leg with a backing channel
 }
 
-// chanMap resolves the channel roles of a behavior trace's channel
-// list: each module's CPU and backing channel, the direct CPU<->DRAM
-// and the L2<->DRAM channel (-1 where absent).
+// chanMap resolves the channel roles of an architecture's channel list:
+// each of its modules' CPU and backing channel, the direct CPU<->DRAM
+// and the L2<->DRAM channel (-1 where absent). sim.Simulator, the
+// reference, keeps its own copy of this mapping.
 type chanMap struct {
 	cpu, back          []int32 // per module
 	direct, l2DRAMChan int32
 }
 
-func newChanMap(bt *BehaviorTrace) chanMap {
+func newChanMap(chans []mem.Channel, modules int) chanMap {
 	cm := chanMap{
-		cpu:        make([]int32, len(bt.Modules)),
-		back:       make([]int32, len(bt.Modules)),
+		cpu:        make([]int32, modules),
+		back:       make([]int32, modules),
 		direct:     -1,
 		l2DRAMChan: -1,
 	}
 	for m := range cm.cpu {
 		cm.cpu[m], cm.back[m] = -1, -1
 	}
-	for ci, ch := range bt.Channels {
+	for ci, ch := range chans {
 		switch ch.Kind {
 		case mem.ChanCPUModule:
 			cm.cpu[ch.Module] = int32(ci)
@@ -219,7 +220,7 @@ func (cm *chanMap) view(bt *BehaviorTrace, ev *Event) access {
 // setViews decodes every class's replay view once the class table is
 // complete.
 func (bt *BehaviorTrace) setViews() {
-	cm := newChanMap(bt)
+	cm := newChanMap(bt.Channels, len(bt.Modules))
 	for i := range bt.Classes {
 		bt.Classes[i].view = cm.view(bt, &bt.Classes[i].Event)
 	}

@@ -363,22 +363,9 @@ func (c *capture) newModule(m mem.Module, meta ModuleMeta) capModule {
 	switch mod := m.(type) {
 	case *mem.Cache:
 		line = mod.LineBytes
-		if w := c.newStackWalker(mod); w != nil {
-			cm.walk = w
-		} else {
-			cm.walk = func(acc []trace.Access, idx []uint16, keys []uint32) {
-				for _, i := range idx {
-					keys[i] |= freeCode(mod.Access(acc[i], 0), acc[i].Size, line)
-				}
-			}
-		}
+		cm.walk = c.newStackWalker(mod)
 	case *mem.VictimCache:
 		line = mod.LineBytes
-		cm.walk = func(acc []trace.Access, idx []uint16, keys []uint32) {
-			for _, i := range idx {
-				keys[i] |= freeCode(mod.Access(acc[i], 0), acc[i].Size, line)
-			}
-		}
 	case *mem.SRAM:
 		cm.walk = func(_ []trace.Access, idx []uint16, keys []uint32) {
 			for _, i := range idx {
@@ -401,6 +388,14 @@ func (c *capture) newModule(m mem.Module, meta ModuleMeta) capModule {
 		return cm
 	default:
 		return cm
+	}
+	if cm.walk == nil {
+		// A cache the stack walkers do not cover, or a victim cache.
+		cm.walk = func(acc []trace.Access, idx []uint16, keys []uint32) {
+			for _, i := range idx {
+				keys[i] |= freeCode(m.Access(acc[i], 0), acc[i].Size, line)
+			}
+		}
 	}
 	cm.outs = make([]outcome, numOutFree)
 	for code := range cm.outs {

@@ -118,10 +118,7 @@ type moJob struct {
 type moPlan struct {
 	nChannels   int
 	jobs        []int // per module: job index, -1 when nothing is routed to it
-	cpuChan     []int
-	backChan    []int // -1 for unbacked modules
-	directChan  int
-	l2DRAMChan  int
+	chans       chanMap
 	directN     int64
 	directBytes int64
 
@@ -156,27 +153,12 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []*moGrou
 		channels := a.Channels()
 		p := &plans[ai]
 		*p = moPlan{
-			nChannels:  len(channels),
-			jobs:       make([]int, len(a.Modules)),
-			cpuChan:    make([]int, len(a.Modules)),
-			backChan:   make([]int, len(a.Modules)),
-			directChan: -1,
-			l2DRAMChan: -1,
+			nChannels: len(channels),
+			jobs:      make([]int, len(a.Modules)),
+			chans:     newChanMap(channels, len(a.Modules)),
 		}
 		for mi := range a.Modules {
-			p.jobs[mi], p.backChan[mi] = -1, -1
-		}
-		for ci, ch := range channels {
-			switch ch.Kind {
-			case mem.ChanCPUModule:
-				p.cpuChan[ch.Module] = ci
-			case mem.ChanModuleDRAM, mem.ChanModuleL2:
-				p.backChan[ch.Module] = ci
-			case mem.ChanCPUDRAM:
-				p.directChan = ci
-			case mem.ChanL2DRAM:
-				p.l2DRAMChan = ci
-			}
+			p.jobs[mi] = -1
 		}
 		routed := make([][]trace.DSID, len(a.Modules))
 		for ds, n := range dsCount {
@@ -225,7 +207,7 @@ func planMemOnly(t *trace.Trace, archs []*mem.Architecture) ([]*moJob, []*moGrou
 				jobs = append(jobs, j)
 			}
 			p.jobs[mi] = ji
-			if a.L2 != nil && p.backChan[mi] != -1 {
+			if a.L2 != nil && p.chans.back[mi] != -1 {
 				jobs[ji].record = true
 				p.l2, p.l2Jobs, p.l2Cost = a.L2, append(p.l2Jobs, ji), p.l2Cost+jobs[ji].cost
 			}
@@ -359,11 +341,11 @@ func (p *moPlan) result(jobs []*moJob, accesses int64) *MemOnlyResult {
 		OffChipBytes: p.directBytes + p.l2OffChip,
 		ChannelBytes: make([]int64, p.nChannels),
 	}
-	if p.directChan != -1 {
-		r.ChannelBytes[p.directChan] = p.directBytes
+	if d := p.chans.direct; d != -1 {
+		r.ChannelBytes[d] = p.directBytes
 	}
-	if p.l2DRAMChan != -1 {
-		r.ChannelBytes[p.l2DRAMChan] = p.l2OffChip
+	if l2 := p.chans.l2DRAMChan; l2 != -1 {
+		r.ChannelBytes[l2] = p.l2OffChip
 	}
 	for mi, ji := range p.jobs {
 		if ji < 0 {
@@ -372,12 +354,13 @@ func (p *moPlan) result(jobs []*moJob, accesses int64) *MemOnlyResult {
 		j := jobs[ji]
 		r.Hits += j.hits
 		r.Misses += j.cost - j.hits
-		r.ChannelBytes[p.cpuChan[mi]] += j.bytes
-		if p.backChan[mi] == -1 {
+		r.ChannelBytes[p.chans.cpu[mi]] += j.bytes
+		back := p.chans.back[mi]
+		if back == -1 {
 			continue
 		}
-		r.ChannelBytes[p.backChan[mi]] += j.backBytes
-		if p.l2DRAMChan == -1 {
+		r.ChannelBytes[back] += j.backBytes
+		if p.chans.l2DRAMChan == -1 {
 			r.OffChipBytes += j.backBytes
 		}
 	}

@@ -46,8 +46,10 @@
 // Contention. The replayed CPU is blocking: it has one outstanding
 // access, and the clock advances past every demand leg before the next
 // leg asks. Every stage list of a transfer ends by the time the
-// transfer completes, so a demand reservation can never overlap a
-// later query; only background prefetch legs can. Hence:
+// transfer completes (checkReplayArch admits only components that
+// connect.ValidateComponent accepts, whose tables guarantee it), so a
+// demand reservation can never overlap a later query; only background
+// prefetch legs can. Hence:
 //
 //   - A cluster that backs no prefetching module (nor is the L2<->DRAM
 //     cluster of a prefetching system, which prefetch misses forward
@@ -78,11 +80,7 @@
 // reservations that fall behind it, so a prefetch pushed far into the
 // future makes later, earlier-asking queries read older reservations as
 // free, and results stay bit-exact only if every window slide happens
-// where the reference makes it. A component with a stage that outlives
-// its transfer (non-pipelined, no arbitration cycles, no beat cycles:
-// the arbiter is held one cycle for a zero-cycle transfer) breaks the
-// precondition (connect.Component.OutlivesTransfer), so a contended
-// cluster using one schedules and reserves every leg.
+// where the reference makes it.
 //
 // Prefetch stalls (stream buffers, self-indirect DMA) are recomputed in
 // the replay's own clock from the recorded prefetch structure and each
@@ -179,7 +177,6 @@ type compSig struct {
 type cluster struct {
 	sched   *rtable.Scheduler
 	horizon int64 // latest end of any prefetch reservation
-	exact   bool  // a stage outlives its transfer: schedule and reserve every leg
 	row     bool  // dead-time legs only: one resource, run form
 }
 
@@ -190,29 +187,28 @@ type cluster struct {
 func (st *archState) leg(l *busLeg, t int64, pref bool) int64 {
 	at := t + l.pre
 	c := l.cl
-	search := c.exact || at < c.horizon
-	reserve := c.exact || pref
+	search := at < c.horizon
 	s := c.sched
 	g := at
 	if l.st == nil {
 		n := int(l.n)
 		switch {
-		case search && reserve:
+		case search && pref:
 			g = s.EarliestIssueRun(at, n)
 		case search:
 			g = s.QueryRun(at, n)
-		case reserve:
+		case pref:
 			s.ReserveRun(at, n)
 		default:
 			s.GrantRun(at, n)
 		}
 	} else {
 		switch {
-		case search && reserve:
+		case search && pref:
 			g = s.EarliestIssue(at, *l.st)
 		case search:
 			g = s.Query(at, *l.st)
-		case reserve:
+		case pref:
 			s.Reserve(at, *l.st)
 		default:
 			s.Grant(at, *l.st)
@@ -337,7 +333,7 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 	k, nc, nm, ncl := len(archs), len(bt.Channels), len(bt.Modules), len(bt.Classes)
 	b := &batchReplayer{
 		bt:    bt,
-		chans: newChanMap(bt),
+		chans: newChanMap(bt.Channels, len(bt.Modules)),
 		archs: make([]archState, k),
 		res:   make([]Result, k),
 	}
@@ -426,7 +422,7 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 					// only dead-time legs, which hold both resources over
 					// the same cycles: one row answers alike (see the
 					// package comment).
-					c := &cluster{exact: comp.OutlivesTransfer(), row: !comp.Split}
+					c := &cluster{row: !comp.Split}
 					for _, ch := range arch.Clusters[cl] {
 						c.row = c.row && deadTime[ch]
 					}
@@ -560,7 +556,7 @@ func (b *batchReplayer) compileBacking(pb *pathBuilder, st *archState, back int3
 
 // compileOffChip adds an off-chip transaction of n bytes on channel
 // ch: a split component's address and data phases, or one leg holding
-// the bus through the DRAM's dead time, clamped to 62 cycles as
+// the bus through the DRAM's dead time, clamped to the stage window as
 // deadTimeStages clamps it. A decoded trace may give the leg no DRAM
 // latency (-1); a dead time below 0 then holds the bus for no cycle,
 // and the run of 0 slides the window as the stage list of -1 does.
@@ -573,7 +569,7 @@ func (b *batchReplayer) compileOffChip(pb *pathBuilder, st *archState, ch int32,
 	}
 	cyc := int(s.tab.cyc[n])
 	if s.cl != nil {
-		pb.push(busLeg{cl: s.cl, n: int32(min(max(cyc+dramLat, 0), 62)), wait: ch})
+		pb.push(busLeg{cl: s.cl, n: int32(min(max(cyc+dramLat, 0), connect.StageWindow)), wait: ch})
 	}
 	pb.pend += int64(cyc + dramLat)
 }

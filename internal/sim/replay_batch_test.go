@@ -251,28 +251,59 @@ func TestReplayBatchErrors(t *testing.T) {
 	}
 }
 
-// randComp draws a synthetic component for the contended stress test.
-// A third of the draws put arbitration or beat cycles at zero, so the
-// degenerate non-pipelined, zero-arbitration, zero-beat shape (whose
-// arbiter stage outlives its zero-cycle transfer) occurs often.
-func randComp(rng *rand.Rand, onChip bool) connect.Component {
-	edge := func(max int) int {
-		if rng.Intn(3) == 0 {
-			return 0
-		}
-		return 1 + rng.Intn(max)
+// TestInvalidComponentRejected: a component connect.ValidateComponent
+// rejects (no width, no beat cycles) fails sim.New and ReplayBatch with
+// an error instead of reaching the timing code, where a zero width
+// divides by zero.
+func TestInvalidComponentRejected(t *testing.T) {
+	m := richArch(false)
+	bt, err := CaptureBehavior(streamTrace(1000), m, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return connect.Component{
+	for name, mutate := range map[string]func(*connect.Component){
+		"zero width": func(c *connect.Component) { c.WidthBytes = 0 },
+		"zero beat":  func(c *connect.Component) { c.BeatCycles = 0 },
+	} {
+		for i := range m.Channels() {
+			conn := buildConnT(t, m, "ahb32", "off32")
+			mutate(&conn.Assign[i])
+			if _, err := New(m, conn); err == nil {
+				t.Errorf("%s on cluster %d: New accepted it", name, i)
+			}
+			if _, err := ReplayBatch(bt, []*connect.Arch{conn}); err == nil {
+				t.Errorf("%s on cluster %d: ReplayBatch accepted it", name, i)
+			}
+		}
+	}
+}
+
+// randComp draws a synthetic component for the contended stress test,
+// one that connect.ValidateComponent accepts. A third of the draws put
+// arbitration cycles at zero, so zero-arbitration non-pipelined shapes
+// occur often; every beat takes at least one cycle.
+func randComp(rng *rand.Rand, onChip bool) connect.Component {
+	arb := 1 + rng.Intn(24)
+	if rng.Intn(3) == 0 {
+		arb = 0
+	}
+	c := connect.Component{
 		Name:          "synthetic",
+		Class:         connect.AHB,
 		WidthBytes:    1 + rng.Intn(8),
-		ArbCycles:     edge(24),
-		BeatCycles:    edge(50),
+		ArbCycles:     arb,
+		BeatCycles:    1 + rng.Intn(50),
 		Pipelined:     rng.Intn(2) == 0,
 		Split:         rng.Intn(2) == 0,
 		MaxPorts:      16,
 		OnChip:        onChip,
 		EnergyPerByte: float64(1+rng.Intn(100)) / 1000,
+		BaseGates:     1,
 	}
+	if !onChip {
+		c.Class = connect.OffChip
+	}
+	return c
 }
 
 // randSyntheticConn builds a random partition of m's channels into
@@ -307,14 +338,13 @@ func randSyntheticConn(t *testing.T, rng *rand.Rand, m *mem.Architecture) *conne
 
 // TestReplayBatchContendedStress drives the contended-cluster bypasses
 // of ReplayBatch (prefetch horizon, window slides of skipped issues,
-// the fallback for stages that outlive their transfer, the one-row
-// scheduler of dead-time off-chip clusters) with synthetic components
-// far outside the library: slow, narrow buses build long prefetch
-// queues whose searches slide the scheduler window and make it forget
-// reservations. Every member must equal replayReference bit for bit,
-// on full and windowed captures, with and without an L2. The test
-// counts the contended one-row and outlives-transfer clusters that
-// scheduled a leg, and fails if it drove none of either.
+// the one-row scheduler of dead-time off-chip clusters) with synthetic
+// components far outside the library: slow, narrow buses build long
+// prefetch queues whose searches slide the scheduler window and make it
+// forget reservations. Every member must equal replayReference bit for
+// bit, on full and windowed captures, with and without an L2. The test
+// counts the contended one-row clusters that scheduled a leg, and fails
+// if it drove none.
 func TestReplayBatchContendedStress(t *testing.T) {
 	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 2000)
 	type capture struct {
@@ -339,7 +369,7 @@ func TestReplayBatchContendedStress(t *testing.T) {
 			caps = append(caps, capture{fmt.Sprintf("l2=%v windowed=%v", withL2, windowed), m, bt})
 		}
 	}
-	var rows, exact int
+	var rows int
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, c := range caps {
@@ -362,9 +392,6 @@ func TestReplayBatchContendedStress(t *testing.T) {
 					if cl.row {
 						rows++
 					}
-					if cl.exact {
-						exact++
-					}
 				}
 			}
 			for i, conn := range conns {
@@ -379,17 +406,17 @@ func TestReplayBatchContendedStress(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("contended clusters driven: %d one-row, %d outliving their transfer", rows, exact)
-	if rows == 0 || exact == 0 {
-		t.Errorf("drove %d contended one-row and %d outlives-transfer clusters; want both > 0", rows, exact)
+	t.Logf("contended one-row clusters driven: %d", rows)
+	if rows == 0 {
+		t.Error("drove no contended one-row cluster")
 	}
 }
 
 // TestReplayBatchDeadTimeWithoutDRAM: a decoded trace may give a
-// direct access no DRAM latency (noDRAM), and Compile accepts it. On a
-// zero-cycle off-chip component that leg's dead time is then -1
-// cycles; it must hold the bus for no cycle and slide the scheduler's
-// window as replayReference's stage list does.
+// direct access no DRAM latency (noDRAM) and no bytes, and Compile
+// accepts both. On a zero-arbitration off-chip component that leg's
+// dead time is then -1 cycles; it must hold the bus for no cycle and
+// slide the scheduler's window as replayReference's stage list does.
 func TestReplayBatchDeadTimeWithoutDRAM(t *testing.T) {
 	m := richArch(false)
 	bt, err := CaptureBehavior(workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 4000), m, nil)
@@ -399,7 +426,7 @@ func TestReplayBatchDeadTimeWithoutDRAM(t *testing.T) {
 	direct := 0
 	for ci := range bt.Classes {
 		if ev := &bt.Classes[ci].Event; ev.Route < 0 {
-			ev.DemandDRAM = noDRAM
+			ev.DemandDRAM, ev.Size = noDRAM, 0
 			direct++
 		}
 	}
@@ -428,7 +455,8 @@ func TestReplayBatchDeadTimeWithoutDRAM(t *testing.T) {
 		}
 		c.Clusters = append(c.Clusters, off)
 		c.Assign = append(c.Assign, connect.Component{
-			Name: "zero-cycle", WidthBytes: 4, Pipelined: pipelined, MaxPorts: 16, EnergyPerByte: 0.01,
+			Name: "zero-arb", Class: connect.OffChip, WidthBytes: 4, BeatCycles: 1,
+			Pipelined: pipelined, MaxPorts: 16, EnergyPerByte: 0.01, BaseGates: 1,
 		})
 		conns = append(conns, c)
 	}

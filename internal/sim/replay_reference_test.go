@@ -138,15 +138,16 @@ func (r *replayer) plainStages(ch int32, n int) []rtable.Stage {
 }
 
 // deadStages returns the memoized stages of a non-split off-chip
-// transaction of n bytes holding the bus through dead DRAM cycles.
+// transaction of n bytes holding the bus through dead DRAM cycles, dead
+// in [noDRAM, MaxDRAMLat].
 func (r *replayer) deadStages(ch int32, n, dead int) []rtable.Stage {
 	cl := r.clusterOf[ch]
 	tab := r.dead[cl]
 	if tab == nil {
-		tab = make([][]rtable.Stage, (r.bt.MaxBytes+1)*(r.bt.MaxDRAMLat+1))
+		tab = make([][]rtable.Stage, (r.bt.MaxBytes+1)*(r.bt.MaxDRAMLat+2))
 		r.dead[cl] = tab
 	}
-	idx := n*(r.bt.MaxDRAMLat+1) + dead
+	idx := n*(r.bt.MaxDRAMLat+2) + dead - int(noDRAM)
 	if st := tab[idx]; st != nil {
 		return st
 	}

@@ -482,10 +482,7 @@ func latBucket(lat int) int {
 // bursts, which do not occur with the library's line sizes.
 func deadTimeStages(comp *connect.Component, n, dramLat int) []rtable.Stage {
 	dataCycles := comp.Beats(n) * comp.BeatCycles
-	total := comp.ArbCycles + dramLat + dataCycles
-	if total > 62 {
-		total = 62
-	}
+	total := min(comp.ArbCycles+dramLat+dataCycles, connect.StageWindow)
 	return []rtable.Stage{
 		{Res: 0, Start: 0, Len: total},
 		{Res: 1, Start: 0, Len: total},

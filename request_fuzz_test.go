@@ -26,6 +26,8 @@ func FuzzExploreRequestJSON(f *testing.F) {
 		`{"benchmark":"compress","sampling":{"on_window":500,"off_ratio":9}}`,
 		`{"benchmark": `,
 		`{"benchmark":"compress","bogus":1}`,
+		`{"benchmark":"compress","library":[{"name":"b","class":"ahb","width_bytes":4,"arb_cycles":1,"beat_cycles":1,"max_ports":4,"on_chip":true,"energy_per_byte_nj":0.1,"base_gates":100,"bogus_key":7},{"name":"o","class":"offchip","width_bytes":4,"arb_cycles":2,"beat_cycles":1,"max_ports":8,"energy_per_byte_nj":0.5,"base_gates":50}]}`,
+		`{"benchmark":"compress","library":[{"name":"b","class":"ahb","width_bytes":4,"arb_cycles":1,"beat_cycles":1,"max_ports":4,"on_chip":true,"energy_per_byte_nj":0.1,"base_gates":100},{"name":"o","class":"offchip","split":true,"pipelined":true,"width_bytes":4,"arb_cycles":70,"beat_cycles":1,"max_ports":8,"energy_per_byte_nj":0.5,"base_gates":50}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

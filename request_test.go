@@ -81,6 +81,15 @@ func TestExploreRequestJSONRoundTrip(t *testing.T) {
 // TestExploreRequestValidate enumerates the rejection surface.
 func TestExploreRequestValidate(t *testing.T) {
 	neg := -1
+	// A split, pipelined off-chip entry whose arbitration outlasts the
+	// reservation-table window: each field alone is plausible, but no
+	// table can hold it.
+	longArb := connect.Library()
+	for i := range longArb {
+		if longArb[i].Name == "off32" {
+			longArb[i].Split, longArb[i].Pipelined, longArb[i].ArbCycles = true, true, 70
+		}
+	}
 	cases := []struct {
 		name string
 		req  ExploreRequest
@@ -91,6 +100,7 @@ func TestExploreRequestValidate(t *testing.T) {
 		{"bad workload", ExploreRequest{Benchmark: "vocoder", Workload: &WorkloadConfig{Scale: -1}}, "workload"},
 		{"bad sampling", ExploreRequest{Benchmark: "vocoder", Sampling: &SamplingConfig{OnWindow: -5}}, "sampling"},
 		{"bad library", ExploreRequest{Benchmark: "vocoder", Library: []ConnComponent{{}}}, "library"},
+		{"arbitration beyond window", ExploreRequest{Benchmark: "vocoder", Library: longArb}, "stage window"},
 		{"negative keep", ExploreRequest{Benchmark: "vocoder", KeepPerArch: -1}, "KeepPerArch"},
 		{"negative cap", ExploreRequest{Benchmark: "vocoder", MaxAssignPerLevel: &neg}, "MaxAssignPerLevel"},
 		{"bad strategy", ExploreRequest{Benchmark: "vocoder", Strategy: "tabu"}, "strategy"},
