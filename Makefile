@@ -35,8 +35,9 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # microbench runs the layer microbenchmarks six times each — Phase B
-# replay (K=1, a prefetch-free batch, a contended batch and the
-# full-space batches of the Table 2 sweep's architectures), Phase A
+# replay (K=1, a prefetch-free batch, a contended batch, a K=2 batch
+# on a sampled capture and the full-space batches of the Table 2
+# sweep's architectures), Phase A
 # capture (full and sampled), APEX's sim.MemOnly, profile.Analyze, the
 # trace cache's encode + decode, ConEx's engine dispatch (Figure 4: the
 # Quick preset's pruned compress run, captures and replays of every

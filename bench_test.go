@@ -638,6 +638,62 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorReplaySampled measures the small batches of
+// heuristic search: a K=2 ReplayBatch of a capture over the on-windows
+// of the default 1:9 sampling plan of the 60k-access compress slice,
+// on BenchmarkSimulatorReplayBatchContended's cache, stream buffer and
+// DMA sharing one off-chip bus. ns/pair divides the wall time by the
+// (architecture, event) pairs replayed.
+func BenchmarkSimulatorReplaySampled(b *testing.B) {
+	tr := quickTrace(b)
+	arch := &mem.Architecture{
+		Name: "contended",
+		Modules: []mem.Module{
+			mem.MustCache(8192, 32, 2),
+			mem.MustStreamBuffer(32, 8),
+			mem.MustSelfIndirectDMA(512, 16, 0.8),
+		},
+		DRAM:    mem.DefaultDRAM(),
+		Route:   map[trace.DSID]int{1: 1, 2: 2},
+		Default: 0,
+	}
+	chans := arch.Channels()
+	lib := connect.Library()
+	var conns []*connect.Arch
+	for _, pair := range [][2]string{{"ahb32", "off32"}, {"ded32", "off16"}} {
+		link, _ := connect.ByName(lib, pair[0])
+		bus, _ := connect.ByName(lib, pair[1])
+		c := &connect.Arch{Channels: chans}
+		var off []int
+		for i, ch := range chans {
+			if ch.OffChip {
+				off = append(off, i)
+				continue
+			}
+			c.Clusters = append(c.Clusters, []int{i})
+			c.Assign = append(c.Assign, link)
+		}
+		c.Clusters = append(c.Clusters, off)
+		c.Assign = append(c.Assign, bus)
+		conns = append(conns, c)
+	}
+	bt, err := sim.CaptureBehavior(tr.Trace, arch, sampling.Plan(tr.NumAccesses(), sampling.DefaultConfig()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.ReplayBatch(bt, conns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replaySink = res
+	}
+	pairs := int64(b.N) * int64(len(conns)) * int64(bt.NumEvents())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+}
+
 // BenchmarkSimulatorReplayBatch measures batched replay throughput over
 // the same behavior trace as BenchmarkSimulatorReplay: one ReplayBatch
 // pass re-times a candidate per library component, so ns/op divided by

@@ -166,12 +166,14 @@ func (t *Table) Stages() []Stage {
 
 // Scheduler tracks the reservations of one hardware unit (e.g. one bus)
 // over absolute time and answers earliest-issue queries. It maintains a
-// sliding bitmap window per resource; reservations may not be placed
-// more than windowCycles in the past once time has advanced.
+// sliding bitmap window of windowWords words per resource; cycles
+// behind the window are forgotten and read as free. Each row is a ring:
+// the absolute word a (cycles [64a, 64a+64)) lives in word a mod
+// windowWords, so sliding the window clears the words it forgets and
+// moves none.
 type Scheduler struct {
 	res    int
-	base   int64 // absolute cycle of bit 0
-	words  int   // window size in 64-bit words per resource
+	base   int64 // absolute cycle of the window's first bit, a multiple of 64
 	window [][]uint64
 	stats  Stats
 }
@@ -189,30 +191,35 @@ type Stats struct {
 	Conflicts int64
 }
 
-const defaultWindowWords = 64 // 4096-cycle window
+const windowWords = 64 // 4096-cycle window; a power of two
 
 // NewScheduler returns a scheduler over the given number of resources.
 func NewScheduler(resources int) *Scheduler {
-	s := &Scheduler{res: resources, words: defaultWindowWords}
+	s := &Scheduler{res: resources}
 	s.window = make([][]uint64, resources)
 	for i := range s.window {
-		s.window[i] = make([]uint64, s.words)
+		s.window[i] = make([]uint64, windowWords)
 	}
 	return s
+}
+
+// ring returns the ring index of word w of the window.
+func (s *Scheduler) ring(w int) int {
+	return (int(s.base>>6) + w) & (windowWords - 1)
 }
 
 // advance slides the window so that absolute cycle t is representable.
 // It is small enough to inline into every entry point, which mostly
 // find t already in the window.
 func (s *Scheduler) advance(t int64) {
-	if t >= s.base+int64((s.words-1)*64) {
+	if t >= s.base+int64((windowWords-1)*64) {
 		s.slide(t)
 	}
 }
 
 // slide moves the window so that t sits in its first quarter.
 func (s *Scheduler) slide(t int64) {
-	newBase := t - int64(s.words*16)
+	newBase := t - int64(windowWords*16)
 	if newBase < s.base {
 		newBase = s.base
 	}
@@ -220,20 +227,11 @@ func (s *Scheduler) slide(t int64) {
 	if shiftWords <= 0 {
 		return
 	}
-	if shiftWords >= s.words {
-		// Jumped past the whole window: everything old is forgotten.
-		for r := range s.window {
-			for w := range s.window[r] {
-				s.window[r][w] = 0
-			}
-		}
-		s.base += int64(shiftWords * 64)
-		return
-	}
+	// The forgotten words are the ring words of the new window's last
+	// shiftWords words (all of them once it jumps past the window).
 	for r := range s.window {
-		copy(s.window[r], s.window[r][shiftWords:])
-		for w := s.words - shiftWords; w < s.words; w++ {
-			s.window[r][w] = 0
+		for w := range min(shiftWords, windowWords) {
+			s.window[r][s.ring(w)] = 0
 		}
 	}
 	s.base += int64(shiftWords * 64)
@@ -267,12 +265,12 @@ func (s *Scheduler) firstBusy(res int, t int64, n int) int64 {
 	w := int(off >> 6)
 	bit := uint(off & 63)
 	row := s.window[res]
-	for n > 0 && w < s.words {
+	for n > 0 && w < windowWords {
 		take := 64 - int(bit)
 		if take > n {
 			take = n
 		}
-		if hit := row[w] & maskFrom(bit, take); hit != 0 {
+		if hit := row[s.ring(w)] & maskFrom(bit, take); hit != 0 {
 			return s.base + int64(w)<<6 + int64(bits.TrailingZeros64(hit))
 		}
 		n -= take
@@ -289,14 +287,14 @@ func (s *Scheduler) busyRunEnd(res int, c int64) int64 {
 	w := int(off >> 6)
 	bit := uint(off & 63)
 	row := s.window[res]
-	for w < s.words {
-		if free := ^row[w] >> bit << bit; free != 0 {
+	for w < windowWords {
+		if free := ^row[s.ring(w)] >> bit << bit; free != 0 {
 			return s.base + int64(w)<<6 + int64(bits.TrailingZeros64(free)) - 1
 		}
 		w++
 		bit = 0
 	}
-	return s.base + int64(s.words)<<6 - 1
+	return s.base + windowWords<<6 - 1
 }
 
 // markRange reserves the cycles [t, t+n) of res, clamped to the window.
@@ -313,12 +311,12 @@ func (s *Scheduler) markRange(res int, t int64, n int) {
 	w := int(off >> 6)
 	bit := uint(off & 63)
 	row := s.window[res]
-	for n > 0 && w < s.words {
+	for n > 0 && w < windowWords {
 		take := 64 - int(bit)
 		if take > n {
 			take = n
 		}
-		row[w] |= maskFrom(bit, take)
+		row[s.ring(w)] |= maskFrom(bit, take)
 		n -= take
 		w++
 		bit = 0

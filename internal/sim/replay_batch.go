@@ -38,10 +38,15 @@
 //     booked as count × constant at the end; integer sums may be
 //     reordered.
 //
-//   - The energy pass, four architectures side by side: each adds its
-//     addends in trace order, so every float sum is the very one
-//     replayReference builds, and results do not depend on which
-//     architectures share a batch.
+//   - The energy pass, which never needs the clock: each architecture's
+//     sum is the very float sum replayReference builds in trace order,
+//     so results do not depend on which architectures share a batch.
+//     Within each binade of the running sum, adding an addend is adding
+//     its rounded count of the binade's ulps, so a class adds a fixed
+//     integer per event and a block of events adds Σ count × integer
+//     from a class histogram the batch builds once; only an event
+//     leaving its binade, ties and a few corner cases are added in
+//     floats (energy.go has the argument).
 //
 // Contention. The replayed CPU is blocking: it has one outstanding
 // access, and the clock advances past every demand leg before the next
@@ -92,6 +97,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"memorex/internal/connect"
 	"memorex/internal/mem"
@@ -308,6 +314,7 @@ type archState struct {
 	anySlow    bool       // some class is slow: the clock must be kept
 	clusters   []*cluster // contended clusters
 	splitChans []int32    // off-chip channels on split components (two issues per leg)
+	energy     energySum  // see runEnergy
 }
 
 // batchReplayer holds the state of one ReplayBatch pass.
@@ -457,6 +464,10 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		p, l := b.planClasses(st, nplans)
 		nplans += p
 		nlegs += l
+		if a == 0 {
+			// Every arch has as many energy addends as the first.
+			b.addends = slices.Grow(b.addends, (k-1)*len(b.addends))
+		}
 	}
 	b.plans = make([]plan, nplans)
 	b.legs = make([]busLeg, 0, nlegs)
@@ -696,7 +707,7 @@ func (b *batchReplayer) countBacking(back int32, n, bytes, l2off int64) {
 
 // run replays the behavior trace for every arch and fills in the
 // results: the clock of every arch with slow classes, one arch at a
-// time, and the energy of all archs, four side by side.
+// time, and the energy of all archs.
 func (b *batchReplayer) run() {
 	for a := range b.archs {
 		if st := &b.archs[a]; st.anySlow {
@@ -738,52 +749,20 @@ func (b *batchReplayer) run() {
 	}
 }
 
-// energyLanes is the number of archs runEnergy sums side by side.
-const energyLanes = 4
-
-// runEnergy adds up the energy of every arch, energyLanes archs at a
-// time. A class has the same number of energy addends on every arch,
-// so a group's addends are laid out lane-interleaved per class: each
-// arch's sum still adds its addends in trace order, so it is the very
-// float sum replayReference builds, and the lanes are independent
-// chains the CPU overlaps. Every class is padded with +0 addends to
-// the longest list, so the inner loop has one trip count and its exit
-// is never mispredicted. The padding changes no sum: adding +0 leaves
-// every value but -0 unchanged, and a sum that starts at +0 never
-// becomes -0 under round-to-nearest. The groups share one table: each
-// overwrites every addend of its lanes, the padding is never written,
-// and a lane the last group leaves stale is summed but not read.
+// runEnergy adds up the energy of every arch: the trace-order float
+// sum replayReference builds, added as integers within each binade
+// (energy.go).
 func (b *batchReplayer) runEnergy() {
-	bt := b.bt
-	w := 0
-	for _, r := range b.archs[0].rows {
-		w = max(w, int(r.hi-r.lo))
+	nc := len(b.bt.Classes)
+	q := make([]uint64, len(b.archs)*nc)
+	for a := range b.archs {
+		st := &b.archs[a]
+		st.energy = newEnergySum(st.rows, b.addends, q[a*nc:(a+1)*nc])
 	}
-	stride := w * energyLanes
-	tab := make([]float64, len(bt.Classes)*stride)
-	for a := 0; a < len(b.archs); a += energyLanes {
-		group := b.archs[a:min(a+energyLanes, len(b.archs))]
-		for lane := range group {
-			for c, r := range group[lane].rows {
-				for j, x := range b.addends[r.lo:r.hi] {
-					tab[c*stride+energyLanes*j+lane] = x
-				}
-			}
-		}
-		var e0, e1, e2, e3 float64
-		for _, id := range bt.IDs {
-			t := tab[int(id)*stride : int(id)*stride+stride]
-			for j := 0; j+3 < len(t); j += energyLanes {
-				e0 += t[j]
-				e1 += t[j+1]
-				e2 += t[j+2]
-				e3 += t[j+3]
-			}
-		}
-		sums := [energyLanes]float64{e0, e1, e2, e3}
-		for lane := range group {
-			group[lane].res.EnergyNJ = sums[lane]
-		}
+	sumEnergies(b.bt.IDs, nc, b.addends, b.archs)
+	for a := range b.archs {
+		st := &b.archs[a]
+		st.res.EnergyNJ = st.energy.value()
 	}
 }
 
