@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet loc bench-vet bench-test microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
+.PHONY: build test race vet loc inline-check bench-vet bench-test microbench microbench-ab microbench-compare microbench-compare-check cache-check daemon-check search-check serve-smoke fuzz check
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,16 @@ vet:
 loc:
 	@printf 'production %d\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
 	@printf 'test %d\n' $$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
+
+# inline-check fails unless the compiler reports the hot-loop helpers
+# of Phase B and the reservation-table scheduler inlinable:
+# one pushed over the inliner's budget costs a call per access.
+INLINE_HELPERS = nomTransfer latBucket dmaStall '(*Scheduler).Grant' '(*Scheduler).GrantRun' '(*Scheduler).issueRun'
+inline-check:
+	@inl=$$($(GO) build -gcflags=-m ./internal/sim/ ./internal/rtable/ 2>&1 | awk '$$2 == "can" && $$3 == "inline" { print $$4 }'); \
+	for f in $(INLINE_HELPERS); do \
+		printf '%s\n' "$$inl" | grep -qxF "$$f" || { echo "inline-check: $$f is not inlinable"; exit 1; }; \
+	done
 
 # bench-vet compiles and vets the benchmark module (bench/ has its own
 # go.mod, so ./... at the root skips it). It uses vet, not build, so no
@@ -134,10 +144,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/adl/
 
 # check is the gate a change must pass before review: formatting is
-# clean, vet finds nothing in either module, the benchmark module's
-# tests pass, the whole suite passes under the race detector, the
-# trace-cache, daemon and heuristic-search suites hold, and the
-# microbenchmark gate gives its pinned verdicts.
-check: vet bench-vet bench-test cache-check daemon-check search-check microbench-compare-check
+# clean, vet finds nothing in either module, the hot-loop helpers
+# inline, the benchmark module's tests pass, the whole suite passes
+# under the race detector, the trace-cache, daemon and heuristic-search
+# suites hold, and the microbenchmark gate gives its pinned verdicts.
+check: vet inline-check bench-vet bench-test cache-check daemon-check search-check microbench-compare-check
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race ./...

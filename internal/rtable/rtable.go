@@ -208,9 +208,11 @@ func (s *Scheduler) ring(w int) int {
 	return (int(s.base>>6) + w) & (windowWords - 1)
 }
 
-// advance slides the window so that absolute cycle t is representable.
-// It is small enough to inline into every entry point, which mostly
-// find t already in the window.
+// advance slides the window so that absolute cycle t is representable;
+// the entry points mostly find t already in the window. The compiler
+// inlines slide into advance, which puts advance just over the
+// inliner's budget (go build -gcflags=-m=2 reports its cost), so each
+// entry point calls it.
 func (s *Scheduler) advance(t int64) {
 	if t >= s.base+int64((windowWords-1)*64) {
 		s.slide(t)

@@ -53,7 +53,10 @@ func stackTestTrace(rng *rand.Rand, n int) *trace.Trace {
 // misses and write-backs separately, bit for bit, for every cache of
 // line 4–64 bytes, 1–1024 sets and 1, 2 or 4 ways. Those with line ×
 // sets < 8 bytes or 4 ways must take the module walk instead; the rest
-// must be served by the kernel.
+// must be served by the kernel. Every cache the kernel serves also runs
+// capture's stage-1 walker over the same sub-stream, whose outcome code
+// of each access (hit, line fill, or line fill plus write-back) must be
+// mem.Cache.Access's.
 func TestStackKernelMatchesCache(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,10 +106,22 @@ func TestStackKernelMatchesCache(t *testing.T) {
 				t.Errorf("%s: served by the stack kernel = %v, want %v", name, stacked[j], want)
 			}
 			ref := c.Clone().(*mem.Cache)
+			codes := make([]uint32, len(sub))
 			for i, a := range sub {
-				ref.Access(a, int64(i))
+				wbs := ref.WriteBacks
+				switch r := ref.Access(a, int64(i)); {
+				case r.Hit:
+					codes[i] = outHit
+				case ref.WriteBacks > wbs:
+					codes[i] = outDem2
+				default:
+					codes[i] = outDemLine
+				}
 			}
 			refWBs += ref.WriteBacks
+			if stacked[j] {
+				walkerMatchesCache(t, name, tr.Accesses, in, c, codes)
+			}
 			misses := j.cost - j.hits
 			wbs := j.backBytes/int64(c.LineBytes) - misses
 			if j.hits != ref.Hits || misses != ref.Misses || wbs != ref.WriteBacks {
@@ -116,6 +131,39 @@ func TestStackKernelMatchesCache(t *testing.T) {
 		}
 		if refWBs == 0 {
 			t.Fatalf("seed %d: no cache wrote back; the trace exercises no dirty state", seed)
+		}
+	}
+}
+
+// walkerMatchesCache runs capture's stage-1 walker of c over the
+// accesses of acc that in marks, in capture's blocks, and compares the
+// outcome code of each with want's.
+func walkerMatchesCache(t *testing.T, name string, acc []trace.Access, in []bool, c *mem.Cache, want []uint32) {
+	t.Helper()
+	walk := (&capture{captureScratch: &captureScratch{}}).newStackWalker(c)
+	if walk == nil {
+		t.Errorf("%s: no stack walker", name)
+		return
+	}
+	keys := make([]uint32, captureBlock)
+	idx := make([]uint16, 0, captureBlock)
+	n := 0
+	for lo := 0; lo < len(acc); lo += captureBlock {
+		blk := acc[lo:min(lo+captureBlock, len(acc))]
+		idx = idx[:0]
+		for i, a := range blk {
+			if in[a.DS] {
+				idx = append(idx, uint16(i))
+			}
+		}
+		clear(keys)
+		walk(blk, idx, keys)
+		for _, i := range idx {
+			if keys[i] != want[n] {
+				t.Errorf("%s: walker's outcome code of access %d is %#x, mem.Cache's %#x", name, n, keys[i], want[n])
+				return
+			}
+			n++
 		}
 	}
 }

@@ -18,19 +18,22 @@
 //     depend only on a component's timing parameters, so architectures
 //     assigning the same library component share one set of tables.
 //
-// Per (architecture, class) the batch then compiles the class into a
-// plan: the legs of its access on the architecture's wiring, each with
-// its cluster, its stages or run length, the cycles before its ask and
-// the channel its wait is booked to, plus the module's latency and,
-// for a stream buffer or DMA, what its stall is recomputed from. A
-// transfer on an uncontended cluster (below) is granted at its asking
-// cycle, so it folds into the cycles around the contended legs. A
-// class is fast when its plan has no contended leg and no recomputed
-// stall: its latency is then a constant, read off once by running the
-// plan at cycle 0. Energy never depends on timing, so every class's
-// row holds the event's energy addends, in the order replayReference
-// adds them. The trace is walked twice, neither pass touching the
-// per-event fields:
+// The batch then takes the architectures one at a time. It compiles
+// each (architecture, class) pair once, in one walk mirroring
+// replayReference, into a plan: the legs of its access on the
+// architecture's wiring, each with its cluster, its stages or run
+// length, the cycles before its ask and the channel its wait is booked
+// to, plus the module's latency and, for a stream buffer or DMA, what
+// its stall is recomputed from. The same walk appends the event's
+// energy addends, which never depend on timing, in the order
+// replayReference adds them. A transfer on an uncontended cluster
+// (below) is granted at its asking cycle, so it folds into the cycles
+// around the contended legs. A class is fast when its plan has no
+// contended leg and no recomputed stall: its latency is then a
+// constant, read off once by running the plan at cycle 0. The plans
+// and legs of one architecture are replayed before the next one is
+// compiled into the same buffers. The trace is walked twice, neither
+// pass touching the per-event fields:
 //
 //   - The clock pass, for each architecture with slow classes: a fast
 //     event advances the clock by its constant, a slow one interprets
@@ -276,7 +279,7 @@ type busLeg struct {
 //  1. the module's latency and recorded stall, then the demand backing;
 //  2. the background prefetch backing, from the demand's end.
 //
-// Their legs are legs[lo:] of the batch, path after path. A stream
+// Their legs are the batch's legs[lo:], path after path. A stream
 // buffer or a DMA (pf) recomputes its stall between paths 0 and 1 from
 // its state mods[mod]; a stream event tops up topup lines.
 type plan struct {
@@ -311,7 +314,6 @@ type archState struct {
 	slots      []slot     // channel -> wiring
 	mods       []modState // module -> prefetch state
 	rows       []classRow // event class -> replay plan
-	anySlow    bool       // some class is slow: the clock must be kept
 	clusters   []*cluster // contended clusters
 	splitChans []int32    // off-chip channels on split components (two issues per leg)
 	energy     energySum  // see runEnergy
@@ -325,12 +327,11 @@ type batchReplayer struct {
 
 	// addends holds the energy addends of every (arch, class) pair.
 	addends []float64
-	// plans holds the compiled plan of every slow (arch, class) pair,
-	// legs their contended legs; scratch is compile's buffer while
-	// they are counted.
-	plans   []plan
-	legs    []busLeg
-	scratch []busLeg
+	// plans holds the compiled plan of every slow class of the arch
+	// being replayed, legs their contended legs; both are reused by the
+	// next arch.
+	plans []plan
+	legs  []busLeg
 
 	archs []archState
 	res   []Result
@@ -348,7 +349,6 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 	mods := make([]modState, k*nm)
 	rows := make([]classRow, k*ncl)
 	b.countShared()
-	var nplans, nlegs int
 
 	// Which modules generate background prefetch traffic: the only
 	// source of scheduler contention (see the package comment).
@@ -461,70 +461,51 @@ func newBatchReplayer(bt *BehaviorTrace, archs []*connect.Arch) *batchReplayer {
 		}
 		st.wait = make([]int64, nc)
 		st.res.ChannelWait = st.wait
-		p, l := b.planClasses(st, nplans)
-		nplans += p
-		nlegs += l
-		if a == 0 {
-			// Every arch has as many energy addends as the first.
-			b.addends = slices.Grow(b.addends, (k-1)*len(b.addends))
-		}
-	}
-	b.plans = make([]plan, nplans)
-	b.legs = make([]busLeg, 0, nlegs)
-	for a := range b.archs {
-		b.compileSlow(&b.archs[a])
 	}
 	return b
 }
 
-// planClasses fills an architecture's class rows: every class's energy
-// addends, and a fast class's latency, read off by replaying its plan
-// at cycle 0. A slow class is numbered from first, to be compiled once
-// the batch's plans and legs are allocated; planClasses returns how
-// many plans and legs the architecture's slow classes need.
-func (b *batchReplayer) planClasses(st *archState, first int) (plans, legs int) {
+// planClasses compiles every class of an architecture once, into its
+// row and, for a slow class, a plan numbered in b.plans, which it
+// resets; the same walk appends each class's energy addends. A fast
+// class's latency is read off by replaying its plan at cycle 0.
+// planClasses reports whether some class is slow, so that the clock
+// must be kept.
+func (b *batchReplayer) planClasses(st *archState) (anySlow bool) {
+	b.plans = b.plans[:0]
+	pb := pathBuilder{legs: b.legs[:0], add: b.addends}
 	for ci := range b.bt.Classes {
-		c := &b.bt.Classes[ci]
 		row := &st.rows[ci]
-		row.lo = int32(len(b.addends))
-		b.addends = b.energy(st, c, b.addends)
-		row.hi = int32(len(b.addends))
-		var p plan
-		p, b.scratch = b.compile(st, c, b.scratch[:0])
+		row.lo = int32(len(pb.add))
+		p := b.compile(&pb, st, &b.bt.Classes[ci])
+		row.hi = int32(len(pb.add))
 		if p.slow() {
-			row.plan = int32(first + plans)
-			plans++
-			legs += len(b.scratch)
-			st.anySlow = true
+			row.plan = int32(len(b.plans))
+			b.plans = append(b.plans, p)
+			anySlow = true
 		} else {
+			// A fast plan has no legs, so replay reads none of b.legs,
+			// which pb has not written back yet.
 			row.plan = -1
 			row.lat = b.replay(st, &p, 0)
 		}
 	}
-	return plans, legs
-}
-
-// compileSlow compiles an architecture's slow classes into the batch's
-// plans and legs.
-func (b *batchReplayer) compileSlow(st *archState) {
-	for ci, row := range st.rows {
-		if row.plan >= 0 {
-			b.plans[row.plan], b.legs = b.compile(st, &b.bt.Classes[ci], b.legs)
-		}
-	}
+	b.legs, b.addends = pb.legs, pb.add
+	return anySlow
 }
 
 // compile builds the plan of class c on an architecture, mirroring
-// replayReference's event, backing and offChip step for step, and
-// appends its contended legs to legs.
-func (b *batchReplayer) compile(st *archState, c *EventClass, legs []busLeg) (plan, []busLeg) {
+// replayReference's event, backing and offChip step for step: it
+// appends the plan's contended legs to pb.legs and the event's energy
+// addends to pb.add, in the order replayReference adds them (none
+// depends on timing).
+func (b *batchReplayer) compile(pb *pathBuilder, st *archState, c *EventClass) plan {
 	e := &c.view
-	pb := pathBuilder{legs: legs, lo: len(legs)}
-	p := plan{lo: int32(len(legs))}
+	p := plan{lo: int32(len(pb.legs))}
 	if c.Route < 0 {
-		b.compileOffChip(&pb, st, e.cpu, int(c.Size), int(c.DemandDRAM))
+		b.compileOffChip(pb, st, e.cpu, int(c.Size), int(c.DemandDRAM))
 		p.n[0], p.tail[0] = pb.end()
-		return p, pb.legs
+		return p
 	}
 	pb.plain(st, e.cpu, int(c.Size), 0)
 	p.n[0], p.tail[0] = pb.end()
@@ -532,6 +513,7 @@ func (b *batchReplayer) compile(st *archState, c *EventClass, legs []busLeg) (pl
 	// The module: behavior from the event; a stream buffer's or a DMA's
 	// stall is recomputed in the replay's clock.
 	meta := &b.bt.Modules[c.Route]
+	pb.add = append(pb.add, st.slots[e.cpu].tab.en[c.Size], meta.Energy)
 	pb.pend = int64(meta.Latency)
 	switch meta.Kind {
 	case mem.KindStream:
@@ -542,14 +524,14 @@ func (b *batchReplayer) compile(st *archState, c *EventClass, legs []busLeg) (pl
 		pb.pend += int64(c.Stall)
 	}
 	if e.hasDem {
-		b.compileBacking(&pb, st, e.back, int(c.DemandBytes), int(c.DemandL2Off), int(c.DemandDRAM))
+		b.compileBacking(pb, st, e.back, int(c.DemandBytes), int(c.DemandL2Off), int(c.DemandDRAM))
 	}
 	p.n[1], p.tail[1] = pb.end()
 	if e.prefBack {
-		b.compileBacking(&pb, st, e.back, int(c.PrefBytes), int(c.PrefL2Off), int(c.PrefDRAM))
+		b.compileBacking(pb, st, e.back, int(c.PrefBytes), int(c.PrefL2Off), int(c.PrefDRAM))
 	}
 	p.n[2], p.tail[2] = pb.end()
-	return p, pb.legs
+	return p
 }
 
 // compileBacking adds one backing transaction of n bytes on channel
@@ -560,6 +542,7 @@ func (b *batchReplayer) compileBacking(pb *pathBuilder, st *archState, back int3
 		return
 	}
 	pb.plain(st, back, n, int64(b.bt.L2Latency))
+	pb.add = append(pb.add, st.slots[back].tab.en[n], b.bt.L2Energy)
 	if l2 := b.chans.l2DRAMChan; l2off > 0 && l2 != -1 {
 		b.compileOffChip(pb, st, l2, l2off, dramLat)
 	}
@@ -573,6 +556,7 @@ func (b *batchReplayer) compileBacking(pb *pathBuilder, st *archState, back int3
 // and the run of 0 slides the window as the stage list of -1 does.
 func (b *batchReplayer) compileOffChip(pb *pathBuilder, st *archState, ch int32, n, dramLat int) {
 	s := &st.slots[ch]
+	pb.add = append(pb.add, s.tab.en[n]+b.bt.DRAMEnergy)
 	if s.split {
 		pb.plain(st, ch, 4, int64(dramLat))
 		pb.plain(st, ch, n, 0)
@@ -585,9 +569,11 @@ func (b *batchReplayer) compileOffChip(pb *pathBuilder, st *archState, ch int32,
 	pb.pend += int64(cyc + dramLat)
 }
 
-// pathBuilder builds the paths of one plan.
+// pathBuilder builds the paths of an architecture's plans, plan after
+// plan, and the energy addends of their events.
 type pathBuilder struct {
 	legs []busLeg
+	add  []float64
 	lo   int   // first leg of the open path
 	pend int64 // cycles from the last grant (or the path's start) to the next ask
 }
@@ -621,37 +607,6 @@ func (pb *pathBuilder) end() (uint8, int64) {
 	n, tail := len(pb.legs)-pb.lo, pb.pend
 	pb.lo, pb.pend = len(pb.legs), 0
 	return uint8(n), tail
-}
-
-// energy appends the energy addends of one event of class c in the
-// order replayReference adds them. None depends on timing, so they are
-// constants of (architecture, class) for every class.
-func (b *batchReplayer) energy(st *archState, c *EventClass, out []float64) []float64 {
-	e := &c.view
-	if c.Route < 0 {
-		return append(out, st.slots[e.cpu].tab.en[c.Size]+b.bt.DRAMEnergy)
-	}
-	out = append(out, st.slots[e.cpu].tab.en[c.Size], b.bt.Modules[c.Route].Energy)
-	if e.hasDem {
-		out = b.backingEnergy(st, e.back, int(c.DemandBytes), int(c.DemandL2Off), out)
-	}
-	if e.prefBack {
-		out = b.backingEnergy(st, e.back, int(c.PrefBytes), int(c.PrefL2Off), out)
-	}
-	return out
-}
-
-// backingEnergy appends the energy addends of one backing transaction
-// of n bytes, l2off of which the L2 forwards to DRAM.
-func (b *batchReplayer) backingEnergy(st *archState, back int32, n, l2off int, out []float64) []float64 {
-	if !b.bt.HasL2 {
-		return append(out, st.slots[back].tab.en[n]+b.bt.DRAMEnergy)
-	}
-	out = append(out, st.slots[back].tab.en[n], b.bt.L2Energy)
-	if l2 := b.chans.l2DRAMChan; l2off > 0 && l2 != -1 {
-		out = append(out, st.slots[l2].tab.en[l2off]+b.bt.DRAMEnergy)
-	}
-	return out
 }
 
 // countShared adds up the architecture-independent counters from the
@@ -706,12 +661,18 @@ func (b *batchReplayer) countBacking(back int32, n, bytes, l2off int64) {
 }
 
 // run replays the behavior trace for every arch and fills in the
-// results: the clock of every arch with slow classes, one arch at a
-// time, and the energy of all archs.
+// results: one arch at a time, it compiles the arch's classes and, if
+// some class is slow, runs its clock; then it sums the energy of all
+// archs.
 func (b *batchReplayer) run() {
 	for a := range b.archs {
-		if st := &b.archs[a]; st.anySlow {
+		st := &b.archs[a]
+		if b.planClasses(st) {
 			b.runClock(st)
+		}
+		if a == 0 {
+			// Every arch has as many energy addends as the first.
+			b.addends = slices.Grow(b.addends, (len(b.archs)-1)*len(b.addends))
 		}
 	}
 	b.runEnergy()

@@ -37,22 +37,28 @@ func batchConns(t *testing.T, m *mem.Architecture) []*connect.Arch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chans := m.Channels()
-	shared := &connect.Arch{Channels: chans}
-	var on, offc []int
-	for i, ch := range chans {
+	return append(conns, sharedConn(t, m, ahb, off))
+}
+
+// sharedConn maps every on-chip channel of m onto one bus of component
+// on and every off-chip channel onto one of component off.
+func sharedConn(t *testing.T, m *mem.Architecture, on, off connect.Component) *connect.Arch {
+	t.Helper()
+	a := &connect.Arch{Channels: m.Channels()}
+	var onc, offc []int
+	for i, ch := range a.Channels {
 		if ch.OffChip {
 			offc = append(offc, i)
 		} else {
-			on = append(on, i)
+			onc = append(onc, i)
 		}
 	}
-	shared.Clusters = [][]int{on, offc}
-	shared.Assign = []connect.Component{ahb, off}
-	if err := shared.Validate(); err != nil {
+	a.Clusters = [][]int{onc, offc}
+	a.Assign = []connect.Component{on, off}
+	if err := a.Validate(); err != nil {
 		t.Fatalf("shared-cluster arch invalid: %v", err)
 	}
-	return append(conns, shared)
+	return a
 }
 
 // assertBatchExact replays the batch and asserts every member — in the
@@ -461,4 +467,67 @@ func TestReplayBatchDeadTimeWithoutDRAM(t *testing.T) {
 		conns = append(conns, c)
 	}
 	assertBatchExact(t, "noDRAM", bt, conns)
+}
+
+// TestReplayBatchAlternatingContention replays batches whose
+// architectures alternate contended, uncontended and contended on one
+// capture, so each architecture compiles into the batch's reused plan
+// and leg buffers a different number of slow classes than the one
+// before it. A contended architecture shares one bus among all on-chip
+// channels, so the prefetch backing contends with every CPU link and
+// most classes are slow; the uncontended one gives each channel its own
+// bus, so only the prefetching modules' classes are slow. Every member,
+// in the batch and replayed alone as a K=1 batch, must equal
+// replayReference bit for bit.
+func TestReplayBatchAlternatingContention(t *testing.T) {
+	tr := workload.Compress{}.Generate(workload.DefaultConfig()).Slice(0, 6000)
+	narrow := connect.Component{
+		Name: "narrow", Class: connect.AHB, WidthBytes: 2, ArbCycles: 3, BeatCycles: 4,
+		Split: true, MaxPorts: 16, OnChip: true, EnergyPerByte: 0.013, BaseGates: 1,
+	}
+	slowOff := connect.Component{
+		Name: "slow-off", Class: connect.OffChip, WidthBytes: 2, ArbCycles: 5, BeatCycles: 7,
+		MaxPorts: 16, EnergyPerByte: 0.21, BaseGates: 1,
+	}
+	lib := connect.Library()
+	ahb, err := connect.ByName(lib, "ahb32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := connect.ByName(lib, "off16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withL2 := range []bool{false, true} {
+		m := richArch(withL2)
+		bt, err := CaptureBehavior(tr, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := []*connect.Arch{
+			sharedConn(t, m, ahb, off),
+			buildConnT(t, m, "ahb32", "off32"),
+			sharedConn(t, m, narrow, slowOff),
+		}
+		name := fmt.Sprintf("l2=%v", withL2)
+
+		b := newBatchReplayer(bt, conns)
+		b.run()
+		slow := make([]int, len(conns))
+		for a := range b.archs {
+			for _, row := range b.archs[a].rows {
+				if row.plan >= 0 {
+					slow[a]++
+				}
+			}
+		}
+		if slow[1] == 0 || slow[1] >= slow[0] || slow[1] >= slow[2] {
+			t.Fatalf("%s: slow classes per arch %v, want the middle arch's fewest and nonzero", name, slow)
+		}
+		if b.res[0].SchedConflicts == 0 || b.res[2].SchedConflicts == 0 {
+			t.Fatalf("%s: contended archs scheduled no conflict (%d, %d)", name, b.res[0].SchedConflicts, b.res[2].SchedConflicts)
+		}
+
+		assertBatchExact(t, name, bt, conns)
+	}
 }
